@@ -56,7 +56,7 @@ class CoreService(Agent):
     ) -> None:
         super().__init__(env, name or WELL_KNOWN.get(self.service_type, self.service_type), site)
         #: key -> Signal for an identical lookup currently in flight
-        #: (see :meth:`coalesced`).
+        #: (see :meth:`coalesced` and :meth:`coalesced_many`).
         self._inflight: dict = {}
         information = getattr(env, "information_service", None)
         if information is not None and information is not self:
@@ -90,26 +90,60 @@ class CoreService(Agent):
         scratch (hitting the cache, a newer leader, or missing on its
         own), so one failed RPC fails only its own requester.
         """
-        inflight = self._inflight.get(key)
-        if inflight is not None:
+
+        def fetch(keys):
+            reply = yield from factory()
+            return {key: reply}
+
+        replies = yield from self.coalesced_many([key], fetch, counter)
+        return replies[key]
+
+    def coalesced_many(self, keys: list, fetch, counter: str | None = None):
+        """:meth:`coalesced` for a batch of keys (generator).
+
+        Keys already in flight join their leaders; the rest are fetched
+        by one ``fetch(keys)`` — a generator performing a single batched
+        lookup and returning ``{key: reply}`` for every key it was given
+        — which leads them all.  Returns ``{key: reply}`` for *keys*.
+        A failed leader fails its own batch; joiners of its keys retry.
+        """
+        inflight = self._inflight
+        joined: dict = {}
+        mine = []
+        for key in keys:
+            signal = inflight.get(key)
+            if signal is None:
+                mine.append(key)
+            else:
+                joined[key] = signal
+        replies: dict = {}
+        if mine:
+            signal = Signal(self.engine, f"{self.name}.inflight")
+            for key in mine:
+                inflight[key] = signal
+            try:
+                fetched = yield from fetch(mine)
+            except BaseException:
+                for key in mine:
+                    inflight.pop(key, None)
+                signal.fire(_LOOKUP_FAILED)
+                raise
+            for key in mine:
+                inflight.pop(key, None)
+            signal.fire(fetched)
+            replies.update(fetched)
+        retry = []
+        for key, signal in joined.items():
             if counter is not None:
                 self.metrics.inc(counter, agent=self.name)
-            reply = yield inflight
-            if reply is not _LOOKUP_FAILED:
-                return reply
-            reply = yield from self.coalesced(key, factory, counter)
-            return reply
-        signal = Signal(self.engine, f"{self.name}.inflight")
-        self._inflight[key] = signal
-        try:
-            reply = yield from factory()
-        except BaseException:
-            self._inflight.pop(key, None)
-            signal.fire(_LOOKUP_FAILED)
-            raise
-        self._inflight.pop(key, None)
-        signal.fire(reply)
-        return reply
+            batch = yield signal
+            if batch is _LOOKUP_FAILED:
+                retry.append(key)
+            else:
+                replies[key] = batch[key]
+        if retry:
+            replies.update((yield from self.coalesced_many(retry, fetch, counter)))
+        return replies
 
     def call_with_failover(
         self,

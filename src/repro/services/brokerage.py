@@ -235,15 +235,28 @@ class BrokerageService(CoreService):
         super().on_unhandled(message)
 
     def handle_performance(self, message: Message):
+        """Past performance of one service on many containers.
+
+        Content: ``service``, ``containers`` (names).  Reply: ``service``
+        and ``containers`` — name -> ``runs``, ``success_rate``,
+        ``mean_duration``; a pair never recorded reads optimistically as
+        zero runs at full success.
+        """
         content = message.content
-        perf = self.performance_of(content["service"], content["container"])
-        if perf is None:
-            return {"runs": 0, "success_rate": 1.0, "mean_duration": 0.0}
-        return {
-            "runs": perf.runs,
-            "success_rate": perf.success_rate,
-            "mean_duration": perf.duration.mean,
-        }
+        service = content["service"]
+        rows = {}
+        for container in content["containers"]:
+            perf = self.performance_of(service, container)
+            rows[container] = (
+                {"runs": 0, "success_rate": 1.0, "mean_duration": 0.0}
+                if perf is None
+                else {
+                    "runs": perf.runs,
+                    "success_rate": perf.success_rate,
+                    "mean_duration": perf.duration.mean,
+                }
+            )
+        return {"service": service, "containers": rows}
 
     def handle_equivalence_classes(self, message: Message):
         """Group advertised resources by the values at the given slot paths

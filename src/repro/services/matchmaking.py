@@ -131,21 +131,26 @@ class MatchmakingService(CoreService):
     def _rank_candidates(
         self, service, min_speed, wanted_site, require_alive, max_candidates
     ):
-        """The actual broker + monitor sweep behind a match (generator)."""
+        """The actual broker + monitor sweep behind a match (generator):
+        the broker's providers, then one monitor ``load`` call for all of
+        them."""
         found = yield from self.call(
             self.broker_name,
             "find-containers",
             {"service": service},
             policy=self.lookup_policy,
         )
+        containers = found["containers"]
+        if not containers:
+            return []
+        loads = yield from self.call(
+            self.monitor_name,
+            "load",
+            {"agents": containers},
+            policy=self.lookup_policy,
+        )
         candidates = []
-        for container in found["containers"]:
-            status = yield from self.call(
-                self.monitor_name,
-                "status",
-                {"agent": container},
-                policy=self.lookup_policy,
-            )
+        for container, status in loads["agents"].items():
             if require_alive and not (
                 status.get("alive") and status.get("node_up", True)
             ):

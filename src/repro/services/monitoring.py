@@ -49,29 +49,53 @@ def _event_dict(event: TraceEvent) -> dict:
 class MonitoringService(CoreService):
     service_type = "monitoring"
 
-    def handle_status(self, message: Message):
-        """Live status of an agent (and its node, for containers)."""
-        name = message.content["agent"]
+    def _capacity(self, name: str) -> dict:
+        """The live capacity facts matchmaking and scheduling rank on:
+        liveness and site for any agent, plus node state, slot occupancy,
+        speed and cost rate for an application container."""
         if not self.env.has_agent(name):
             return {"known": False, "alive": False}
         agent = self.env.agent(name)
-        status = {
-            "known": True,
-            "alive": agent.alive,
-            "site": agent.site,
-            "queued_messages": len(agent.mailbox),
-        }
+        facts = {"known": True, "alive": agent.alive, "site": agent.site}
         if isinstance(agent, ApplicationContainer):
             node = agent.node
-            status.update(
-                node=node.name,
+            slots = node.slots
+            facts.update(
                 node_up=node.up,
-                slots=node.slots.capacity,
-                slots_in_use=node.slots.in_use,
-                slots_queued=node.slots.queued,
+                slots=slots.capacity,
+                slots_in_use=slots.in_use,
+                slots_queued=slots.queued,
                 speed=node.hardware.speed,
                 cost_rate=node.cost_rate,
             )
+        return facts
+
+    def handle_load(self, message: Message):
+        """Capacity facts for many agents in one round trip.
+
+        Content: ``agents`` (names).  Reply: ``agents`` — name -> the
+        slim facts of :meth:`_capacity`.  This is the lookup matchmaking
+        and scheduling use; it deliberately omits the per-agent ``metrics``
+        health block of ``status``, which no ranking reads and which the
+        message trace would otherwise retain for every decision.
+        """
+        capacity = self._capacity
+        return {
+            "agents": {name: capacity(name) for name in message.content["agents"]}
+        }
+
+    def handle_status(self, message: Message):
+        """Live status of an agent (and its node, for containers): the
+        capacity facts of ``load`` plus mailbox depth, node name and the
+        agent's message health — the operator's view."""
+        name = message.content["agent"]
+        status = self._capacity(name)
+        if not status["known"]:
+            return status
+        agent = self.env.agent(name)
+        status["queued_messages"] = len(agent.mailbox)
+        if isinstance(agent, ApplicationContainer):
+            status["node"] = agent.node.name
         # Health as seen by the metrics registry: message and error
         # counts summed across actions for this agent.
         metrics = self.env.metrics

@@ -10,6 +10,8 @@ and picks the minimum.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from repro.bus.policy import DEFAULT_POLICY, CallPolicy
 from repro.errors import SchedulingError, ServiceError
 from repro.grid.messages import Message
@@ -24,7 +26,7 @@ class SchedulingService(CoreService):
     broker_name = WELL_KNOWN["brokerage"]
     monitor_name = WELL_KNOWN["monitoring"]
 
-    #: Envelope for the per-candidate fact-gathering RPCs (monitor status,
+    #: Envelope for the two batched fact-gathering RPCs (monitor load,
     #: broker performance).  Default single-attempt, no-timeout — core
     #: services are reliable; override for flaky-core experiments.
     lookup_policy: CallPolicy = DEFAULT_POLICY
@@ -36,9 +38,9 @@ class SchedulingService(CoreService):
     #: Candidate-fact cache TTL in simulated seconds.  0 (the default)
     #: disables caching, keeping the monitor/broker message streams — and
     #: therefore every recorded trace — exactly as before.  Throughput
-    #: deployments set a TTL (see :meth:`enable_fact_cache`): the
-    #: per-candidate status/performance lookups, by far the densest RPC
-    #: traffic in enactment, are then amortized across schedule requests.
+    #: deployments set a TTL (see :meth:`enable_fact_cache`): each
+    #: container's load and performance facts are then amortized across
+    #: schedule requests, and a lookup fetches only the stale ones.
     #: Staleness is bounded by the TTL and partially compensated by the
     #: scheduler's own pending-assignment tracking, which keeps spreading
     #: load even against frozen occupancy facts.
@@ -50,10 +52,11 @@ class SchedulingService(CoreService):
         #: scheduled but that monitoring may not see yet.  Concurrent
         #: requests (e.g. the three fork branches of Figure 10) would
         #: otherwise all observe zero load and herd onto one container —
-        #: the Section-2 staleness problem in miniature.
+        #: the Section-2 staleness problem in miniature.  Each list is a
+        #: min-heap, so expired entries pop off its front.
         self._pending: dict[str, list[float]] = {}
         #: ("status", container) / ("perf", service, container) ->
-        #: (expires_at, reply dict).
+        #: (expires_at, fact row).
         self._fact_cache: dict[tuple, tuple[float, dict]] = {}
 
     def enable_fact_cache(self, ttl: float, broker=None) -> None:
@@ -85,45 +88,72 @@ class SchedulingService(CoreService):
             return
         super().on_unhandled(message)
 
-    def _cached_call(self, key: tuple, to: str, action: str, content: dict):
-        """One fact-gathering RPC through the TTL cache (generator).
+    def _facts(self, prefix: tuple, names: list, to: str, action: str,
+               content: dict, field: str):
+        """``{name: row}`` for *names* from one batched lookup (generator).
 
-        Cached replies are returned by reference, not copied — the
-        scheduling facts path only reads them.  (The hot hit path is
-        checked inline in :meth:`_schedule`; this method handles the miss
-        and the first fill.)  Concurrent misses on one key coalesce into a
-        single RPC via :meth:`~repro.services.base.CoreService.coalesced`
-        — without it, the N cases of a fan-out all cold-miss the same
-        facts at the same instant.
+        The request carries the names under *field* and the reply maps
+        each name to its row under the same field.  With the fact cache
+        on, fresh ``prefix + (name,)`` entries are served from it and only
+        the misses are fetched — still in one RPC, coalesced per key with
+        concurrent requests missing the same facts (without that, the N
+        cases of a fan-out all cold-miss them at the same instant).
+        Cached rows are shared by reference: the decision only reads them.
         """
         ttl = self.fact_cache_ttl
         if ttl <= 0.0:
             reply = yield from self.call(
-                to, action, content, policy=self.lookup_policy
+                to, action, {**content, field: names}, policy=self.lookup_policy
             )
-            return reply
-        entry = self._fact_cache.get(key)
-        if entry is not None and self.engine.now < entry[0]:
-            self.metrics.inc("sched_fact_cache_hit", agent=self.name)
-            return entry[1]
+            return reply[field]
+        cache = self._fact_cache
+        now = self.engine.now
+        rows = {}
+        misses = []
+        for name in names:
+            key = prefix + (name,)
+            entry = cache.get(key)
+            if entry is not None and now < entry[0]:
+                rows[name] = entry[1]
+            else:
+                misses.append(key)
+        if rows:
+            self.metrics.inc("sched_fact_cache_hit", agent=self.name, amount=len(rows))
+        if not misses:
+            return rows
 
-        def fill():
-            self.metrics.inc("sched_fact_cache_miss", agent=self.name)
+        def fetch(keys):
+            self.metrics.inc(
+                "sched_fact_cache_miss", agent=self.name, amount=len(keys)
+            )
             reply = yield from self.call(
-                to, action, content, policy=self.lookup_policy
+                to,
+                action,
+                {**content, field: [key[-1] for key in keys]},
+                policy=self.lookup_policy,
             )
-            self._fact_cache[key] = (self.engine.now + ttl, reply)
-            return reply
+            fetched = reply[field]
+            expires = self.engine.now + ttl
+            for key in keys:
+                cache[key] = (expires, fetched[key[-1]])
+            return {key: fetched[key[-1]] for key in keys}
 
-        reply = yield from self.coalesced(key, fill, "sched_fact_cache_join")
-        return reply
+        fetched = yield from self.coalesced_many(
+            misses, fetch, "sched_fact_cache_join"
+        )
+        for key, row in fetched.items():
+            rows[key[-1]] = row
+        return rows
 
     def _pending_load(self, container: str) -> int:
+        """Assignments booked on *container* whose predicted completion
+        has not yet passed: pop the expired ones off its min-heap."""
         entries = self._pending.get(container)
         if not entries:
             return 0
         now = self.engine.now
-        entries[:] = [expiry for expiry in entries if expiry > now]
+        while entries and entries[0] <= now:
+            heappop(entries)
         return len(entries)
 
     def handle_schedule(self, message: Message):
@@ -176,46 +206,32 @@ class SchedulingService(CoreService):
         if not candidates:
             raise ServiceError(f"no candidates to schedule service {service!r}")
 
-        # Gather per-candidate facts first (each gather yields to other
-        # agents, so concurrent schedule requests interleave here)...
-        # Fact-cache hits are resolved inline: no generator frame and no
-        # RPC machinery for the (dominant, once warmed) cached path.  The
-        # clock is re-read per check because a miss's RPC advances it.
-        ttl = self.fact_cache_ttl
-        cache = self._fact_cache
-        metrics = self.metrics
-        count_hits = metrics.enabled
+        # Gather the facts first: one monitor ``load`` call, then one
+        # broker ``performance`` call over the live candidates.  Each
+        # call yields to other agents, so concurrent schedule requests
+        # interleave here...
+        loads = yield from self._facts(
+            ("status",), candidates, self.monitor_name, "load", {}, "agents"
+        )
+        live = [
+            container
+            for container in candidates
+            if loads[container].get("known") and loads[container].get("alive")
+        ]
+        perfs = {}
+        if live:
+            perfs = yield from self._facts(
+                ("perf", service),
+                live,
+                self.broker_name,
+                "performance",
+                {"service": service},
+                "containers",
+            )
         facts: list[dict] = []
-        for container in candidates:
-            key = ("status", container)
-            entry = cache.get(key) if ttl > 0.0 else None
-            if entry is not None and self.engine.now < entry[0]:
-                if count_hits:
-                    metrics.inc("sched_fact_cache_hit", agent=self.name)
-                status = entry[1]
-            else:
-                status = yield from self._cached_call(
-                    key,
-                    self.monitor_name,
-                    "status",
-                    {"agent": container},
-                )
-            if not status.get("known") or not status.get("alive"):
-                continue
-            key = ("perf", service, container)
-            entry = cache.get(key) if ttl > 0.0 else None
-            if entry is not None and self.engine.now < entry[0]:
-                if count_hits:
-                    metrics.inc("sched_fact_cache_hit", agent=self.name)
-                perf = entry[1]
-            else:
-                perf = yield from self._cached_call(
-                    key,
-                    self.broker_name,
-                    "performance",
-                    {"service": service, "container": container},
-                )
-            reliability = float(perf.get("success_rate", 1.0))
+        for container in live:
+            status = loads[container]
+            reliability = float(perfs[container].get("success_rate", 1.0))
             facts.append(
                 {
                     "container": container,
@@ -263,8 +279,8 @@ class SchedulingService(CoreService):
             )
         scored.sort()
         _, best_estimate, best_cost, best = scored[0]
-        self._pending.setdefault(best, []).append(
-            self.engine.now + best_estimate
+        heappush(
+            self._pending.setdefault(best, []), self.engine.now + best_estimate
         )
         return {
             "service": service,

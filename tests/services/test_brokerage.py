@@ -49,12 +49,14 @@ def test_performance_db(grid):
         env,
         user,
         lambda: user.call(
-            "brokerage", "performance", {"service": "POD", "container": "ac1"}
+            "brokerage", "performance", {"service": "POD", "containers": ["ac1"]}
         ),
     )
-    assert result["runs"] == 3
-    assert result["success_rate"] == (2 / 3)
-    assert result["mean_duration"] == 6.0
+    assert result["service"] == "POD"
+    row = result["containers"]["ac1"]
+    assert row["runs"] == 3
+    assert row["success_rate"] == (2 / 3)
+    assert row["mean_duration"] == 6.0
 
 
 def test_performance_unknown_pair_optimistic(grid):
@@ -64,10 +66,12 @@ def test_performance_unknown_pair_optimistic(grid):
         env,
         user,
         lambda: user.call(
-            "brokerage", "performance", {"service": "X", "container": "Y"}
+            "brokerage", "performance", {"service": "X", "containers": ["Y"]}
         ),
     )
-    assert result == {"runs": 0, "success_rate": 1.0, "mean_duration": 0.0}
+    assert result["containers"] == {
+        "Y": {"runs": 0, "success_rate": 1.0, "mean_duration": 0.0}
+    }
 
 
 def test_equivalence_classes_by_speed(grid):
