@@ -34,12 +34,11 @@ workflow through the full matchmaking -> scheduling -> container path):
   comparison row for the batched dispatch path;
 * the per-enactment-recompile configuration (``program_cache_size=0``),
   isolating the compiled-program cache's contribution;
-* the all-knobs throughput configuration (tracing off, fact / match /
-  candidate caches, metrics off, async reports, coalesced resumption),
-  plus the cache-hit counters of one instrumented run;
-* the ``parallel=N`` multi-environment driver row and a 1k-case serial
-  stress row (the ``--min-stress-cases-per-s`` floor gate watches the
-  latter, host-fingerprint-matched like the obs gate);
+* the all-knobs throughput configuration (tracing off, the coordinator
+  and scheduler read-through cache, metrics off, async reports, coalesced
+  resumption), plus the cache-hit counters of one instrumented run;
+* a 1k-case serial stress row (the ``--min-stress-cases-per-s`` floor
+  gate watches it, host-fingerprint-matched like the obs gate);
 * the batched-vs-legacy byte-identity gate (also standalone via
   ``--verify-traces``), recorded into the JSON itself.
 
@@ -272,16 +271,14 @@ PRE_PR_BASELINE = {
     "note": "same workload driver, pre-optimization enactment path",
 }
 
-#: Every throughput knob at once: tracing off, all three TTL caches
+#: Every throughput knob at once: tracing off, the read-through cache
 #: effectively run-long, metrics registry off, one-way performance
 #: reports, and coalesced same-tick resumption.  This is the configuration
 #: the 10x acceptance target is measured on; each knob is individually
 #: opt-in and individually measured in the counters rows.
 FAST_PATH_KNOBS = {
     "tracing": False,
-    "match_cache_ttl": 120.0,
-    "sched_cache_ttl": 120.0,
-    "coord_cache_ttl": 120.0,
+    "cache_ttl": 120.0,
     "metrics": False,
     "async_reports": True,
     "coalesce": True,
@@ -455,25 +452,6 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
         ), rounds)
         timing["cases_per_s"] = cases / timing["median_s"]
         out[label] = timing
-
-    # Multi-environment parallel driver: deterministic shard merge over a
-    # process pool.  On a single-core host this row honestly records the
-    # dispatch overhead rather than a win (see the module docstring).
-    workers = max(2, min(4, os.cpu_count() or 1))
-    parallel_rounds = max(1, min(rounds, 3))
-    timing = _time(lambda: run_many_cases(
-        cases=cases, containers=containers, parallel=workers,
-        **FAST_PATH_KNOBS,
-    ), parallel_rounds)
-    timing["cases_per_s"] = cases / timing["median_s"]
-    result = run_many_cases(
-        cases=cases, containers=containers, parallel=workers,
-        **FAST_PATH_KNOBS,
-    )
-    timing["pool_error"] = result["pool_error"]
-    timing["shards"] = result["shards"]
-    timing["completed"] = result["completed"]
-    out[f"parallel_x{workers}"] = timing
 
     # 1k-case stress row: same fast path, more contention (makespan grows
     # with the case count, so the rate is lower than the 32-case row —

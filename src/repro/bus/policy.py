@@ -1,9 +1,7 @@
 """Declarative RPC call policies: timeout, bounded retries, failover.
 
 "Core services are replicated to ensure an adequate level of performance
-and reliability" (Section 2) — the old substrate hard-coded that idea in
-one place (``CoreService.call_with_failover``) and scattered ad-hoc
-timeouts everywhere else.  A :class:`CallPolicy` makes the whole
+and reliability" (Section 2).  A :class:`CallPolicy` makes the whole
 reliability envelope of an RPC declarative:
 
 * ``timeout`` — simulated seconds a caller waits for the reply before the

@@ -158,14 +158,6 @@ class CoordinationService(CoreService):
     #: Name of the authentication service used when credentials are set.
     auth_name = WELL_KNOWN["authentication"]
 
-    #: Coordinator-side match-reply cache TTL in simulated seconds.  0
-    #: (the default) keeps one match RPC per activity dispatch — and the
-    #: message stream byte-identical.  With a TTL (see
-    #: :meth:`enable_match_cache`) repeated dispatches of the same service
-    #: reuse the ranked candidate list without crossing the network; the
-    #: broker's ``registry-changed`` push flushes it on (de)registration.
-    match_cache_ttl: float = 0.0
-
     #: When set, per-activity performance reports to the broker go as
     #: one-way INFORM notifications instead of blocking RPCs — half the
     #: messages, no reply wait, and the broker books them inline in its
@@ -192,66 +184,22 @@ class CoordinationService(CoreService):
         #: result across the N cases of a workflow is trace-safe; follows
         #: the program cache's size knob and LRU policy.
         self._analysis_cache: OrderedDict[Any, list] = OrderedDict()
-        #: service -> (expires_at, candidate names best-first).
-        self._match_cache: dict[str, tuple[float, list[str]]] = {}
-
-    def enable_match_cache(self, ttl: float, broker=None) -> None:
-        """Cache matchmaker replies per service for *ttl* simulated
-        seconds; when *broker* (a BrokerageService) is given, subscribe to
-        its registry push so (de)registrations invalidate immediately."""
-        self.match_cache_ttl = ttl
-        if broker is not None:
-            broker.subscribe_registry(self.name)
-
-    def invalidate_matches(self, services: list[str] | None = None) -> None:
-        """Drop cached match replies — all of them, or (when the broker's
-        push names the affected *services*) only those services' entries."""
-        if services is None:
-            self._match_cache.clear()
-            return
-        cache = self._match_cache
-        for service in services:
-            cache.pop(service, None)
-
-    def on_unhandled(self, message: Message) -> None:
-        if message.action == "registry-changed":
-            self.invalidate_matches(message.content.get("services"))
-            return
-        super().on_unhandled(message)
 
     def _candidates_for(self, service: str, span: Span | None):
         """Ranked candidate containers for *service* (generator): the
-        matchmaker RPC, behind the opt-in coordinator-side TTL cache."""
-        ttl = self.match_cache_ttl
-        if ttl > 0.0:
-            entry = self._match_cache.get(service)
-            if entry is not None and self.engine.now < entry[0]:
-                self.metrics.inc("coord_match_cache_hit", agent=self.name)
-                return list(entry[1])
+        matchmaker RPC, behind the read-through cache (key
+        ``("match", service)``)."""
 
-            def fill():
-                self.metrics.inc("coord_match_cache_miss", agent=self.name)
-                match = yield from self._timed_call(
-                    "match", span, self.matchmaker_name, "match",
-                    {"service": service},
-                )
-                found = [c["container"] for c in match["candidates"]]
-                if found:
-                    self._match_cache[service] = (
-                        self.engine.now + ttl, list(found)
-                    )
-                return found
-
-            # Concurrent cold misses for one service share a single match
-            # RPC (see CoreService.coalesced).
-            candidates = yield from self.coalesced(
-                ("match", service), fill, "coord_match_cache_join"
+        def fetch(_):  # asked only for [service]
+            match = yield from self._timed_call(
+                "match", span, self.matchmaker_name, "match", {"service": service},
             )
-            return list(candidates)
-        match = yield from self._timed_call(
-            "match", span, self.matchmaker_name, "match", {"service": service},
+            return {service: [c["container"] for c in match["candidates"]]}
+
+        found = yield from self.cached(
+            "coord_match_cache", ("match",), [service], fetch
         )
-        return [c["container"] for c in match["candidates"]]
+        return list(found[service])
 
     def _analyze(self, process: ProcessDescription, initial: set | None):
         """Intake findings for *process* (cached per fingerprint +

@@ -35,17 +35,6 @@ class SchedulingService(CoreService):
     #: 50% success rate looks twice as slow as its raw estimate.
     reliability_weight = 1.0
 
-    #: Candidate-fact cache TTL in simulated seconds.  0 (the default)
-    #: disables caching, keeping the monitor/broker message streams — and
-    #: therefore every recorded trace — exactly as before.  Throughput
-    #: deployments set a TTL (see :meth:`enable_fact_cache`): each
-    #: container's load and performance facts are then amortized across
-    #: schedule requests, and a lookup fetches only the stale ones.
-    #: Staleness is bounded by the TTL and partially compensated by the
-    #: scheduler's own pending-assignment tracking, which keeps spreading
-    #: load even against frozen occupancy facts.
-    fact_cache_ttl: float = 0.0
-
     def __init__(self, env, name=None, site="core"):
         super().__init__(env, name, site)
         #: Pending assignments per container: expiry times of work we have
@@ -55,95 +44,6 @@ class SchedulingService(CoreService):
         #: the Section-2 staleness problem in miniature.  Each list is a
         #: min-heap, so expired entries pop off its front.
         self._pending: dict[str, list[float]] = {}
-        #: ("status", container) / ("perf", service, container) ->
-        #: (expires_at, fact row).
-        self._fact_cache: dict[tuple, tuple[float, dict]] = {}
-
-    def enable_fact_cache(self, ttl: float, broker=None) -> None:
-        """Turn on candidate-fact caching with the given TTL; when
-        *broker* (a BrokerageService) is given, also subscribe to its
-        ``registry-changed`` push so (de)registrations flush stale facts."""
-        self.fact_cache_ttl = ttl
-        if broker is not None:
-            broker.subscribe_registry(self.name)
-
-    def invalidate_facts(self, container: str | None = None) -> None:
-        """Drop cached facts — all of them, or (when the broker's push
-        names the affected *container*) only that container's status and
-        performance entries.  Monitor status and broker performance for
-        *other* containers are untouched by a (de)registration, so the
-        selective path keeps the dominant cached-fact population warm
-        across mid-run service deployments."""
-        if container is None:
-            self._fact_cache.clear()
-            return
-        cache = self._fact_cache
-        for key in [k for k in cache if k[-1] == container]:
-            del cache[key]
-
-    def on_unhandled(self, message: Message) -> None:
-        # The broker's cache-invalidation push (no reply expected).
-        if message.action == "registry-changed":
-            self.invalidate_facts(message.content.get("container"))
-            return
-        super().on_unhandled(message)
-
-    def _facts(self, prefix: tuple, names: list, to: str, action: str,
-               content: dict, field: str):
-        """``{name: row}`` for *names* from one batched lookup (generator).
-
-        The request carries the names under *field* and the reply maps
-        each name to its row under the same field.  With the fact cache
-        on, fresh ``prefix + (name,)`` entries are served from it and only
-        the misses are fetched — still in one RPC, coalesced per key with
-        concurrent requests missing the same facts (without that, the N
-        cases of a fan-out all cold-miss them at the same instant).
-        Cached rows are shared by reference: the decision only reads them.
-        """
-        ttl = self.fact_cache_ttl
-        if ttl <= 0.0:
-            reply = yield from self.call(
-                to, action, {**content, field: names}, policy=self.lookup_policy
-            )
-            return reply[field]
-        cache = self._fact_cache
-        now = self.engine.now
-        rows = {}
-        misses = []
-        for name in names:
-            key = prefix + (name,)
-            entry = cache.get(key)
-            if entry is not None and now < entry[0]:
-                rows[name] = entry[1]
-            else:
-                misses.append(key)
-        if rows:
-            self.metrics.inc("sched_fact_cache_hit", agent=self.name, amount=len(rows))
-        if not misses:
-            return rows
-
-        def fetch(keys):
-            self.metrics.inc(
-                "sched_fact_cache_miss", agent=self.name, amount=len(keys)
-            )
-            reply = yield from self.call(
-                to,
-                action,
-                {**content, field: [key[-1] for key in keys]},
-                policy=self.lookup_policy,
-            )
-            fetched = reply[field]
-            expires = self.engine.now + ttl
-            for key in keys:
-                cache[key] = (expires, fetched[key[-1]])
-            return {key: fetched[key[-1]] for key in keys}
-
-        fetched = yield from self.coalesced_many(
-            misses, fetch, "sched_fact_cache_join"
-        )
-        for key, row in fetched.items():
-            rows[key[-1]] = row
-        return rows
 
     def _pending_load(self, container: str) -> int:
         """Assignments booked on *container* whose predicted completion
@@ -207,11 +107,29 @@ class SchedulingService(CoreService):
             raise ServiceError(f"no candidates to schedule service {service!r}")
 
         # Gather the facts first: one monitor ``load`` call, then one
-        # broker ``performance`` call over the live candidates.  Each
-        # call yields to other agents, so concurrent schedule requests
-        # interleave here...
-        loads = yield from self._facts(
-            ("status",), candidates, self.monitor_name, "load", {}, "agents"
+        # broker ``performance`` call over the live candidates, each
+        # behind the read-through cache (rows keyed ``("status", c)`` and
+        # ``("perf", service, c)``; cached occupancy is at most a TTL old,
+        # and the pending bookings below keep spreading load against it).
+        # Each call yields to other agents, so concurrent schedule
+        # requests interleave here...
+        def fetch_loads(containers):
+            reply = yield from self.call(
+                self.monitor_name, "load", {"agents": containers},
+                policy=self.lookup_policy,
+            )
+            return reply["agents"]
+
+        def fetch_perfs(containers):
+            reply = yield from self.call(
+                self.broker_name, "performance",
+                {"service": service, "containers": containers},
+                policy=self.lookup_policy,
+            )
+            return reply["containers"]
+
+        loads = yield from self.cached(
+            "sched_fact_cache", ("status",), candidates, fetch_loads
         )
         live = [
             container
@@ -220,13 +138,8 @@ class SchedulingService(CoreService):
         ]
         perfs = {}
         if live:
-            perfs = yield from self._facts(
-                ("perf", service),
-                live,
-                self.broker_name,
-                "performance",
-                {"service": service},
-                "containers",
+            perfs = yield from self.cached(
+                "sched_fact_cache", ("perf", service), live, fetch_perfs
             )
         facts: list[dict] = []
         for container in live:

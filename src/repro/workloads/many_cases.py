@@ -17,7 +17,7 @@ reproduces that shape on the simulated grid:
 It is the benchmark workload for the enactment throughput layer (see
 ``benchmarks/record_bench.py --suite enact``): the same workflow enacted
 K times is exactly the case the coordinator's compiled-program cache, the
-matchmaker's candidate cache and the router fast path are built for.
+core services' read-through cache and the router fast path are built for.
 """
 
 from __future__ import annotations
@@ -111,9 +111,7 @@ def run_many_cases(
     containers: int = 4,
     rounds: int = 3,
     tracing: bool = True,
-    match_cache_ttl: float = 0.0,
-    sched_cache_ttl: float = 0.0,
-    coord_cache_ttl: float = 0.0,
+    cache_ttl: float = 0.0,
     program_cache_size: int | None = None,
     max_events: int = 20_000_000,
     spans: bool = False,
@@ -123,8 +121,6 @@ def run_many_cases(
     coalesce: bool = False,
     metrics: bool = True,
     async_reports: bool = False,
-    parallel: int = 0,
-    first_case: int = 0,
     shards: int = 0,
     case_indices: Sequence[int] | None = None,
 ) -> dict[str, Any]:
@@ -132,10 +128,10 @@ def run_many_cases(
 
     The throughput knobs map onto the enactment fast paths:
     ``tracing=False`` selects the router fast path (no TraceEvents),
-    ``match_cache_ttl`` enables the matchmaker candidate cache,
-    ``sched_cache_ttl`` the scheduler's candidate-fact cache and
-    ``coord_cache_ttl`` the coordinator's ranked-match cache (all three
-    wire up the broker's registry-changed push for invalidation), and
+    ``cache_ttl`` turns on the read-through cache of the coordinator
+    (ranked matches) and the scheduler (candidate facts) — see
+    :meth:`~repro.services.base.CoreService.cached`; both subscribe to
+    the broker's registry-changed push for invalidation — and
     ``program_cache_size`` overrides the coordinator's compiled-program
     cache (0 recompiles per enactment — the pre-compilation baseline).
     ``batched=False`` opts out of the engine's same-tick batch dispatch
@@ -151,32 +147,23 @@ def run_many_cases(
     (``repro trace export`` / ``repro profile`` run on this), and
     ``gauge_period > 0`` samples sim-time gauges at that period.
 
-    ``parallel=N`` (N > 1) partitions the case population into N
-    contiguous shards and enacts each shard in its own process with its
-    own environment — the multi-environment driver for very large
-    populations.  Shard results merge deterministically (outcomes in
-    global case order, counters summed, makespan = the slowest shard);
+    ``shards=N`` (N > 1) runs the **sharded grid**: cases are assigned
+    to N coordination shards by consistent hash of their case id
+    (``case-<index>`` on the :class:`~repro.grid.sharding.ShardRing` over
+    labels ``s0..s{N-1}`` — a fixed, population-independent mapping), and
+    each shard enacts its slice in its own process with its own shard
+    group.  Shard results merge deterministically (outcomes in global
+    case order, counters summed, makespan = the slowest shard);
     ``env``/``services``/``fleet`` are ``None`` in the merged result
     since live environments do not cross process boundaries.  When a
     worker pool cannot be spawned the driver degrades to a serial
     in-process run of the same shards and reports ``pool_error``.
-
-    ``first_case`` offsets the global case index (shard workers use it so
-    every case keeps its population-level initial data and task name).
-
-    ``shards=N`` (N > 1) runs the **sharded grid** instead: cases are
-    assigned to N coordination shards by consistent hash of their case id
-    (``case-<index>`` on the :class:`~repro.grid.sharding.ShardRing` over
-    labels ``s0..s{N-1}`` — a fixed, population-independent mapping), and
-    each shard enacts its slice in its own process with its own shard
-    group.  Results merge exactly like ``parallel``'s.  ``shards=1`` runs
-    serially in-process on a single-shard
+    ``shards=1`` runs serially in-process on a single-shard
     :func:`~repro.services.bootstrap.sharded_environment`, whose message
     stream is byte-identical to the unsharded grid — the trace-identity
-    gate for the sharded bootstrap.  ``shards`` and ``parallel`` are
-    mutually exclusive.  ``case_indices`` (used by shard workers) names
-    the exact global case indices to enact, overriding the contiguous
-    ``first_case`` range.
+    gate for the sharded bootstrap.  ``case_indices`` (used by shard
+    workers) names the exact global case indices to enact, so every case
+    keeps its population-level initial data and task name.
 
     Returns ``env``, ``services``, ``outcomes`` (per-case replies) and
     summary counts.  Raises :class:`WorkloadError` when any case fails —
@@ -188,17 +175,13 @@ def run_many_cases(
         raise WorkloadError(
             f"many_cases: {cases} cases but {len(case_indices)} case_indices"
         )
-    if shards > 1 and parallel > 1:
-        raise WorkloadError("many_cases: shards and parallel are exclusive")
     if shards > 1:
         return _run_many_cases_sharded(
             cases=cases,
             containers=containers,
             rounds=rounds,
             tracing=tracing,
-            match_cache_ttl=match_cache_ttl,
-            sched_cache_ttl=sched_cache_ttl,
-            coord_cache_ttl=coord_cache_ttl,
+            cache_ttl=cache_ttl,
             program_cache_size=program_cache_size,
             max_events=max_events,
             spans=spans,
@@ -208,29 +191,7 @@ def run_many_cases(
             coalesce=coalesce,
             metrics=metrics,
             async_reports=async_reports,
-            first_case=first_case,
             shards=shards,
-        )
-    if parallel > 1:
-        return _run_many_cases_parallel(
-            cases=cases,
-            containers=containers,
-            rounds=rounds,
-            tracing=tracing,
-            match_cache_ttl=match_cache_ttl,
-            sched_cache_ttl=sched_cache_ttl,
-            coord_cache_ttl=coord_cache_ttl,
-            program_cache_size=program_cache_size,
-            max_events=max_events,
-            spans=spans,
-            journal=journal,
-            gauge_period=gauge_period,
-            batched=batched,
-            coalesce=coalesce,
-            metrics=metrics,
-            async_reports=async_reports,
-            parallel=parallel,
-            first_case=first_case,
         )
     if shards == 1:
         grid = sharded_environment(
@@ -252,25 +213,12 @@ def run_many_cases(
         env.attach_gauges(period=gauge_period)
     if program_cache_size is not None:
         services.coordination.program_cache_size = program_cache_size
-    if match_cache_ttl > 0.0:
-        services.matchmaking.enable_candidate_cache(
-            match_cache_ttl, broker=services.brokerage
-        )
-    if sched_cache_ttl > 0.0:
-        services.scheduling.enable_fact_cache(
-            sched_cache_ttl, broker=services.brokerage
-        )
-    if coord_cache_ttl > 0.0:
-        services.coordination.enable_match_cache(
-            coord_cache_ttl, broker=services.brokerage
-        )
+    if cache_ttl > 0.0:
+        services.scheduling.enable_cache(cache_ttl, broker=services.brokerage)
+        services.coordination.enable_cache(cache_ttl, broker=services.brokerage)
     process = many_cases_process(rounds)
     outcomes: list[dict[str, Any] | None] = [None] * cases
-    indices = (
-        list(case_indices)
-        if case_indices is not None
-        else [first_case + index for index in range(cases)]
-    )
+    indices = range(cases) if case_indices is None else case_indices
 
     def enact_case(slot: int, index: int):
         reply = yield from services.coordination.call(
@@ -318,9 +266,6 @@ def run_many_cases(
         "counters": {
             "program_cache_hit": registry.total("program_cache_hit"),
             "program_cache_miss": registry.total("program_cache_miss"),
-            "match_cache_hit": registry.total("match_cache_hit"),
-            "match_cache_miss": registry.total("match_cache_miss"),
-            "match_cache_join": registry.total("match_cache_join"),
             "sched_fact_cache_hit": registry.total("sched_fact_cache_hit"),
             "sched_fact_cache_miss": registry.total("sched_fact_cache_miss"),
             "sched_fact_cache_join": registry.total("sched_fact_cache_join"),
@@ -333,21 +278,7 @@ def run_many_cases(
     }
 
 
-# -- multi-environment parallel driver ------------------------------------- #
-def _shard_bounds(cases: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous (first_case, size) shards covering ``range(cases)``;
-    earlier shards take the remainder so sizes differ by at most one."""
-    shards = max(1, min(shards, cases))
-    base, extra = divmod(cases, shards)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, size))
-        start += size
-    return bounds
-
-
+# -- sharded-grid driver ----------------------------------------------------- #
 def _run_shard(kwargs: dict[str, Any]) -> dict[str, Any]:
     """Worker entry point: one serial shard, summarized picklably.
 
@@ -383,83 +314,7 @@ def _merge_journal_stats(summaries: list[dict[str, Any]]) -> dict[str, Any]:
     return merged
 
 
-def _run_many_cases_parallel(
-    *, cases: int, parallel: int, first_case: int, **workload: Any
-) -> dict[str, Any]:
-    """Partition the population into contiguous shards, enact each in its
-    own process, and merge deterministically (shard order == case order)."""
-    bounds = _shard_bounds(cases, parallel)
-    shard_kwargs = [
-        dict(
-            workload,
-            cases=size,
-            first_case=first_case + start,
-            parallel=0,
-        )
-        for start, size in bounds
-    ]
-    pool_error: str | None = None
-    summaries: list[dict[str, Any]] | None = None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            # map() preserves submission order, so the merge below sees
-            # shards exactly in global case order regardless of which
-            # worker finishes first.
-            summaries = list(pool.map(_run_shard, shard_kwargs))
-    except Exception as exc:  # pragma: no cover - depends on host sandboxing
-        pool_error = f"{type(exc).__name__}: {exc}"
-        summaries = None
-    if summaries is None:
-        # Deterministic fallback: the same shards, serially, in-process —
-        # identical merged outcomes, just no wall-clock overlap.
-        summaries = [_run_shard(kwargs) for kwargs in shard_kwargs]
-
-    outcomes: list[dict[str, Any] | None] = []
-    counters: dict[str, int] = {}
-    for summary in summaries:
-        outcomes.extend(summary["outcomes"])
-        for key, value in summary["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-    completed = sum(summary["completed"] for summary in summaries)
-    if completed != cases:
-        raise WorkloadError(
-            f"many_cases: only {completed}/{cases} cases completed"
-        )
-    return {
-        "env": None,
-        "services": None,
-        "fleet": None,
-        "outcomes": outcomes,
-        "cases": cases,
-        "completed": completed,
-        "activities_run": sum(s["activities_run"] for s in summaries),
-        "messages": sum(s["messages"] for s in summaries),
-        "makespan": max(s["makespan"] for s in summaries),
-        "engine_events": sum(s["engine_events"] for s in summaries),
-        "parallel": len(bounds),
-        "shards": [
-            {"first_case": start, "cases": size}
-            for start, size in bounds
-        ],
-        "pool_error": pool_error,
-        "spans": {
-            "enabled": False,
-            "started": 0,
-            "closed": 0,
-            "open": 0,
-            "evicted": 0,
-        },
-        "journal": _merge_journal_stats(summaries),
-        "counters": counters,
-    }
-
-
-# -- sharded-grid driver ----------------------------------------------------- #
-def shard_assignment(
-    cases: int, shards: int, first_case: int = 0
-) -> dict[str, list[int]]:
+def shard_assignment(cases: int, shards: int) -> dict[str, list[int]]:
     """Global case indices per shard label, by consistent hash of the case
     id (``case-<index>``) over the ring of labels ``s0..s{shards-1}``.
 
@@ -469,17 +324,17 @@ def shard_assignment(
     """
     ring = ShardRing([f"s{index}" for index in range(shards)])
     assignment: dict[str, list[int]] = {label: [] for label in ring.shards}
-    for index in range(first_case, first_case + cases):
+    for index in range(cases):
         assignment[ring.owner(f"case-{index}")].append(index)
     return assignment
 
 
 def _run_many_cases_sharded(
-    *, cases: int, shards: int, first_case: int, **workload: Any
+    *, cases: int, shards: int, **workload: Any
 ) -> dict[str, Any]:
     """Enact the population on the sharded grid: one process per shard,
     cases assigned by consistent hash, results merged deterministically."""
-    assignment = shard_assignment(cases, shards, first_case)
+    assignment = shard_assignment(cases, shards)
     populated = [
         (label, indices) for label, indices in assignment.items() if indices
     ]
@@ -488,9 +343,7 @@ def _run_many_cases_sharded(
             workload,
             cases=len(indices),
             case_indices=indices,
-            first_case=0,
             shards=1,
-            parallel=0,
         )
         for _, indices in populated
     ]
@@ -505,6 +358,8 @@ def _run_many_cases_sharded(
         pool_error = f"{type(exc).__name__}: {exc}"
         summaries = None
     if summaries is None:
+        # Deterministic fallback: the same shards, serially, in-process —
+        # identical merged outcomes, just no wall-clock overlap.
         summaries = [_run_shard(kwargs) for kwargs in shard_kwargs]
 
     # Outcomes go back into global case order regardless of which shard
@@ -513,7 +368,7 @@ def _run_many_cases_sharded(
     counters: dict[str, int] = {}
     for (label, indices), summary in zip(populated, summaries):
         for index, outcome in zip(indices, summary["outcomes"]):
-            outcomes[index - first_case] = outcome
+            outcomes[index] = outcome
         for key, value in summary["counters"].items():
             counters[key] = counters.get(key, 0) + value
     completed = sum(summary["completed"] for summary in summaries)

@@ -5,7 +5,6 @@ import pytest
 from repro.bus import CallPolicy
 from repro.errors import GridError, ServiceError
 from repro.grid import Agent, GridEnvironment
-from repro.services.base import CoreService
 from repro.sim.failures import BernoulliFailures
 
 
@@ -189,18 +188,3 @@ class TestFailover:
         user = Agent(env, "user", "s2")
         out = drive(env, lambda: user.call_any([], "work"))
         assert "no providers" in out["error"]
-
-    def test_core_service_call_with_failover_compat(self):
-        """The historical CoreService entry point survives as a wrapper."""
-        env = GridEnvironment()
-
-        class Core(CoreService):
-            service_type = "simulation"
-
-        core = Core(env)
-        Flaky(env, "p1", "s1", failures_left=10)
-        Flaky(env, "p2", "s1")
-        out = drive(
-            env, lambda: core.call_with_failover(["p1", "p2"], "work", timeout=30.0)
-        )
-        assert out["result"] == {"worker": "p2"}

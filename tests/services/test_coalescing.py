@@ -73,18 +73,19 @@ def test_failed_leader_fails_its_batch_and_joiners_retry(grid):
 
 @pytest.mark.parametrize("fail_first", [False, True])
 def test_single_key_form_matches(grid, fail_first):
+    # The one-key batch (a coordinator's match lookup): the joiner shares
+    # the leader's reply, or retries alone when the leader's lookup fails.
     env, services, fleet = grid
     service = services.scheduling
     calls = []
     fetch = _fetcher(calls, fail_first)
-
-    def factory():
-        replies = yield from fetch(["k"])
-        return replies["k"]
-
     out = _run(
         env,
-        [(label, service.coalesced("k", factory)) for label in ("a", "b")],
+        [(label, service.coalesced_many(["k"], fetch)) for label in ("a", "b")],
     )
-    assert out == ({"a": "failed", "b": "K"} if fail_first else {"a": "K", "b": "K"})
+    assert out == (
+        {"a": "failed", "b": {"k": "K"}}
+        if fail_first
+        else {"a": {"k": "K"}, "b": {"k": "K"}}
+    )
     assert len(calls) == (2 if fail_first else 1)

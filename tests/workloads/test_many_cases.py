@@ -77,10 +77,12 @@ class TestRouterFastPath:
 
 
 class TestCandidateCache:
+    """The coordinator's ranked-match entries in the read-through cache."""
+
     def test_cache_hits_and_saved_messages(self, default_run):
-        cached = run_many_cases(cases=CASES, containers=2, match_cache_ttl=300.0)
+        cached = run_many_cases(cases=CASES, containers=2, cache_ttl=300.0)
         counters = cached["counters"]
-        assert counters["match_cache_hit"] > 0
+        assert counters["coord_match_cache_hit"] > 0
         assert (
             counters["messages_sent"] < default_run["counters"]["messages_sent"]
         )
@@ -88,31 +90,50 @@ class TestCandidateCache:
 
     def test_registry_change_invalidates_selectively(self):
         # The broker's push names the affected services: only their cached
-        # candidate sets drop; every other service's entries stay warm.
-        result = run_many_cases(cases=2, containers=2, match_cache_ttl=1e9)
+        # match replies drop; every other service's entries stay warm.
+        result = run_many_cases(cases=2, containers=2, cache_ttl=1e9)
         services = result["services"]
-        matchmaker = services.matchmaking
-        cached_services = {key[0] for key in matchmaker._candidate_cache}
-        assert "ingest" in cached_services  # warm after the run
-        assert len(cached_services) > 1
+        coordinator = services.coordination
+        cached = set(coordinator._cache)
+        assert ("match", "ingest") in cached  # warm after the run
+        assert len(cached) > 1
         from repro.services.brokerage import ContainerAd
 
         services.brokerage.advertise(
             ContainerAd("ac-new", "siteA", ["ingest"], 1.0, 0.0)
         )
         result["env"].run()  # deliver the registry-changed push
-        remaining = {key[0] for key in matchmaker._candidate_cache}
-        assert "ingest" not in remaining
-        assert remaining == cached_services - {"ingest"}
+        assert set(coordinator._cache) == cached - {("match", "ingest")}
 
     def test_registry_push_without_detail_flushes_everything(self):
         # Backwards-compatible push shape (no container/services payload):
         # subscribers fall back to a full flush.
-        result = run_many_cases(cases=2, containers=2, match_cache_ttl=1e9)
-        matchmaker = result["services"].matchmaking
-        assert matchmaker._candidate_cache
-        matchmaker.invalidate_candidates()
-        assert not matchmaker._candidate_cache
+        result = run_many_cases(cases=2, containers=2, cache_ttl=1e9)
+        services = result["services"]
+        assert services.coordination._cache and services.scheduling._cache
+        services.brokerage._registry_changed()
+        result["env"].run()
+        assert not services.coordination._cache
+        assert not services.scheduling._cache
+
+
+class TestFactCache:
+    """The scheduler's candidate-fact entries in the read-through cache."""
+
+    def test_registry_change_drops_only_the_named_container(self):
+        # A push naming container C drops the keys ending in C — its
+        # monitor status and every (service, C) performance row — and
+        # keeps the rest of the fleet's facts warm.
+        result = run_many_cases(cases=2, containers=2, cache_ttl=1e9)
+        services = result["services"]
+        scheduler = services.scheduling
+        cached = set(scheduler._cache)
+        assert {key[-1] for key in cached} == {"ac1", "ac2"}
+        assert services.brokerage.withdraw("ac1")
+        result["env"].run()
+        assert set(scheduler._cache) == {
+            key for key in cached if key[-1] != "ac1"
+        }
 
 
 class TestMissCoalescing:
@@ -120,17 +141,12 @@ class TestMissCoalescing:
         # All cases fan out at t~0, so without in-flight coalescing every
         # cold key misses once per case (the stampede).  With it, misses
         # equal the distinct-key count and the rest join the leader's RPC.
-        result = run_many_cases(
-            cases=8,
-            containers=2,
-            sched_cache_ttl=300.0,
-            coord_cache_ttl=300.0,
-        )
+        result = run_many_cases(cases=8, containers=2, cache_ttl=300.0)
         counters = result["counters"]
         assert counters["sched_fact_cache_join"] > 0
         assert counters["coord_match_cache_join"] > 0
         # Distinct fact keys only: ("status", c) and ("perf", service, c).
-        distinct = len(result["services"].scheduling._fact_cache)
+        distinct = len(result["services"].scheduling._cache)
         assert counters["sched_fact_cache_miss"] == distinct
         assert result["completed"] == 8
 
@@ -176,65 +192,74 @@ class TestCoalescedEngineWorkload:
 
 
 class TestParallelDriver:
-    def test_shard_bounds(self):
-        from repro.workloads.many_cases import _shard_bounds
-
-        assert _shard_bounds(10, 3) == [(0, 4), (4, 3), (7, 3)]
-        assert _shard_bounds(6, 2) == [(0, 3), (3, 3)]
-        # Never more shards than cases; never an empty shard.
-        assert _shard_bounds(3, 8) == [(0, 1), (1, 1), (2, 1)]
-        assert _shard_bounds(5, 1) == [(0, 5)]
+    """The process-pool side of the one process-split driver (``shards=N``)."""
 
     def test_parallel_merge_matches_serial(self):
-        serial = run_many_cases(cases=6, containers=2, tracing=False)
+        from repro.workloads import shard_assignment
+
+        # Each shard is a deterministic simulation, so the pool's merge
+        # must equal the same shards enacted serially in-process, with
+        # outcomes placed back in global case order, timelines included.
         merged = run_many_cases(
-            cases=6, containers=2, tracing=False, parallel=2
+            cases=6, containers=2, tracing=False, shards=2
         )
-        assert merged["parallel"] == 2
-        assert merged["shards"] == [
-            {"first_case": 0, "cases": 3},
-            {"first_case": 3, "cases": 3},
+        populated = [
+            (label, indices)
+            for label, indices in shard_assignment(6, 2).items()
+            if indices
         ]
-        assert merged["completed"] == serial["completed"] == 6
-        assert merged["activities_run"] == serial["activities_run"]
-        # Per-case results are contention-independent; event timings are
-        # not (each shard runs with less queueing), so compare outcomes
-        # minus their timelines.
-        for mine, theirs in zip(merged["outcomes"], serial["outcomes"]):
-            assert mine["status"] == theirs["status"] == "completed"
-            assert mine["data"] == theirs["data"]
-            assert mine["activities_run"] == theirs["activities_run"]
+        assert merged["shards"] == [
+            {"shard": label, "cases": len(indices)}
+            for label, indices in populated
+        ]
+        serial_outcomes = [None] * 6
+        messages = 0
+        for _, indices in populated:
+            shard = run_many_cases(
+                cases=len(indices), containers=2, tracing=False,
+                case_indices=indices,
+            )
+            for index, outcome in zip(indices, shard["outcomes"]):
+                serial_outcomes[index] = outcome
+            messages += shard["messages"]
+        assert repr(merged["outcomes"]) == repr(serial_outcomes)
+        assert merged["messages"] == messages
+        assert merged["completed"] == 6
         # Live objects cannot cross process boundaries.
         assert merged["env"] is None and merged["services"] is None
 
-    def test_first_case_offsets_preserved(self):
-        result = run_many_cases(
-            cases=5, containers=2, tracing=False, parallel=2
-        )
-        assert [shard["first_case"] for shard in result["shards"]] == [0, 3]
-        # Case identity survives sharding: the offset run names its task
-        # stream case-3.. and the merged outcome order is global.
-        offset = run_many_cases(
-            cases=2, containers=2, tracing=False, first_case=3
-        )
-        assert offset["completed"] == 2
-
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        class Boom:
+        from concurrent.futures.process import BrokenProcessPool
+
+        pooled = run_many_cases(cases=4, containers=2, tracing=False, shards=2)
+
+        class DiesMidRun:
+            # The pool starts, then a worker dies while mapping shards.
             def __init__(self, *args, **kwargs):
-                raise OSError("no pool for you")
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, *args, **kwargs):
+                raise BrokenProcessPool("worker died")
 
         # The driver imports the pool class at call time, so patching the
         # stdlib module intercepts it.
         monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", Boom
+            "concurrent.futures.ProcessPoolExecutor", DiesMidRun
         )
-        result = run_many_cases(
-            cases=4, containers=2, tracing=False, parallel=2
+        fallback = run_many_cases(
+            cases=4, containers=2, tracing=False, shards=2
         )
-        assert result["completed"] == 4
-        assert result["pool_error"] is not None
-        assert "no pool for you" in result["pool_error"]
+        assert fallback["completed"] == 4
+        assert fallback["pool_error"] == "BrokenProcessPool: worker died"
+        # The serial fallback reruns the same shards: identical merge.
+        assert repr(fallback["outcomes"]) == repr(pooled["outcomes"])
+        assert fallback["shards"] == pooled["shards"]
 
 
 class TestShardedDriver:
@@ -281,9 +306,15 @@ class TestShardedDriver:
             assert mine["activities_run"] == theirs["activities_run"]
         assert merged["env"] is None and merged["services"] is None
 
-    def test_shards_and_parallel_are_exclusive(self):
-        with pytest.raises(WorkloadError):
-            run_many_cases(cases=4, shards=2, parallel=2)
+    def test_case_indices_keep_case_identity(self):
+        # A shard worker enacts global cases by index: case-3 keeps its
+        # population-level initial data (odd index: the full route).
+        result = run_many_cases(
+            cases=2, containers=2, tracing=False, case_indices=[3, 4]
+        )
+        assert result["completed"] == 2
+        outs = [o["data"]["out"] for o in result["outcomes"]]
+        assert ["Archived" in props for props in outs] == [True, False]
 
     def test_case_indices_must_match_cases(self):
         with pytest.raises(WorkloadError):
