@@ -15,6 +15,7 @@ import os
 import platform
 import statistics
 import time
+from contextlib import nullcontext
 
 __all__ = [
     "enforce_gate",
@@ -26,23 +27,29 @@ __all__ = [
 ]
 
 
-def time_fn(fn, rounds):
+def time_fn(fn, rounds, setup=None):
     """Median-of-*rounds* wall time of ``fn()`` with the gc frozen.
 
     Collect before and freeze the collector during each sample: cyclic-gc
     pauses landing inside a sample were the dominant variance source on
     single-core hosts (spreads of 2x for identical configs).
+
+    With *setup* (a factory of context managers), each sample enters a
+    fresh ``setup()`` outside the timing, times ``fn(value)`` and exits it
+    afterwards — so a round can start from fresh inputs (a problem with a
+    cold transition table, say) without timing their construction.
     """
     samples = []
     gc_was_enabled = gc.isenabled()
     try:
         for _ in range(rounds):
-            gc.collect()
-            gc.disable()
-            t0 = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - t0)
-            gc.enable()
+            with setup() if setup is not None else nullcontext() as value:
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                fn() if setup is None else fn(value)
+                samples.append(time.perf_counter() - t0)
+                gc.enable()
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -14,7 +14,13 @@ case-study problem:
 * the same batch with only 12 unique structures (in-batch dedup);
 * a seeded GP run with the shared fitness cache vs. the identical run
   with caching disabled (unique-simulation counts);
-* one full Table-1-budget GP generation sequence at population 60.
+* one full Table-1-budget GP generation sequence at population 60;
+* the warm-table gate: a seeded GP run on a fresh problem must equal the
+  same run on a problem whose transition table is already filled (fails
+  the run otherwise).
+
+Every timed round and every GP run gets a fresh problem, built outside
+the timing, so no row runs on a transition table an earlier round warmed.
 
 The **bus** suite (BENCH_bus.json) measures message-fabric throughput:
 
@@ -116,6 +122,7 @@ from __future__ import annotations
 
 import argparse
 import os
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -126,7 +133,7 @@ from bench_util import (
     trace_rows,
     write_record as _write,
 )
-from repro.plan import random_tree
+from repro.plan import random_tree, terminal
 from repro.planner import EvaluationEngine, GPConfig, GPPlanner, PlanEvaluator
 from repro.virolab import planning_problem
 
@@ -140,45 +147,55 @@ def _population(problem, count, seed=0):
     ]
 
 
-def bench_evaluate_many(problem, rounds, workers):
-    trees = _population(problem, 60)
+#: Two trees of names outside T: evaluating them starts a pool's workers
+#: without stepping any state through the workers' transition tables.
+_POOL_WARM_UP = [terminal("warm-up-a"), terminal("warm-up-b")]
+
+
+def bench_evaluate_many(rounds, workers):
+    """Every timed round builds a fresh problem outside the timing: a
+    problem's transition table stays warm for its lifetime, so a reused
+    one would make every round but the first cheaper."""
+    trees = _population(planning_problem(), 60)
     out = {}
 
-    serial = EvaluationEngine(problem)
+    def serial_engine():
+        return EvaluationEngine(planning_problem())
 
-    def serial_run():
-        serial.evaluator.clear_cache()
-        serial.evaluate_many(trees)
+    out["serial_60"] = _time(
+        lambda engine: engine.evaluate_many(trees), rounds, setup=serial_engine
+    )
 
-    out["serial_60"] = _time(serial_run, rounds)
+    pool_errors = []
 
-    with EvaluationEngine(
-        problem, workers=workers, worker_cache_size=0
-    ) as engine:
-        engine.evaluate_many(trees[:2])  # warm the pool outside timing
+    @contextmanager
+    def pooled_engine():
+        with EvaluationEngine(
+            planning_problem(), workers=workers, worker_cache_size=0
+        ) as engine:
+            engine.evaluate_many(_POOL_WARM_UP)  # start the pool outside timing
+            yield engine
+            pool_errors.append(engine.pool_error)
 
-        def parallel_run():
-            engine.evaluator.clear_cache()
-            engine.evaluate_many(trees)
+    out[f"parallel_60_workers{workers}"] = _time(
+        lambda engine: engine.evaluate_many(trees), rounds, setup=pooled_engine
+    )
+    out["pool_error"] = next((err for err in pool_errors if err), None)
 
-        out[f"parallel_60_workers{workers}"] = _time(parallel_run, rounds)
-        out["pool_error"] = engine.pool_error
-
-    unique = _population(problem, 12)
+    unique = _population(planning_problem(), 12)
     dup_trees = [unique[i % 12] for i in range(60)]
-    dedup = EvaluationEngine(problem)
-
-    def dedup_run():
-        dedup.evaluator.clear_cache()
-        dedup.evaluate_many(dup_trees)
-
-    out["dedup_60_of_12_unique"] = _time(dedup_run, rounds)
+    out["dedup_60_of_12_unique"] = _time(
+        lambda engine: engine.evaluate_many(dup_trees), rounds, setup=serial_engine
+    )
     return out
 
 
-def bench_cache_effect(problem):
+def bench_cache_effect():
+    """The same seeded GP run with and without the shared fitness cache,
+    each on its own fresh problem."""
     cfg = GPConfig(population_size=60, generations=10)
-    cached = GPPlanner(cfg, rng=0).plan(problem)
+    cached = GPPlanner(cfg, rng=0).plan(planning_problem())
+    problem = planning_problem()
     uncached = GPPlanner(cfg, rng=0).plan(
         problem, evaluator=PlanEvaluator(problem, cache_size=0)
     )
@@ -193,13 +210,32 @@ def bench_cache_effect(problem):
     }
 
 
-def bench_gp_run(problem, rounds):
+def _fresh_problem():
+    return nullcontext(planning_problem())
+
+
+def bench_gp_run(rounds):
     cfg = GPConfig(population_size=60, generations=10)
+    return _time(
+        lambda problem: GPPlanner(cfg, rng=1).plan(problem),
+        rounds,
+        setup=_fresh_problem,
+    )
 
-    def run():
-        GPPlanner(cfg, rng=1).plan(problem)
 
-    return _time(run, rounds)
+def verify_warm_table_identity():
+    """Gate: a seeded GP run on a fresh problem equals the same run on a
+    problem whose transition table another run already filled
+    (``PlanningResult`` equality excludes timing)."""
+    cfg = GPConfig(population_size=60, generations=10)
+    warm = planning_problem()
+    GPPlanner(cfg, rng=1).plan(warm)
+    warm_states = len(warm.transitions())
+    fresh_result = GPPlanner(cfg, rng=0).plan(planning_problem())
+    return {
+        "identical": fresh_result == GPPlanner(cfg, rng=0).plan(warm),
+        "warm_states": warm_states,
+    }
 
 
 def _bus_env(trace_capacity=None):
@@ -681,12 +717,15 @@ def bench_analysis(rounds, iterations=200):
 
     # GP pre-filter: exact mode must leave the run byte-identical while
     # measurably reducing simulator work.
-    problem = planning_problem()
     runs = {}
     for mode in ("off", "exact"):
         cfg = GPConfig(population_size=60, generations=8, static_filter=mode)
-        timing = _time(lambda cfg=cfg: GPPlanner(cfg, rng=7).plan(problem), rounds)
-        result = GPPlanner(cfg, rng=7).plan(problem)
+        timing = _time(
+            lambda problem, cfg=cfg: GPPlanner(cfg, rng=7).plan(problem),
+            rounds,
+            setup=_fresh_problem,
+        )
+        result = GPPlanner(cfg, rng=7).plan(planning_problem())
         runs[mode] = result
         timing["evaluations"] = result.evaluations
         timing["analysis_rejected"] = result.analysis_rejected
@@ -1230,18 +1269,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.suite in ("all", "planner"):
-        problem = planning_problem()
         record = {
             "benchmark": "GP planner evaluation engine",
-            "problem": problem.name,
+            "problem": planning_problem().name,
             "host": _host(),
-            "evaluate_many": bench_evaluate_many(
-                problem, args.rounds, args.workers
-            ),
-            "cache_effect_pop60_gen10": bench_cache_effect(problem),
-            "gp_run_pop60_gen10": bench_gp_run(problem, max(2, args.rounds // 2)),
+            "evaluate_many": bench_evaluate_many(args.rounds, args.workers),
+            "cache_effect_pop60_gen10": bench_cache_effect(),
+            "gp_run_pop60_gen10": bench_gp_run(max(2, args.rounds // 2)),
+            "warm_table_identity": verify_warm_table_identity(),
         }
         _write(args.out, record)
+        if not record["warm_table_identity"]["identical"]:
+            print("FAIL: a GP run on a warm transition table diverges from a fresh one")
+            return 1
+        print("warm-table gate passed: fresh and warm-table GP runs are identical")
 
     if args.suite in ("all", "bus"):
         record = {

@@ -63,7 +63,8 @@ class PlanNode:
 
     @property
     def size(self) -> int:
-        """Number of nodes in the subtree (the paper's plan-tree size)."""
+        """Number of nodes in the subtree (the paper's plan-tree size);
+        controllers compute it once and cache it, like :meth:`struct_key`."""
         raise NotImplementedError
 
     def walk(self) -> Iterator["PlanNode"]:
@@ -87,10 +88,12 @@ class PlanNode:
         raise NotImplementedError
 
     def __getstate__(self) -> dict:
-        # Keep cached structural keys out of pickles: process-pool dispatch
-        # ships trees to workers, and the key roughly doubles the payload.
+        # Keep cached structural keys and sizes out of pickles: process-pool
+        # dispatch ships trees to workers, and the key roughly doubles the
+        # payload.
         state = dict(self.__dict__)
         state.pop("_skey", None)
+        state.pop("_size", None)
         return state
 
 
@@ -141,7 +144,11 @@ class Controller(PlanNode):
 
     @property
     def size(self) -> int:
-        return 1 + sum(child.size for child in self.children)
+        size = getattr(self, "_size", None)
+        if size is None:
+            size = 1 + sum(child.size for child in self.children)
+            object.__setattr__(self, "_size", size)
+        return size
 
     def walk(self) -> Iterator[PlanNode]:
         yield self

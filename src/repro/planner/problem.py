@@ -8,6 +8,9 @@
   each an :class:`ActivitySpec` with preconditions (a condition over data
   items that must hold before execution) and effects (data items
   created/modified by execution — the postconditions).
+
+Each problem also owns a :class:`TransitionTable`, the memo the plan
+simulator and Eq. 2 read instead of re-deriving world states.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.planner.state import WorldState
 from repro.process.conditions import TRUE, Condition, compile_condition
 from repro.process.model import Activity, ActivityKind
 
-__all__ = ["ActivitySpec", "PlanningProblem"]
+__all__ = ["ActivitySpec", "PlanningProblem", "TransitionTable"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,124 @@ class ActivitySpec:
         )
 
 
+#: Row marker for a (state, activity) step not derived yet; ``None`` in a
+#: row means "derived: the precondition fails".
+_UNSEEN = object()
+
+
+class _Row:
+    """One interned state: its successor per activity and its goal score."""
+
+    __slots__ = ("state", "next", "goal")
+
+    def __init__(self, state: WorldState) -> None:
+        #: Held strongly, so the ``id()`` the row is filed under cannot be
+        #: reused by another object while the row exists.
+        self.state = state
+        self.next: dict[str, WorldState | None] = {}
+        self.goal: float | None = None
+
+
+class TransitionTable:
+    """One problem's world-state transition table.
+
+    GP scores thousands of distinct plan trees per run, and every one of
+    them re-derives the same few reachable world states: the five
+    ``plan`` workload problems reach 6 to 182 distinct states, while their
+    runs step a state through an activity about a million times.  The
+    table interns states by :meth:`WorldState.merge_key` — one canonical
+    object per distinct state, its key computed once — and fills each
+    state's row lazily with, per activity, the successor state (itself
+    interned) or ``None`` when the precondition fails, plus the state's
+    Eq.-2 goal score.  Every (state, activity) step and every goal check
+    is therefore computed once per problem.
+
+    Results are bit-identical to deriving every step afresh: a step's
+    outcome is a pure function of the state and the activity's spec, and
+    states with equal merge keys are already one state to the simulator's
+    flow merging.  States whose merge key is ``None`` (an unhashable
+    property value) bypass the table.
+
+    The table belongs to one :class:`PlanningProblem`, never to the
+    states: two problems may share an initial state yet bind one activity
+    name to different specs.  It holds at most :attr:`MAX_STATES` states;
+    interning one more drops the whole table, so no state can map to a
+    stale row.
+    """
+
+    #: Interned-state bound (the table restarts empty when it is reached).
+    MAX_STATES = 4096
+
+    __slots__ = ("_exec", "_goals", "_rows", "_by_key")
+
+    def __init__(
+        self,
+        exec_table: Mapping[str, tuple[Callable[[WorldState], bool], Mapping[str, Any]]],
+        goals: tuple[Callable[[WorldState], bool], ...],
+    ) -> None:
+        self._exec = exec_table
+        self._goals = goals
+        self._rows: dict[int, _Row] = {}  # id(interned state) -> row
+        self._by_key: dict[tuple, _Row] = {}  # merge key -> row
+
+    def __len__(self) -> int:
+        """Number of interned states."""
+        return len(self._rows)
+
+    def step(self, state: WorldState, activity: str) -> WorldState | None:
+        """The interned successor of executing *activity* (a name in T) in
+        *state*, or ``None`` when its precondition fails there."""
+        row = self._rows.get(id(state)) or self._row(state)
+        if row is None:  # no merge key: derive afresh, memoize nothing
+            return self._derive(state, activity)
+        successor = row.next.get(activity, _UNSEEN)
+        if successor is _UNSEEN:
+            successor = row.next[activity] = self._derive(row.state, activity)
+        return successor
+
+    def goal_score(self, state: WorldState) -> float:
+        """Eq. 2: fraction of goal specifications *state* satisfies."""
+        row = self._rows.get(id(state))
+        if row is None and isinstance(state, WorldState):
+            row = self._row(state)
+        if row is None:
+            return self._score(state)
+        if row.goal is None:
+            row.goal = self._score(row.state)
+        return row.goal
+
+    def _score(self, state: WorldState) -> float:
+        return sum(1 for check in self._goals if check(state)) / len(self._goals)
+
+    def _derive(self, state: WorldState, activity: str) -> WorldState | None:
+        applicable, effects = self._exec[activity]
+        if not applicable(state):
+            return None
+        successor = state.updated(effects)
+        key = successor.merge_key()
+        if key is None:
+            return successor
+        row = self._by_key.get(key) or self._intern(successor, key)
+        return row.state
+
+    def _row(self, state: WorldState) -> _Row | None:
+        """The row of the state equal to *state* (interning *state* when
+        it is new), or None when *state* has no merge key."""
+        key = state.merge_key()
+        if key is None:
+            return None
+        return self._by_key.get(key) or self._intern(state, key)
+
+    def _intern(self, state: WorldState, key: tuple) -> _Row:
+        if len(self._by_key) >= self.MAX_STATES:
+            self._rows = {}
+            self._by_key = {}
+        row = _Row(state)
+        self._rows[id(state)] = row
+        self._by_key[key] = row
+        return row
+
+
 @dataclass(frozen=True)
 class PlanningProblem:
     """``P = {Sinit, G, T}`` plus a display name."""
@@ -125,10 +246,10 @@ class PlanningProblem:
     def _compile(self) -> None:
         """Pre-compile goals and the per-activity execution table.
 
-        The simulator executes terminals hundreds of thousands of times
-        per GP run; indexing ``name -> (compiled precondition, effects)``
-        once here keeps condition-AST traversal, ``spec()`` lookups and
-        bound-method creation out of that inner loop.
+        Indexing ``name -> (compiled precondition, effects)`` once here
+        keeps condition-AST traversal, ``spec()`` lookups and bound-method
+        creation out of the transition table's derivations.  The table
+        itself is built on first use (:meth:`transitions`).
         """
         object.__setattr__(
             self, "_compiled_goals", tuple(compile_condition(g) for g in self.goals)
@@ -141,11 +262,13 @@ class PlanningProblem:
                 for name, spec in self.activities.items()
             },
         )
-        object.__setattr__(self, "_goal_cache", {})
+        object.__setattr__(self, "_transitions", None)
 
     def __getstate__(self) -> dict[str, Any]:
+        # Process-pool workers receive problems through here and build
+        # their own transition tables.
         state = dict(self.__dict__)
-        for key in ("_compiled_goals", "_exec_table", "_goal_cache"):
+        for key in ("_compiled_goals", "_exec_table", "_transitions"):
             state.pop(key, None)
         return state
 
@@ -158,6 +281,14 @@ class PlanningProblem:
     ) -> Mapping[str, tuple[Callable[[WorldState], bool], Mapping[str, Any]]]:
         """``name -> (applicable, effects)`` for every activity in T."""
         return self._exec_table  # type: ignore[attr-defined]
+
+    def transitions(self) -> TransitionTable:
+        """This problem's transition table (built on first use)."""
+        table = self._transitions  # type: ignore[attr-defined]
+        if table is None:
+            table = TransitionTable(self._exec_table, self._compiled_goals)  # type: ignore[attr-defined]
+            object.__setattr__(self, "_transitions", table)
+        return table
 
     @property
     def activity_names(self) -> tuple[str, ...]:
@@ -172,31 +303,10 @@ class PlanningProblem:
         """
         return self.activities.get(name)
 
-    #: Goal-score memo bound; final states repeat heavily across the flows
-    #: and trees of one GP run, far beyond this many distinct ones.
-    _GOAL_CACHE_MAX = 4096
-
     def goal_score(self, state: WorldState) -> float:
-        """Eq. 2: fraction of goal specifications the state satisfies.
-
-        Memoized on the state's canonical merge key (bounded FIFO):
-        distinct plan trees funnel into a small set of reachable final
-        states, so most scores are repeat lookups.
-        """
-        key = state.merge_key() if isinstance(state, WorldState) else None
-        cache: dict = self._goal_cache  # type: ignore[attr-defined]
-        if key is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        compiled = self._compiled_goals  # type: ignore[attr-defined]
-        satisfied = sum(1 for check in compiled if check(state))
-        score = satisfied / len(compiled)
-        if key is not None:
-            if len(cache) >= self._GOAL_CACHE_MAX:
-                cache.pop(next(iter(cache)))
-            cache[key] = score
-        return score
+        """Eq. 2: fraction of goal specifications the state satisfies
+        (memoized per state in the transition table)."""
+        return self.transitions().goal_score(state)
 
     @staticmethod
     def build(

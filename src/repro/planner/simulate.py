@@ -256,23 +256,22 @@ def _simulate(
 
     if isinstance(node, Terminal):
         budget[0] -= len(partials)
-        entry = problem.execution_table().get(node.activity)
+        activity = node.activity
         record = None
         if stats is not None:
             record = stats.setdefault(path, [0.0, 0.0])
         out: list[_Partial] = []
-        if entry is None:
+        if activity not in problem.execution_table():
             for state, executed, valid, weight in partials:
                 out.append((state, executed + weight, valid, weight))
                 if record is not None:
                     record[0] += weight
             return out, truncated
-        applicable, effects = entry
+        step = problem.transitions().step
         for state, executed, valid, weight in partials:
-            if applicable(state):
-                out.append(
-                    (state.updated(effects), executed + weight, valid + weight, weight)
-                )
+            successor = step(state, activity)
+            if successor is not None:
+                out.append((successor, executed + weight, valid + weight, weight))
                 if record is not None:
                     record[0] += weight
                     record[1] += weight

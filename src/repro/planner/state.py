@@ -66,9 +66,8 @@ class WorldState:
 
         Valid for the state's whole lifetime because states are
         immutable-by-convention (all mutation derives new states).  Used
-        by the simulator's flow merging and by goal-score memoization —
-        both previously rebuilt this tuple from the full data dict at
-        every join point of every flow.
+        by the simulator's flow merging and by each problem's transition
+        table, which interns states by it.
         """
         key = self._mkey
         if key is None:

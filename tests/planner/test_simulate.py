@@ -1,16 +1,32 @@
 """Plan simulation: Eq.-1 accounting, flow enumeration, merging."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.planner import (
     ActivitySpec,
+    EvaluationEngine,
+    FlowResult,
     PlanningProblem,
     SimulationOptions,
+    SimulationReport,
+    WorldState,
     simulate_plan,
 )
-from repro.plan import concurrent, iterative, selective, sequential, terminal
+from repro.planner.problem import TransitionTable
+from repro.plan import (
+    concurrent,
+    iterative,
+    random_tree,
+    selective,
+    sequential,
+    terminal,
+)
 from repro.process.conditions import Atom, Relation
+from repro.virolab import planning_problem
 
 
 def ready(name):
@@ -186,3 +202,172 @@ class TestCaseStudy:
         )
         assert report.validity_fitness() < 1.0
         assert report.goal_fitness(case_problem) == 0.0
+
+
+def _random_trees(problem, count, seed):
+    rng = np.random.default_rng(seed)
+    activities = list(problem.activity_names)
+    return [
+        random_tree(activities, max_size=40, rng=rng, max_branch=4)
+        for _ in range(count)
+    ]
+
+
+def _twin(initial, variant):
+    """One of two problems binding ``a`` and ``b`` to different specs.
+
+    Variant 1: a turns d0 into d1, b turns d1 into d2, goal d2.  Variant 2:
+    a needs d1 and writes a raw d2, b turns d0 into d1, goals d0 and raw d2.
+    """
+    if variant == 1:
+        specs = [
+            ActivitySpec("a", precondition=ready("d0"), effects={"d1": {"Status": "ready"}}),
+            ActivitySpec("b", precondition=ready("d1"), effects={"d2": {"Status": "ready"}}),
+        ]
+        goals = (ready("d2"),)
+    else:
+        specs = [
+            ActivitySpec("a", precondition=ready("d1"), effects={"d2": {"Status": "raw"}}),
+            ActivitySpec("b", precondition=ready("d0"), effects={"d1": {"Status": "ready"}}),
+        ]
+        goals = (ready("d0"), Atom("d2", "Status", Relation.EQ, "raw"))
+    return PlanningProblem(
+        initial_state=initial,
+        goals=goals,
+        activities={spec.name: spec for spec in specs},
+        name=f"twin-{variant}",
+    )
+
+
+TWIN_INITIAL = {"d0": {"Status": "ready"}}
+TWIN_TREES = (
+    sequential("a", "b", "a"),
+    selective("a", "b"),
+    iterative("b", "a"),
+    terminal("ghost"),
+)
+#: (validity, goal) of each TWIN_TREES plan, worked out by hand.
+TWIN_SCORES = {
+    1: [(1.0, 1.0), (0.5, 0.0), (4 / 6, 0.5), (0.0, 0.0)],
+    2: [(2 / 3, 1.0), (0.5, 0.5), (1.0, 1.0), (0.0, 0.5)],
+}
+
+
+def _twin_outcomes(problem):
+    out = []
+    for tree in TWIN_TREES:
+        report = simulate_plan(tree, problem)
+        out.append((report, report.goal_fitness(problem)))
+    return out
+
+
+class TestTransitionTable:
+    def test_step_interns_successors(self, problem):
+        table = problem.transitions()
+        start = problem.initial_state
+        first = table.step(start, "a1")
+        assert first == problem.spec("a1").apply(start)
+        assert table.step(WorldState({"d0": {"Status": "ready"}}), "a1") is first
+        assert table.step(first, "a1") is first  # idempotent effects
+        assert table.step(start, "a2") is None  # precondition fails
+
+    def test_table_is_built_on_first_use(self):
+        problem = planning_problem()
+        assert problem.__dict__["_transitions"] is None
+        simulate_plan(sequential("POD", "PSF"), problem)
+        assert len(problem.transitions()) > 0
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_problems_sharing_an_initial_state_keep_their_own_steps(self, first):
+        alone = {v: _twin_outcomes(_twin(WorldState(TWIN_INITIAL), v)) for v in (1, 2)}
+        shared = WorldState(TWIN_INITIAL)
+        twins = {v: _twin(shared, v) for v in (1, 2)}
+        for variant in (first, 3 - first):
+            outcomes = _twin_outcomes(twins[variant])
+            assert outcomes == alone[variant]
+            scores = [(r.validity_fitness(), goal) for r, goal in outcomes]
+            assert scores == pytest.approx(TWIN_SCORES[variant])
+
+    def test_unhashable_state_bypasses_table_and_is_not_merged(self):
+        tagged = PlanningProblem.build(
+            "tagged",
+            {"d0": {"Status": "ready", "Tags": ["raw"]}},
+            (ready("d2"),),
+            [
+                ActivitySpec("a1", precondition=ready("d0"), effects={"d1": {"Status": "ready"}}),
+                ActivitySpec("a2", precondition=ready("d1"), effects={"d2": {"Status": "ready"}}),
+                ActivitySpec("b", precondition=ready("never"), effects={"x": {"Status": "ready"}}),
+            ],
+        )
+        report = simulate_plan(sequential(selective("a1", "a1", "b"), "a2"), tagged)
+        done = WorldState(
+            {
+                "d0": {"Status": "ready", "Tags": ["raw"]},
+                "d1": {"Status": "ready"},
+                "d2": {"Status": "ready"},
+            }
+        )
+        assert report == SimulationReport(
+            (
+                FlowResult(done, 2.0, 2.0, 1.0),
+                FlowResult(done, 2.0, 2.0, 1.0),
+                FlowResult(tagged.initial_state, 2.0, 0.0, 1.0),
+            ),
+            False,
+        )
+        assert report.goal_fitness(tagged) == pytest.approx(2 / 3)
+        assert len(tagged.transitions()) == 0
+
+    def test_unhashable_successor_is_not_merged(self):
+        listing = PlanningProblem.build(
+            "listing",
+            {"d0": {"Status": "ready"}},
+            (ready("d2"),),
+            [
+                ActivitySpec(
+                    "t",
+                    precondition=ready("d0"),
+                    effects={"d1": {"Status": "ready", "Tags": ["t"]}},
+                ),
+                ActivitySpec("a2", precondition=ready("d1"), effects={"d2": {"Status": "ready"}}),
+            ],
+        )
+        report = simulate_plan(sequential(selective("t", "t"), "a2"), listing)
+        done = WorldState(
+            {
+                "d0": {"Status": "ready"},
+                "d1": {"Status": "ready", "Tags": ["t"]},
+                "d2": {"Status": "ready"},
+            }
+        )
+        assert report == SimulationReport(
+            (FlowResult(done, 2.0, 2.0, 1.0), FlowResult(done, 2.0, 2.0, 1.0)),
+            False,
+        )
+
+    def test_pickled_problem_carries_no_table(self):
+        problem = planning_problem()
+        trees = _random_trees(problem, 24, seed=7)
+        with EvaluationEngine(planning_problem()) as engine:
+            serial = engine.evaluate_many(trees)
+        EvaluationEngine(problem).evaluate_many(trees)  # warm the table
+        assert len(problem.transitions()) > 0
+        clone = pickle.loads(pickle.dumps(problem))
+        assert len(clone.transitions()) == 0
+        with EvaluationEngine(problem, workers=2) as engine:
+            pooled = engine.evaluate_many(trees)
+            assert engine.pool_error is None
+        assert pooled == serial
+
+    def test_table_past_its_bound_scores_identically(self, monkeypatch):
+        reference_problem = planning_problem()
+        trees = _random_trees(reference_problem, 40, seed=11)
+        with EvaluationEngine(reference_problem) as engine:
+            reference = engine.evaluate_many(trees)
+        assert len(reference_problem.transitions()) > 3
+        monkeypatch.setattr(TransitionTable, "MAX_STATES", 3)
+        bounded_problem = planning_problem()
+        with EvaluationEngine(bounded_problem) as engine:
+            bounded = engine.evaluate_many(trees)
+        assert len(bounded_problem.transitions()) <= 3
+        assert bounded == reference
