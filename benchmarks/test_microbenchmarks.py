@@ -46,40 +46,38 @@ def test_bench_tree_elaboration(benchmark):
 
 
 def test_bench_plan_simulation(benchmark):
-    problem = planning_problem()
-    evaluator = PlanEvaluator(problem)
+    """One Figure-11 evaluation on a fresh problem per round, so every
+    round derives its states into a cold transition table."""
     tree = plan_tree()
 
-    def evaluate():
-        evaluator.clear_cache()
-        return evaluator(tree)
+    def fresh():
+        return (PlanEvaluator(planning_problem()),), {}
 
-    fitness = benchmark(evaluate)
+    fitness = benchmark.pedantic(lambda evaluator: evaluator(tree), setup=fresh, rounds=20)
     assert fitness.validity == 1.0
 
 
 def _bench_population(count=60, seed=0):
-    problem = planning_problem()
+    activities = list(planning_problem().activity_names)
     rng = np.random.default_rng(seed)
-    activities = list(problem.activity_names)
-    trees = [
+    return [
         random_tree(activities, max_size=40, rng=rng, max_branch=4)
         for _ in range(count)
     ]
-    return problem, trees
+
+
+def _fresh_engine():
+    """Round setup: an engine on a fresh problem (cold table and cache)."""
+    return (EvaluationEngine(planning_problem()),), {}
 
 
 def test_bench_evaluate_many_serial(benchmark):
-    """Population-60 batch through the engine's in-process backend
-    (cache cleared per round so every round simulates)."""
-    problem, trees = _bench_population()
-    engine = EvaluationEngine(problem)
-
-    def run():
-        engine.evaluator.clear_cache()
-        return engine.evaluate_many(trees)
-
-    fits = benchmark(run)
+    """Population-60 batch through the engine's in-process backend, on a
+    fresh problem per round so every round simulates into a cold table."""
+    trees = _bench_population()
+    fits = benchmark.pedantic(
+        lambda engine: engine.evaluate_many(trees), setup=_fresh_engine, rounds=5
+    )
     assert len(fits) == 60
 
 
@@ -89,7 +87,8 @@ def test_bench_evaluate_many_parallel(benchmark):
     On a single-core host this measures dispatch overhead rather than a
     speedup; compare against the serial benchmark and BENCH_planner.json.
     """
-    problem, trees = _bench_population()
+    problem = planning_problem()
+    trees = _bench_population()
     with EvaluationEngine(problem, workers=2, worker_cache_size=0) as engine:
         engine.evaluate_many(trees[:2])  # warm up the pool outside timing
 
@@ -105,17 +104,15 @@ def test_bench_evaluate_many_parallel(benchmark):
 def test_bench_evaluate_many_dedup(benchmark):
     """Population-60 batch with only 12 unique structures: measures how
     much in-batch dedup shaves off vs. the all-unique serial benchmark."""
-    problem, unique = _bench_population(count=12)
+    unique = _bench_population(count=12)
     trees = [unique[i % 12] for i in range(60)]
-    engine = EvaluationEngine(problem)
 
-    def run():
-        engine.evaluator.clear_cache()
-        return engine.evaluate_many(trees)
+    def run(engine):
+        return engine, engine.evaluate_many(trees)
 
-    fits = benchmark(run)
+    engine, fits = benchmark.pedantic(run, setup=_fresh_engine, rounds=5)
     assert len(fits) == 60
-    assert engine.evaluations % 12 == 0
+    assert engine.evaluations == 12
 
 
 def test_bench_random_tree_generation(benchmark):
@@ -126,14 +123,16 @@ def test_bench_random_tree_generation(benchmark):
 
 
 def test_bench_gp_generation(benchmark):
-    """One full GP generation (population 60) on the case-study problem."""
-    problem = planning_problem()
+    """One full GP generation (population 60) on a fresh case-study
+    problem per round."""
     cfg = GPConfig(population_size=60, generations=1)
 
-    def one_run():
-        return GPPlanner(cfg, rng=0).plan(problem)
+    def fresh():
+        return (planning_problem(),), {}
 
-    result = benchmark.pedantic(one_run, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        lambda problem: GPPlanner(cfg, rng=0).plan(problem), setup=fresh, rounds=3
+    )
     assert result.best_fitness.overall > 0
 
 

@@ -22,6 +22,7 @@ from repro.plan.tree import (
     concurrent,
     iter_nodes,
     iterative,
+    preorder_path,
     pretty,
     replace_at,
     selective,
@@ -44,6 +45,7 @@ __all__ = [
     "terminal",
     "iter_nodes",
     "subtree_at",
+    "preorder_path",
     "replace_at",
     "tree_size",
     "tree_depth",

@@ -40,6 +40,7 @@ __all__ = [
     "terminal",
     "iter_nodes",
     "subtree_at",
+    "preorder_path",
     "replace_at",
     "tree_size",
     "tree_depth",
@@ -212,6 +213,30 @@ def subtree_at(root: PlanNode, path: Path) -> PlanNode:
             raise PlanError(f"invalid path {path!r}")
         node = node.children[idx]
     return node
+
+
+def preorder_path(root: PlanNode, index: int) -> Path:
+    """The path of the node numbered *index* in *root*'s pre-order (the
+    order of :func:`iter_nodes`).
+
+    Walks down the cached subtree sizes instead of enumerating the tree:
+    each step skips the node itself, then every whole child subtree that
+    lies before the index.
+    """
+    if not 0 <= index < root.size:
+        raise PlanError(f"pre-order index {index} outside a {root.size}-node tree")
+    path: list[int] = []
+    node = root
+    while index:
+        index -= 1
+        for idx, child in enumerate(node.children):  # type: ignore[attr-defined]
+            size = child.size
+            if index < size:
+                path.append(idx)
+                node = child
+                break
+            index -= size
+    return tuple(path)
 
 
 def replace_at(root: PlanNode, path: Path, replacement: PlanNode) -> PlanNode:

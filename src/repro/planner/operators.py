@@ -20,15 +20,15 @@ import numpy as np
 
 from repro._util import as_rng
 from repro.plan.randgen import random_tree
-from repro.plan.tree import PlanNode, iter_nodes, replace_at, subtree_at
+from repro.plan.tree import PlanNode, preorder_path, replace_at, subtree_at
 
 __all__ = ["crossover", "mutate", "random_node_path"]
 
 
 def random_node_path(tree: PlanNode, rng: np.random.Generator) -> tuple[int, ...]:
-    """A uniformly random node path in *tree* (pre-order indexed)."""
-    paths = [path for path, _ in iter_nodes(tree)]
-    return paths[int(rng.integers(len(paths)))]
+    """A uniformly random node path in *tree*: one draw of a pre-order
+    index, mapped straight to its path."""
+    return preorder_path(tree, int(rng.integers(tree.size)))
 
 
 def crossover(
@@ -70,11 +70,12 @@ def mutate(
     tree past Smax fails silently, keeping the paper's semantics.
     """
     generator = as_rng(rng)
-    selected = [
-        path for path, _ in iter_nodes(tree) if generator.random() < mutation_rate
-    ]
-    if not selected:
+    # One draw per node in pre-order, taken as one batch: the same numbers
+    # as a scalar draw per node, and only the hits are mapped to paths.
+    hits = np.flatnonzero(generator.random(tree.size) < mutation_rate)
+    if not hits.size:
         return tree
+    selected = [preorder_path(tree, int(index)) for index in hits]
     # Drop paths nested under an already-selected ancestor: mutating the
     # ancestor replaces the descendant anyway.  The survivors are pairwise
     # disjoint, so they stay valid while the tree is rebuilt incrementally.

@@ -35,6 +35,7 @@ population small without changing any fitness value.  A residual cap
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -148,12 +149,7 @@ def simulate_plan(
     options: SimulationOptions | None = None,
 ) -> SimulationReport:
     """Enumerate execution flows of *tree* starting from ``Sinit``."""
-    opts = options or SimulationOptions()
-    start: _Partial = (problem.initial_state, 0.0, 0.0, 1.0)
-    budget = [opts.max_executions]
-    partials, truncated = _simulate(tree, [start], problem, opts, budget)
-    flows = tuple(FlowResult(s, e, v, w) for s, e, v, w in partials)
-    return SimulationReport(flows, truncated)
+    return _run(tree, problem, options)
 
 
 def simulate_with_attribution(
@@ -168,44 +164,42 @@ def simulate_with_attribution(
     sums the (weighted) executions of the terminal at *path*.  Used by the
     plan-repair pass to find terminals that are invalid in every flow.
     """
-    opts = options or SimulationOptions()
-    start: _Partial = (problem.initial_state, 0.0, 0.0, 1.0)
-    stats: dict[tuple[int, ...], list[float]] = {}
-    budget = [opts.max_executions]
-    partials, truncated = _simulate(
-        tree, [start], problem, opts, budget, (), stats
-    )
+    # One subtree object may sit at several paths, so the walk runs on a
+    # copy whose every terminal is its own object, filed under its path.
+    paths: dict[int, tuple[int, ...]] = {}
+    located = _locate(tree, (), paths)
+    stats: dict[int, list[float]] = {}
+    report = _run(located, problem, options, stats)
+    return report, {paths[leaf]: (e, v) for leaf, (e, v) in stats.items()}
+
+
+def _run(
+    tree: PlanNode,
+    problem: PlanningProblem,
+    options: SimulationOptions | None,
+    stats: dict[int, list[float]] | None = None,
+) -> SimulationReport:
+    """One simulation of *tree* from ``Sinit`` on a fresh walker."""
+    walker = _FlowWalker(problem, options or SimulationOptions(), stats)
+    partials = walker.walk(tree, [(problem.initial_state, 0.0, 0.0, 1.0)])
     flows = tuple(FlowResult(s, e, v, w) for s, e, v, w in partials)
-    return (
-        SimulationReport(flows, truncated),
-        {path: (e, v) for path, (e, v) in stats.items()},
+    return SimulationReport(flows, walker.truncated)
+
+
+def _locate(
+    node: PlanNode, path: tuple[int, ...], paths: dict[int, tuple[int, ...]]
+) -> PlanNode:
+    """A copy of *node* with a fresh object per terminal; ``paths`` maps
+    each fresh terminal's ``id`` to its path."""
+    if isinstance(node, Terminal):
+        leaf = Terminal(node.activity)
+        paths[id(leaf)] = path
+        return leaf
+    assert isinstance(node, Controller)
+    return Controller(
+        node.kind,
+        tuple(_locate(child, path + (idx,), paths) for idx, child in enumerate(node.children)),
     )
-
-
-def _merge(partials: list[_Partial]) -> list[_Partial]:
-    """Merge flows with identical states (exact; see module docstring).
-
-    Keys on :meth:`WorldState.merge_key`, which each state computes once
-    and caches — join-point merging previously rebuilt the canonical
-    tuple from the full state dict for every flow at every join.
-    """
-    if len(partials) <= 1:
-        return partials
-    merged: dict[tuple, list] = {}
-    order: list[tuple] = []
-    for state, executed, valid, weight in partials:
-        key = state.merge_key()
-        if key is None:  # unhashable property value: skip merging entirely
-            return partials
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = [state, executed, valid, weight]
-            order.append(key)
-        else:
-            slot[1] += executed
-            slot[2] += valid
-            slot[3] += weight
-    return [tuple(merged[key]) for key in order]  # type: ignore[misc]
 
 
 #: Rescale flow weights once their total exceeds this.  Deeply nested
@@ -215,134 +209,158 @@ def _merge(partials: list[_Partial]) -> list[_Partial]:
 #: normalizing loses nothing.
 _WEIGHT_CEILING = 1e9
 
-
-def _settle(
-    partials: list[_Partial], opts: SimulationOptions
-) -> tuple[list[_Partial], bool]:
-    """Merge identical flows, rescale weights, cap the survivor count."""
-    partials = _merge(partials)
-    total = sum(p[3] for p in partials)
-    if total > _WEIGHT_CEILING:
-        factor = 1.0 / total
-        partials = [
-            (state, executed * factor, valid * factor, weight * factor)
-            for state, executed, valid, weight in partials
-        ]
-    if len(partials) > opts.max_flows:
-        return partials[: opts.max_flows], True
-    return partials, False
+_SEQUENTIAL = ControllerKind.SEQUENTIAL
+_CONCURRENT = ControllerKind.CONCURRENT
+_SELECTIVE = ControllerKind.SELECTIVE
+_ITERATIVE = ControllerKind.ITERATIVE
 
 
-def _simulate(
-    node: PlanNode,
-    partials: list[_Partial],
-    problem: PlanningProblem,
-    opts: SimulationOptions,
-    budget: list[int],
-    path: tuple[int, ...] = (),
-    stats: dict[tuple[int, ...], list[float]] | None = None,
-) -> tuple[list[_Partial], bool]:
-    """Advance every partial flow through *node*; returns (flows, truncated).
+class _FlowWalker:
+    """One simulation: advances lists of partial flows through a plan tree.
 
-    With *stats*, terminal executions are additionally attributed to their
-    tree path (weighted executed/valid sums).  *budget* is the mutable
-    remaining terminal-execution allowance; exhausting it stops further
-    execution (the entry check below also cuts off the otherwise
-    exponential structural recursion of deeply nested iteratives).
+    Everything the walk reads at every node is fetched once, here: the
+    execution table, the transition table's ``step`` and the option
+    values.  Truncation (the flow cap or the execution budget) sets one
+    flag wherever it happens.  With *stats*, terminal executions are
+    attributed to ``id(terminal)`` as weighted ``[executed, valid]`` sums.
     """
-    truncated = False
-    if budget[0] <= 0:
-        return list(partials), True
 
-    if isinstance(node, Terminal):
-        budget[0] -= len(partials)
-        activity = node.activity
-        record = None
-        if stats is not None:
-            record = stats.setdefault(path, [0.0, 0.0])
-        out: list[_Partial] = []
-        if activity not in problem.execution_table():
+    __slots__ = (
+        "table", "step", "max_flows", "rounds", "wanted", "orders",
+        "budget", "truncated", "stats",
+    )
+
+    def __init__(
+        self,
+        problem: PlanningProblem,
+        opts: SimulationOptions,
+        stats: dict[int, list[float]] | None = None,
+    ) -> None:
+        self.table = problem.execution_table()
+        # The static filter's stub problem has an empty execution table
+        # and no transition table; no step is ever taken against it.
+        self.step = problem.transitions().step if self.table else None
+        self.max_flows = opts.max_flows
+        self.rounds = max(opts.iteration_counts)
+        self.wanted = frozenset(opts.iteration_counts)
+        self.orders = opts.concurrent_orders
+        #: Remaining terminal executions.  Exhausting it stops further
+        #: execution; the entry check in :meth:`walk` also cuts off the
+        #: otherwise exponential structural recursion of deeply nested
+        #: iteratives.
+        self.budget = opts.max_executions
+        self.truncated = False
+        self.stats = stats
+
+    def walk(self, node: PlanNode, partials: list[_Partial]) -> list[_Partial]:
+        """Advance every partial flow through *node*."""
+        if self.budget <= 0:
+            self.truncated = True
+            return list(partials)
+
+        if isinstance(node, Terminal):
+            self.budget -= len(partials)
+            activity = node.activity
+            record = None
+            if self.stats is not None:
+                record = self.stats.setdefault(id(node), [0.0, 0.0])
+            if activity not in self.table:  # outside T: executed, never valid
+                if record is not None:
+                    for flow in partials:
+                        record[0] += flow[3]
+                return [(s, e + w, v, w) for s, e, v, w in partials]
+            step = self.step
+            out: list[_Partial] = []
             for state, executed, valid, weight in partials:
-                out.append((state, executed + weight, valid, weight))
+                successor = step(state, activity)
+                if successor is None:  # inapplicable: the state stays
+                    out.append((state, executed + weight, valid, weight))
+                else:
+                    out.append((successor, executed + weight, valid + weight, weight))
                 if record is not None:
                     record[0] += weight
-            return out, truncated
-        step = problem.transitions().step
-        for state, executed, valid, weight in partials:
-            successor = step(state, activity)
-            if successor is not None:
-                out.append((successor, executed + weight, valid + weight, weight))
-                if record is not None:
-                    record[0] += weight
-                    record[1] += weight
-            else:
-                out.append((state, executed + weight, valid, weight))
-                if record is not None:
-                    record[0] += weight
-        return out, truncated
+                    if successor is not None:
+                        record[1] += weight
+            return out
 
-    assert isinstance(node, Controller)
-    kind = node.kind
+        kind = node.kind
+        if kind is _SEQUENTIAL:
+            for child in node.children:
+                partials = self.walk(child, partials)
+            return partials
 
-    if kind is ControllerKind.SEQUENTIAL:
-        current = partials
-        for idx, child in enumerate(node.children):
-            current, t = _simulate(
-                child, current, problem, opts, budget, path + (idx,), stats
-            )
-            truncated |= t
-        return current, truncated
+        if kind is _SELECTIVE:
+            collected: list[_Partial] = []
+            for child in node.children:
+                collected += self.walk(child, partials)
+            return self.settle(collected)
 
-    if kind is ControllerKind.CONCURRENT:
-        orders = _concurrent_orders(len(node.children), opts.concurrent_orders)
-        collected: list[_Partial] = []
-        for order in orders:
-            current = partials
-            for idx in order:
-                current, t = _simulate(
-                    node.children[idx], current, problem, opts,
-                    budget, path + (idx,), stats,
-                )
-                truncated |= t
-            collected.extend(current)
-        result, t = _settle(collected, opts)
-        return result, truncated | t
+        if kind is _ITERATIVE:
+            collected = []
+            wanted = self.wanted
+            for count in range(1, self.rounds + 1):
+                for child in node.children:
+                    partials = self.walk(child, partials)
+                partials = self.settle(partials)
+                if count in wanted:
+                    collected += partials
+            return self.settle(collected)
 
-    if kind is ControllerKind.SELECTIVE:
-        collected = []
-        for idx, child in enumerate(node.children):
-            flows, t = _simulate(
-                child, partials, problem, opts, budget, path + (idx,), stats
-            )
-            truncated |= t
-            collected.extend(flows)
-        result, t = _settle(collected, opts)
-        return result, truncated | t
+        if kind is _CONCURRENT:
+            children = node.children
+            collected = []
+            for order in _concurrent_orders(len(children), self.orders):
+                current = partials
+                for idx in order:
+                    current = self.walk(children[idx], current)
+                collected += current
+            return self.settle(collected)
 
-    if kind is ControllerKind.ITERATIVE:
-        collected = []
-        current = partials
-        max_count = max(opts.iteration_counts)
-        wanted = set(opts.iteration_counts)
-        for count in range(1, max_count + 1):
-            for idx, child in enumerate(node.children):
-                current, t = _simulate(
-                    child, current, problem, opts, budget, path + (idx,), stats
-                )
-                truncated |= t
-            current, t = _settle(current, opts)
-            truncated |= t
-            if count in wanted:
-                collected.extend(current)
-        result, t = _settle(collected, opts)
-        return result, truncated | t
+        raise SimulationError(f"unknown controller kind {kind!r}")
 
-    raise SimulationError(f"unknown controller kind {kind!r}")
+    def settle(self, partials: list[_Partial]) -> list[_Partial]:
+        """Merge flows that reached the same state, rescale the weights
+        past :data:`_WEIGHT_CEILING`, and keep the first ``max_flows``.
+
+        Merging is exact (see the module docstring): a flow's counters are
+        added to the first flow with the same :meth:`WorldState.merge_key`,
+        in first-appearance order.  A ``None`` key (an unhashable property
+        value) turns merging off for the whole list.
+        """
+        if len(partials) > 1:
+            merged: dict[tuple, _Partial] | None = {}
+            for flow in partials:
+                key = flow[0].merge_key()
+                if key is None:
+                    merged = None
+                    break
+                # setdefault hashes a new key once; the length, not object
+                # identity, tells a repeat (one tuple can appear twice).
+                size = len(merged)
+                first = merged.setdefault(key, flow)
+                if len(merged) == size:
+                    merged[key] = (
+                        first[0], first[1] + flow[1], first[2] + flow[2], first[3] + flow[3]
+                    )
+            if merged is not None:
+                partials = list(merged.values())
+        total = 0.0  # left to right, as sum() adds floats on 3.10 and 3.11
+        for flow in partials:
+            total += flow[3]
+        if total > _WEIGHT_CEILING:
+            factor = 1.0 / total
+            partials = [
+                (state, executed * factor, valid * factor, weight * factor)
+                for state, executed, valid, weight in partials
+            ]
+        if len(partials) > self.max_flows:
+            self.truncated = True
+            return partials[: self.max_flows]
+        return partials
 
 
-def _concurrent_orders(n: int, wanted: int) -> list[tuple[int, ...]]:
-    """The first *wanted* child orders: identity first, then permutations in
-    lexicographic order (deterministic, no RNG needed)."""
-    if wanted == 1:
-        return [tuple(range(n))]
-    return list(itertools.islice(itertools.permutations(range(n)), wanted))
+@functools.lru_cache(maxsize=256)
+def _concurrent_orders(n: int, wanted: int) -> tuple[tuple[int, ...], ...]:
+    """The first *wanted* orders of *n* children: identity first, then
+    permutations in lexicographic order (deterministic, no RNG needed)."""
+    return tuple(itertools.islice(itertools.permutations(range(n)), wanted))

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.plan import random_tree, selective, sequential, tree_size
+from repro.errors import PlanError
+from repro.plan import (
+    iter_nodes,
+    preorder_path,
+    random_tree,
+    replace_at,
+    selective,
+    sequential,
+    subtree_at,
+)
 from repro.planner import crossover, mutate, random_node_path
+from repro.planner import operators
 
 ACTS = ["A", "B", "C"]
 
@@ -91,6 +101,107 @@ class TestRandomNodePath:
         tree = sequential("A", "B")  # 3 nodes
         seen = {random_node_path(tree, rng) for _ in range(100)}
         assert seen == {(), (0,), (1,)}
+
+
+# -- draw-for-draw references ------------------------------------------------- #
+# The operators draw their random numbers in batches and map pre-order
+# indices straight to paths.  These references are the per-node loops they
+# replaced; the operators must select the same nodes from the same numbers
+# and leave the generator in the same state.
+
+
+def reference_node_path(tree, rng):
+    paths = [p for p, _ in iter_nodes(tree)]
+    return paths[int(rng.integers(len(paths)))]
+
+
+def reference_crossover(a, b, rng, smax=40, crossover_rate=0.7):
+    if rng.random() >= crossover_rate:
+        return a, b
+    path_a = reference_node_path(a, rng)
+    path_b = reference_node_path(b, rng)
+    child_a = replace_at(a, path_a, subtree_at(b, path_b))
+    child_b = replace_at(b, path_b, subtree_at(a, path_a))
+    if child_a.size > smax or child_b.size > smax:
+        return a, b
+    return child_a, child_b
+
+
+def reference_mutate(tree, activities, rng, smax, mutation_rate, max_branch=4):
+    """Returns the mutated tree and the paths it replaced, in order."""
+    selected = [p for p, _ in iter_nodes(tree) if rng.random() < mutation_rate]
+    kept = []
+    for path in sorted(selected, key=len):
+        if not any(path[: len(anc)] == anc for anc in kept):
+            kept.append(path)
+    current = tree
+    for path in kept:
+        replacement = random_tree(activities, max_size=smax, rng=rng, max_branch=max_branch)
+        candidate = replace_at(current, path, replacement)
+        if candidate.size <= smax:
+            current = candidate
+    return current, kept
+
+
+def reference_trees(count=300, seed=11):
+    rng = np.random.default_rng(seed)
+    return [random_tree(ACTS, max_size=40, rng=rng, max_branch=4) for _ in range(count)]
+
+
+def twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def test_batched_uniform_draws_equal_scalar_draws():
+    """numpy's stream guarantee the batched mutation draw relies on."""
+    batch, scalar = twins(5)
+    for n in (1, 2, 7, 40, 1000):
+        assert batch.random(n).tolist() == [scalar.random() for _ in range(n)]
+    assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+def test_preorder_path_matches_iter_nodes_order():
+    for tree in reference_trees():
+        expected = [path for path, _ in iter_nodes(tree)]
+        assert [preorder_path(tree, i) for i in range(tree.size)] == expected
+        for bad in (-1, tree.size):
+            with pytest.raises(PlanError):
+                preorder_path(tree, bad)
+
+
+def test_random_node_path_matches_reference():
+    ours, theirs = twins(3)
+    for tree in reference_trees():
+        for _ in range(3):
+            assert random_node_path(tree, ours) == reference_node_path(tree, theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_crossover_matches_reference():
+    trees = reference_trees()
+    ours, theirs = twins(4)
+    for a, b in zip(trees, trees[1:] + trees[:1]):
+        expected = reference_crossover(a, b, theirs, smax=40, crossover_rate=0.9)
+        assert crossover(a, b, ours, smax=40, crossover_rate=0.9) == expected
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.001, 0.2, 1.0])
+def test_mutate_matches_reference(rate, monkeypatch):
+    replaced = []
+
+    def spy(root, path, replacement):
+        replaced.append(path)
+        return replace_at(root, path, replacement)
+
+    monkeypatch.setattr(operators, "replace_at", spy)
+    ours, theirs = twins(6)
+    for tree in reference_trees():
+        replaced.clear()
+        expected, kept = reference_mutate(tree, ACTS, theirs, 40, rate)
+        assert mutate(tree, ACTS, ours, smax=40, mutation_rate=rate) == expected
+        assert replaced == kept
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @given(

@@ -15,6 +15,7 @@ from repro.planner import (
     SimulationReport,
     WorldState,
     simulate_plan,
+    simulate_with_attribution,
 )
 from repro.planner.problem import TransitionTable
 from repro.plan import (
@@ -74,6 +75,22 @@ class TestTerminalsAndSequences:
         report = simulate_plan(terminal("a1"), problem)
         assert report.validity_fitness() == 1.0
         assert report.goal_fitness(problem) == 0.0
+
+
+class TestAttribution:
+    def test_shared_subtree_is_attributed_per_path(self, problem):
+        # One subtree object at two paths, as crossover of a tree with
+        # itself produces: each path gets its own (executed, valid).
+        shared = sequential("b", "a1")
+        tree = selective(shared, concurrent("a1", shared))
+        _, stats = simulate_with_attribution(tree, problem)
+        assert stats == {
+            (0, 0): (1.0, 0.0),
+            (0, 1): (1.0, 1.0),
+            (1, 0): (1.0, 1.0),
+            (1, 1, 0): (1.0, 0.0),
+            (1, 1, 1): (1.0, 1.0),
+        }
 
 
 class TestSelective:
