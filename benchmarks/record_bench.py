@@ -8,9 +8,7 @@ Run from the repo root::
 The **planner** suite (BENCH_planner.json) measures, on the Section-5
 case-study problem:
 
-* ``evaluate_many`` on a population-60 batch — serial backend vs. the
-  process-pool backend (pool warmed outside timing, worker-side caching
-  off so every round simulates);
+* ``evaluate_many`` on a population-60 batch;
 * the same batch with only 12 unique structures (in-batch dedup);
 * a seeded GP run with the shared fitness cache vs. the identical run
   with caching disabled (unique-simulation counts);
@@ -36,17 +34,13 @@ workflow through the full matchmaking -> scheduling -> container path):
 
 * the default configuration (tracing on, no caches — traces stay
   byte-identical to the pre-optimization code);
-* the legacy one-event-at-a-time kernel (``batched=False``), the
-  comparison row for the batched dispatch path;
 * the per-enactment-recompile configuration (``program_cache_size=0``),
   isolating the compiled-program cache's contribution;
 * the all-knobs throughput configuration (tracing off, the coordinator
-  and scheduler read-through cache, metrics off, async reports, coalesced
-  resumption), plus the cache-hit counters of one instrumented run;
+  and scheduler read-through cache, metrics off, async reports), plus
+  the cache-hit counters of one instrumented run;
 * a 1k-case serial stress row (the ``--min-stress-cases-per-s`` floor
-  gate watches it, host-fingerprint-matched like the obs gate);
-* the batched-vs-legacy byte-identity gate (also standalone via
-  ``--verify-traces``), recorded into the JSON itself.
+  gate watches it, host-fingerprint-matched like the obs gate).
 
 The **shard** suite (BENCH_shard.json) measures the sharded
 multi-coordinator grid on a 10k-case ``many_cases`` population:
@@ -56,10 +50,7 @@ multi-coordinator grid on a 10k-case ``many_cases`` population:
   shard (``run_many_cases(shards=N)``);
 * the scaling table relative to the single-shard row (the
   ``--min-shard-scaling`` floor gate watches the 8-shard entry,
-  host-fingerprint-matched like the other gates);
-* the shards=1 byte-identity gate: the single-shard sharded grid must
-  produce exactly the unsharded grid's message trace (also enforced by
-  ``--verify-traces``).
+  host-fingerprint-matched like the other gates).
 
 The **obs** suite (BENCH_obs.json) measures the span-telemetry layer's
 cost on the same workload:
@@ -107,9 +98,7 @@ The **prov** suite (BENCH_prov.json) measures the case flight recorder:
   fast-path knobs;
 * the enacted ``plan_mix`` acceptance workload replayed case-by-case
   from storage blobs alone — replay wall time plus the journal-vs-span
-  agreement, enforced at >= 0.95 per case unconditionally;
-* the record-only byte-identity gate (also enforced by
-  ``--verify-traces``), recorded into the JSON itself.
+  agreement, enforced at >= 0.95 per case unconditionally.
 
 Each PR can re-run this and diff against the committed JSON to keep a
 perf trajectory.  Timings are medians of --rounds repetitions; the host
@@ -121,8 +110,7 @@ honest number).
 from __future__ import annotations
 
 import argparse
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -133,7 +121,7 @@ from bench_util import (
     trace_rows,
     write_record as _write,
 )
-from repro.plan import random_tree, terminal
+from repro.plan import random_tree
 from repro.planner import EvaluationEngine, GPConfig, GPPlanner, PlanEvaluator
 from repro.virolab import planning_problem
 
@@ -147,12 +135,7 @@ def _population(problem, count, seed=0):
     ]
 
 
-#: Two trees of names outside T: evaluating them starts a pool's workers
-#: without stepping any state through the workers' transition tables.
-_POOL_WARM_UP = [terminal("warm-up-a"), terminal("warm-up-b")]
-
-
-def bench_evaluate_many(rounds, workers):
+def bench_evaluate_many(rounds):
     """Every timed round builds a fresh problem outside the timing: a
     problem's transition table stays warm for its lifetime, so a reused
     one would make every round but the first cheaper."""
@@ -160,27 +143,11 @@ def bench_evaluate_many(rounds, workers):
     out = {}
 
     def serial_engine():
-        return EvaluationEngine(planning_problem())
+        return nullcontext(EvaluationEngine(planning_problem()))
 
     out["serial_60"] = _time(
         lambda engine: engine.evaluate_many(trees), rounds, setup=serial_engine
     )
-
-    pool_errors = []
-
-    @contextmanager
-    def pooled_engine():
-        with EvaluationEngine(
-            planning_problem(), workers=workers, worker_cache_size=0
-        ) as engine:
-            engine.evaluate_many(_POOL_WARM_UP)  # start the pool outside timing
-            yield engine
-            pool_errors.append(engine.pool_error)
-
-    out[f"parallel_60_workers{workers}"] = _time(
-        lambda engine: engine.evaluate_many(trees), rounds, setup=pooled_engine
-    )
-    out["pool_error"] = next((err for err in pool_errors if err), None)
 
     unique = _population(planning_problem(), 12)
     dup_trees = [unique[i % 12] for i in range(60)]
@@ -308,16 +275,15 @@ PRE_PR_BASELINE = {
 }
 
 #: Every throughput knob at once: tracing off, the read-through cache
-#: effectively run-long, metrics registry off, one-way performance
-#: reports, and coalesced same-tick resumption.  This is the configuration
-#: the 10x acceptance target is measured on; each knob is individually
-#: opt-in and individually measured in the counters rows.
+#: effectively run-long, metrics registry off, and one-way performance
+#: reports.  This is the configuration the 10x acceptance target is
+#: measured on; each knob is individually opt-in and individually
+#: measured in the counters rows.
 FAST_PATH_KNOBS = {
     "tracing": False,
     "cache_ttl": 120.0,
     "metrics": False,
     "async_reports": True,
-    "coalesce": True,
 }
 
 #: Host-fingerprinted reference for the 1k-case stress row.  The
@@ -337,133 +303,6 @@ STRESS_REFERENCE = {
 }
 
 
-def verify_trace_identity(cases=8, containers=4):
-    """Byte-identity gate: batched vs legacy dispatch, default tracing.
-
-    Runs the default-configuration workload once on the batched kernel and
-    once on the legacy one-event-at-a-time kernel (``batched=False``) and
-    requires the full observable record to match byte-for-byte: every
-    delivered message's time, endpoints, performative, action,
-    conversation / message / trace / parent ids and content, plus the
-    per-case outcomes, completion count and makespan.  Engine event counts
-    are recorded but *excluded* from identity — the batched kernel resumes
-    all waiters of one signal with a single event, so its internal event
-    count is lower by construction while the observable record is
-    unchanged.
-    """
-    from repro.workloads import run_many_cases
-
-    def observable(batched):
-        result = run_many_cases(
-            cases=cases, containers=containers, batched=batched
-        )
-        return {
-            "trace": trace_rows(result["env"]),
-            "outcomes": repr(result["outcomes"]),
-            "completed": result["completed"],
-            "makespan": result["makespan"],
-            "engine_events": result["engine_events"],
-        }
-
-    batched = observable(True)
-    legacy = observable(False)
-    identical = (
-        batched["trace"] == legacy["trace"]
-        and batched["outcomes"] == legacy["outcomes"]
-        and batched["completed"] == legacy["completed"]
-        and batched["makespan"] == legacy["makespan"]
-    )
-    gate = {
-        "cases": cases,
-        "containers": containers,
-        "identical": identical,
-        "messages_compared": len(batched["trace"]),
-        "completed": batched["completed"],
-        "batched_engine_events": batched["engine_events"],
-        "legacy_engine_events": legacy["engine_events"],
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(batched["trace"], legacy["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "batched": one,
-                    "legacy": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "index": min(len(batched["trace"]), len(legacy["trace"])),
-                "batched_len": len(batched["trace"]),
-                "legacy_len": len(legacy["trace"]),
-            }
-    return gate
-
-
-def _workload_fingerprint(result):
-    """Everything observable about a workload run, for identity gates."""
-    return {
-        "trace": trace_rows(result["env"]),
-        "outcomes": repr(result["outcomes"]),
-        "completed": result["completed"],
-        "makespan": result["makespan"],
-        "engine_events": result["engine_events"],
-    }
-
-
-def verify_sharded_trace_identity(cases=8, containers=4):
-    """Byte-identity gate: the unsharded grid vs ``shards=1``.
-
-    The single-shard sharded environment keeps every well-known service
-    name, constructs agents in the same order, and resolves every ring
-    rewrite to the identity — so the default-configuration workload must
-    produce exactly the same delivered-message trace and per-case
-    outcomes through the sharded bootstrap and routing seam as through
-    ``standard_environment``.
-    """
-    from repro.workloads import run_many_cases
-
-    default = _workload_fingerprint(
-        run_many_cases(cases=cases, containers=containers)
-    )
-    sharded = _workload_fingerprint(
-        run_many_cases(cases=cases, containers=containers, shards=1)
-    )
-    identical = (
-        default["trace"] == sharded["trace"]
-        and default["outcomes"] == sharded["outcomes"]
-        and default["completed"] == sharded["completed"]
-        and default["makespan"] == sharded["makespan"]
-    )
-    gate = {
-        "cases": cases,
-        "containers": containers,
-        "identical": identical,
-        "messages_compared": len(default["trace"]),
-        "completed": default["completed"],
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(default["trace"], sharded["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "default": one,
-                    "sharded": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "index": min(len(default["trace"]), len(sharded["trace"])),
-                "default_len": len(default["trace"]),
-                "sharded_len": len(sharded["trace"]),
-            }
-    return gate
-
-
 def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     """End-to-end enactment throughput on the many_cases workload."""
     from repro.workloads import run_many_cases
@@ -473,10 +312,6 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     configs = {
         # Default path: byte-identical traces, program cache on.
         "default_tracing": {},
-        # Pre-batching kernel (one-event heap dispatch, per-waiter resume
-        # events): the same observable run, kept as the comparison row and
-        # exercised by the trace gate below.
-        "legacy_kernel": {"batched": False},
         # Program cache disabled: recompile per enactment (the old shape).
         "no_program_cache": {"program_cache_size": 0},
         # Throughput path: every knob at once (see FAST_PATH_KNOBS).
@@ -516,17 +351,10 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     result = run_many_cases(cases=cases, containers=containers)
     out["counters_default"] = result["counters"]
 
-    # The byte-identity gate result is part of the record itself, so the
-    # committed JSON carries the proof alongside the numbers.
-    out["trace_gate"] = verify_trace_identity(
-        cases=min(cases, 8), containers=containers
-    )
-
     out["pre_pr_baseline"] = dict(PRE_PR_BASELINE)
     out["stress_reference"] = dict(STRESS_REFERENCE)
     baseline = PRE_PR_BASELINE["median_s"]
     out["speedup_default_vs_pre_pr"] = baseline / out["default_tracing"]["median_s"]
-    out["speedup_legacy_vs_pre_pr"] = baseline / out["legacy_kernel"]["median_s"]
     out["speedup_optimized_vs_pre_pr"] = (
         baseline / out["optimized_fast_path"]["median_s"]
     )
@@ -592,8 +420,6 @@ def bench_shard(rounds, cases=10_000, containers=8):
         label: len(indices)
         for label, indices in shard_assignment(cases, max(SHARD_COUNTS)).items()
     }
-    # The shards=1 byte-identity gate is part of the record itself.
-    out["trace_gate_shards1"] = verify_sharded_trace_identity()
     out["shard_reference"] = dict(SHARD_REFERENCE)
     return out
 
@@ -1009,59 +835,6 @@ PRE_PROV_BASELINE = {
 }
 
 
-def verify_journal_trace_identity(cases=8, containers=4):
-    """Byte-identity gate: journal record-only vs journal off.
-
-    Record-only journaling (``journal="record"``) appends events purely
-    in Python — no storage RPCs, no simulation events — so the full
-    observable record (every delivered message plus per-case outcomes
-    and makespan) must match a journal-off run byte-for-byte.  (The
-    mirror mode ``journal=True`` adds real store RPCs at case end and is
-    deliberately excluded: its traffic is the documented price of
-    persistence.)
-    """
-    from repro.workloads import run_many_cases
-
-    def observable(journal):
-        result = run_many_cases(
-            cases=cases, containers=containers, journal=journal
-        )
-        return {
-            "trace": trace_rows(result["env"]),
-            "outcomes": repr(result["outcomes"]),
-            "completed": result["completed"],
-            "makespan": result["makespan"],
-        }
-
-    recorded = observable("record")
-    plain = observable(False)
-    identical = recorded == plain
-    gate = {
-        "cases": cases,
-        "containers": containers,
-        "identical": identical,
-        "messages_compared": len(plain["trace"]),
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(recorded["trace"], plain["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "journal_record": one,
-                    "journal_off": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "record_len": len(recorded["trace"]),
-                "off_len": len(plain["trace"]),
-                "outcomes_equal": recorded["outcomes"] == plain["outcomes"],
-            }
-    return gate
-
-
 def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
     """Flight-recorder cost: journal modes, append throughput, replay.
 
@@ -1158,8 +931,6 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
         "agreement_min": min(agreements),
         "agreements": agreements,
     }
-
-    out["journal_trace_identity"] = verify_journal_trace_identity()
     return out
 
 
@@ -1250,22 +1021,8 @@ def main(argv=None) -> int:
         "below RATE cases/s; only enforced when the host fingerprint "
         "matches the committed stress reference host",
     )
-    parser.add_argument(
-        "--verify-traces",
-        action="store_true",
-        help="after the enact suite, run the default-tracing workload on "
-        "both the batched and the legacy dispatch paths and fail (exit 1) "
-        "unless the delivered-message traces and per-case outcomes are "
-        "byte-identical",
-    )
     parser.add_argument("--cases", type=int, default=32)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=max(2, min(4, os.cpu_count() or 1)),
-        help="pool size for the parallel measurement",
-    )
     args = parser.parse_args(argv)
 
     if args.suite in ("all", "planner"):
@@ -1273,7 +1030,7 @@ def main(argv=None) -> int:
             "benchmark": "GP planner evaluation engine",
             "problem": planning_problem().name,
             "host": _host(),
-            "evaluate_many": bench_evaluate_many(args.rounds, args.workers),
+            "evaluate_many": bench_evaluate_many(args.rounds),
             "cache_effect_pop60_gen10": bench_cache_effect(),
             "gp_run_pop60_gen10": bench_gp_run(max(2, args.rounds // 2)),
             "warm_table_identity": verify_warm_table_identity(),
@@ -1300,43 +1057,6 @@ def main(argv=None) -> int:
             "enact": bench_enact(args.rounds, cases=args.cases),
         }
         _write(args.enact_out, record)
-        if args.verify_traces:
-            gate = verify_trace_identity(cases=args.cases)
-            if not gate["identical"]:
-                print(
-                    "FAIL: batched and legacy dispatch diverge: "
-                    f"{gate.get('first_divergence')}"
-                )
-                return 1
-            print(
-                "trace gate passed: batched and legacy dispatch "
-                f"byte-identical over {gate['messages_compared']} messages "
-                f"({gate['cases']} cases)"
-            )
-            gate = verify_sharded_trace_identity(cases=args.cases)
-            if not gate["identical"]:
-                print(
-                    "FAIL: unsharded and shards=1 grids diverge: "
-                    f"{gate.get('first_divergence')}"
-                )
-                return 1
-            print(
-                "shard trace gate passed: unsharded and shards=1 grids "
-                f"byte-identical over {gate['messages_compared']} messages "
-                f"({gate['cases']} cases)"
-            )
-            gate = verify_journal_trace_identity(cases=args.cases)
-            if not gate["identical"]:
-                print(
-                    "FAIL: record-only journal diverges from journal-off: "
-                    f"{gate.get('first_divergence')}"
-                )
-                return 1
-            print(
-                "journal trace gate passed: record-only and journal-off "
-                f"byte-identical over {gate['messages_compared']} messages "
-                f"({gate['cases']} cases)"
-            )
         if args.min_stress_cases_per_s is not None and not enforce_gate(
             "stress floor (--min-stress-cases-per-s)",
             record["enact"]["stress_1k"]["cases_per_s"],
@@ -1357,12 +1077,6 @@ def main(argv=None) -> int:
             "shard": bench_shard(args.rounds, cases=args.shard_cases),
         }
         _write(args.shard_out, record)
-        if not record["shard"]["trace_gate_shards1"]["identical"]:
-            print(
-                "FAIL: unsharded and shards=1 grids diverge: "
-                f"{record['shard']['trace_gate_shards1'].get('first_divergence')}"
-            )
-            return 1
         if args.min_shard_scaling is not None and not enforce_gate(
             f"{max(SHARD_COUNTS)}-shard scaling (--min-shard-scaling)",
             record["shard"]["scaling_vs_1_shard"][f"shards_{max(SHARD_COUNTS)}"],
@@ -1446,13 +1160,6 @@ def main(argv=None) -> int:
             "prov": bench_prov(args.rounds, cases=args.cases),
         }
         _write(args.prov_out, record)
-        gate = record["prov"]["journal_trace_identity"]
-        if not gate["identical"]:
-            print(
-                "FAIL: record-only journal diverges from journal-off: "
-                f"{gate.get('first_divergence')}"
-            )
-            return 1
         agreement = record["prov"]["replay"]["agreement_min"]
         if agreement < 0.95:
             print(

@@ -81,26 +81,6 @@ def test_bench_evaluate_many_serial(benchmark):
     assert len(fits) == 60
 
 
-def test_bench_evaluate_many_parallel(benchmark):
-    """Same batch through the process-pool backend (2 workers, warm pool).
-
-    On a single-core host this measures dispatch overhead rather than a
-    speedup; compare against the serial benchmark and BENCH_planner.json.
-    """
-    problem = planning_problem()
-    trees = _bench_population()
-    with EvaluationEngine(problem, workers=2, worker_cache_size=0) as engine:
-        engine.evaluate_many(trees[:2])  # warm up the pool outside timing
-
-        def run():
-            engine.evaluator.clear_cache()
-            return engine.evaluate_many(trees)
-
-        fits = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(fits) == 60
-    assert fits == EvaluationEngine(problem).evaluate_many(trees)
-
-
 def test_bench_evaluate_many_dedup(benchmark):
     """Population-60 batch with only 12 unique structures: measures how
     much in-batch dedup shaves off vs. the all-unique serial benchmark."""

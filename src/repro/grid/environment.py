@@ -48,17 +48,10 @@ class GridEnvironment:
         tracing: bool = True,
         spans: bool = False,
         span_capacity: int | None = None,
-        batched: bool = True,
-        coalesce: bool = False,
         journal: bool | str = False,
         journal_cases: int | None = None,
     ) -> None:
-        # batched=False opts out of the engine's same-tick batch dispatch
-        # (the legacy one-event-per-heap-pop kernel) — the comparison knob
-        # the byte-identical-trace gate runs both sides of.  coalesce=True
-        # opts in to direct same-tick signal resumption (deterministic,
-        # but intra-tick interleaving differs — throughput runs only).
-        self.engine = engine or Engine(batched=batched, coalesce=coalesce)
+        self.engine = engine or Engine()
         self.network = network or Network()
         self._agents: dict[str, Agent] = {}
         self._nodes: dict[str, GridNode] = {}

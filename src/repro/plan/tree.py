@@ -89,9 +89,9 @@ class PlanNode:
         raise NotImplementedError
 
     def __getstate__(self) -> dict:
-        # Keep cached structural keys and sizes out of pickles: process-pool
-        # dispatch ships trees to workers, and the key roughly doubles the
-        # payload.
+        # Keep cached structural keys and sizes out of pickles: seed-parallel
+        # runs ship result trees back from their workers, and the key
+        # roughly doubles the payload.
         state = dict(self.__dict__)
         state.pop("_skey", None)
         state.pop("_size", None)

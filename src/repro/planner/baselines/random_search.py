@@ -31,9 +31,8 @@ def random_search(
 
     Trees are drawn up front (tree generation never consults the
     evaluator, so the RNG stream is unchanged) and scored in one
-    ``evaluate_many`` batch — deduped, cached, and parallel when
-    *evaluator* is an :class:`EvaluationEngine` with workers.  The first
-    tree with the maximal fitness wins, as in the sequential version.
+    ``evaluate_many`` batch, deduped and cached.  The first tree with the
+    maximal fitness wins, as in the sequential version.
     """
     generator = as_rng(rng)
     activities = list(problem.activity_names)

@@ -27,10 +27,6 @@ class GPConfig:
     simulation: SimulationOptions = field(default_factory=SimulationOptions)
     tournament_size: int = 2
     max_branch: int = 4
-    workers: int = 0
-    """Process-pool workers for population evaluation (0 = in-process
-    serial).  Results are bit-identical for any value; this is purely a
-    throughput knob (see :mod:`repro.planner.engine`)."""
     early_stop: bool = False
     """Stop once some individual reaches fv = fg = 1.0 (not used by the
     Table-2 reproduction, which runs all generations as the paper does)."""
@@ -79,8 +75,6 @@ class GPConfig:
             raise PlanningError("mutation rate must be in [0, 1]")
         if self.smax < 1:
             raise PlanningError("Smax must be >= 1")
-        if self.workers < 0:
-            raise PlanningError("workers must be >= 0")
         if self.static_filter not in ("off", "exact", "penalty", "race"):
             raise PlanningError(
                 f"static_filter must be 'off', 'exact', 'penalty' or "

@@ -1,7 +1,7 @@
-"""Batched, cache-sharing, optionally parallel plan evaluation.
+"""Batched, cache-sharing plan evaluation.
 
 The GP loop scores a whole population per generation; scoring each tree
-independently wastes work along three axes that this engine recovers:
+independently wastes work along two axes that this engine recovers:
 
 1. **Structural interning** — trees are keyed by their cached canonical
    :meth:`~repro.plan.tree.PlanNode.struct_key`, so tournament-selection
@@ -10,13 +10,6 @@ independently wastes work along three axes that this engine recovers:
    the wrapped :class:`~repro.planner.fitness.PlanEvaluator`).
 2. **In-batch dedup** — each structurally unique tree in a batch is
    simulated at most once, however many population slots it occupies.
-3. **Process-pool backend** — cache-missing unique trees are dispatched in
-   chunks to a ``ProcessPoolExecutor`` whose workers receive the
-   ``PlanningProblem`` / ``SimulationOptions`` once via the pool
-   initializer (conditions are recompiled worker-side on unpickle).
-   Fitness values come from the same pure
-   :func:`~repro.planner.fitness.evaluate_tree` the serial path uses, so
-   results are bit-identical regardless of worker count or chunking.
 
 Telemetry (cumulative evaluation wall-time, cache hit/miss counts,
 batches) feeds ``GenerationStats`` / ``PlanningResult``.
@@ -24,7 +17,6 @@ batches) feeds ``GenerationStats`` / ``PlanningResult``.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Sequence
 
@@ -41,44 +33,13 @@ from repro.planner.simulate import SimulationOptions
 
 __all__ = ["EvaluationEngine"]
 
-# -- process-pool worker side ------------------------------------------------- #
-# One evaluator per worker process, built once by the pool initializer.  Its
-# own LRU persists for the pool's lifetime, so repeat trees landing on the
-# same worker across generations skip simulation there too.
-_WORKER_EVALUATOR: PlanEvaluator | None = None
-
-
-def _worker_init(
-    problem: PlanningProblem,
-    weights: FitnessWeights,
-    smax: int,
-    options: SimulationOptions,
-    cache_size: int | None,
-) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = PlanEvaluator(
-        problem, weights, smax, options, cache_size=cache_size
-    )
-
-
-def _worker_eval(trees: list[PlanNode]) -> list[Fitness]:
-    assert _WORKER_EVALUATOR is not None, "pool initializer did not run"
-    return [_WORKER_EVALUATOR(tree) for tree in trees]
-
 
 class EvaluationEngine:
-    """Batched plan evaluation with a shared cache and optional workers.
+    """Batched plan evaluation with a shared cache.
 
     Quacks like a :class:`PlanEvaluator` (callable, ``evaluations``,
     ``smax``, ...) so baselines and existing call sites take either.
-    *workers* = 0 means in-process serial evaluation; *workers* >= 1
-    selects the process pool (1 is useful to measure dispatch overhead).
-    Use as a context manager, or call :meth:`close`, to reap the pool.
     """
-
-    #: Target chunks per worker per batch: small enough to amortize IPC,
-    #: large enough to smooth out per-tree cost variance.
-    _CHUNKS_PER_WORKER = 4
 
     def __init__(
         self,
@@ -87,10 +48,7 @@ class EvaluationEngine:
         smax: int = 40,
         options: SimulationOptions | None = None,
         *,
-        workers: int = 0,
-        chunk_size: int | None = None,
         cache_size: int | None = None,
-        worker_cache_size: int | None = None,
         evaluator: PlanEvaluator | None = None,
         static_filter: str = "off",
     ) -> None:
@@ -100,17 +58,7 @@ class EvaluationEngine:
             evaluator = PlanEvaluator(
                 problem, weights, smax, options, cache_size=cache_size
             )
-        if workers < 0:
-            raise PlanningError(f"workers must be >= 0, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise PlanningError("chunk_size must be >= 1")
         self.evaluator = evaluator
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.worker_cache_size = worker_cache_size
-        """LRU bound for each pool worker's local evaluator (None =
-        default; 0 disables worker-side caching, used by benchmarks to
-        keep repeat rounds honest)."""
         self._filter = None
         if static_filter != "off":
             # Lazy import: keeps repro.analysis (ontology, parser, ...) out
@@ -124,8 +72,6 @@ class EvaluationEngine:
                 evaluator.options,
                 mode=static_filter,
             )
-        self._pool = None
-        self.pool_error: str | None = None
         # -- telemetry -- #
         self.batches = 0
         self.eval_time = 0.0  # cumulative wall-time inside evaluate_many
@@ -252,23 +198,8 @@ class EvaluationEngine:
         return results  # type: ignore[return-value]
 
     def _dispatch(self, trees: list[PlanNode]) -> list[Fitness]:
-        """Simulate *trees* (already unique) serially or on the pool."""
+        """Simulate *trees* (already unique)."""
         evaluator = self.evaluator
-        if self.workers and len(trees) > 1:
-            pool = self._ensure_pool()
-            if pool is not None:
-                size = self.chunk_size or max(
-                    1,
-                    math.ceil(len(trees) / (self.workers * self._CHUNKS_PER_WORKER)),
-                )
-                chunks = [trees[i : i + size] for i in range(0, len(trees), size)]
-                try:
-                    out: list[Fitness] = []
-                    for chunk_result in pool.map(_worker_eval, chunks):
-                        out.extend(chunk_result)
-                    return out
-                except Exception as exc:  # broken pool: degrade to serial
-                    self._fail_pool(exc)
         return [
             evaluate_tree(
                 tree,
@@ -279,42 +210,3 @@ class EvaluationEngine:
             )
             for tree in trees
         ]
-
-    # -- pool lifecycle --------------------------------------------------------- #
-    def _ensure_pool(self):
-        if self._pool is None and self.pool_error is None:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                evaluator = self.evaluator
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_worker_init,
-                    initargs=(
-                        evaluator.problem,
-                        evaluator.weights,
-                        evaluator.smax,
-                        evaluator.options,
-                        self.worker_cache_size,
-                    ),
-                )
-            except Exception as exc:  # e.g. sandboxed fork: degrade to serial
-                self._fail_pool(exc)
-        return self._pool
-
-    def _fail_pool(self, exc: Exception) -> None:
-        self.pool_error = f"{type(exc).__name__}: {exc}"
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -69,9 +69,9 @@ def evaluate_tree(
     """Score one plan tree: simulate all flows, apply Eqs. 1-4.
 
     Pure and deterministic — the single source of truth for fitness values
-    shared by the serial evaluator and the process-pool workers of
-    :class:`~repro.planner.engine.EvaluationEngine` (which is what makes
-    parallel results bit-identical to serial ones).
+    shared by :class:`PlanEvaluator` and the batched
+    :class:`~repro.planner.engine.EvaluationEngine`, which is what makes
+    their results bit-identical.
     """
     report = simulate_plan(tree, problem, options)
     fv = report.validity_fitness()
@@ -163,9 +163,9 @@ class PlanEvaluator:
     def evaluate_many(self, trees: list[PlanNode]) -> list[Fitness]:
         """Serial batch evaluation (in-batch dedup via the cache).
 
-        :class:`~repro.planner.engine.EvaluationEngine` overrides the
-        dispatch with a process pool; this method exists so baselines can
-        batch against a plain evaluator and engine interchangeably.
+        This method exists so baselines can batch against a plain
+        evaluator and an :class:`~repro.planner.engine.EvaluationEngine`
+        interchangeably.
         """
         return [self(tree) for tree in trees]
 

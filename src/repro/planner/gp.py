@@ -40,9 +40,9 @@ __all__ = ["GenerationStats", "PlanningResult", "GPPlanner"]
 class GenerationStats:
     """Per-generation telemetry recorded by the planner.
 
-    Timing fields are excluded from equality so that results from
-    different evaluation backends (serial vs process pool) compare equal
-    when — as guaranteed — the evolved populations are bit-identical.
+    Timing fields are excluded from equality so that two runs of one
+    seed (in-process or on the seed-parallel pool) compare equal when —
+    as guaranteed — the evolved populations are bit-identical.
     """
 
     generation: int
@@ -170,45 +170,26 @@ class GPPlanner:
         self,
         problem: PlanningProblem,
         evaluator: PlanEvaluator | None = None,
-        engine: EvaluationEngine | None = None,
         seeds: Sequence[PlanNode] = (),
     ) -> PlanningResult:
         """Run the GP loop.
 
         Population scoring goes through an :class:`EvaluationEngine`
-        (batched, deduped, cached, and parallel when ``config.workers`` >
-        0).  Passing *evaluator* shares its fitness cache with the engine;
-        passing *engine* reuses pool and cache across calls (the caller
-        keeps ownership and closes it).  *seeds* are library-retrieved
+        (batched, deduped, cached).  Passing *evaluator* shares its
+        fitness cache with the engine.  *seeds* are library-retrieved
         plans folded into generation 0 (see :meth:`initial_population`);
         they are ignored — RNG stream untouched — unless
         ``config.library`` enables warm starts.
         """
         cfg = self.config
-        owns_engine = engine is None
-        if engine is None:
-            engine = EvaluationEngine(
-                problem,
-                cfg.weights,
-                cfg.smax,
-                cfg.simulation,
-                workers=cfg.workers,
-                evaluator=evaluator,
-                static_filter=cfg.static_filter,
-            )
-        try:
-            return self._plan(problem, engine, seeds)
-        finally:
-            if owns_engine:
-                engine.close()
-
-    def _plan(
-        self,
-        problem: PlanningProblem,
-        engine: EvaluationEngine,
-        seeds: Sequence[PlanNode] = (),
-    ) -> PlanningResult:
-        cfg = self.config
+        engine = EvaluationEngine(
+            problem,
+            cfg.weights,
+            cfg.smax,
+            cfg.simulation,
+            evaluator=evaluator,
+            static_filter=cfg.static_filter,
+        )
         activities = list(problem.activity_names)
         population = self.initial_population(problem, seeds)
         history: list[GenerationStats] = []

@@ -148,8 +148,6 @@ def standard_environment(
     tracing: bool = True,
     spans: bool = False,
     journal: bool | str = False,
-    batched: bool = True,
-    coalesce: bool = False,
     plan_library: PlanLibrary | None = None,
     knowledge_base: KnowledgeBase | None = None,
 ) -> tuple[GridEnvironment, CoreServices, list[ApplicationContainer]]:
@@ -162,14 +160,8 @@ def standard_environment(
     selects the router fast path (no per-delivery TraceEvents) for
     throughput runs; id streams are unaffected.  ``spans=True`` turns on
     the workflow span recorder (see :mod:`repro.obs.spans`).
-    ``batched=False`` opts out of the engine's same-tick batch dispatch
-    (the legacy heap kernel, kept for the trace-identity gate);
-    ``coalesce=True`` opts in to direct same-tick signal resumption
-    (deterministic, different intra-tick interleaving — throughput runs).
     """
-    env = GridEnvironment(
-        tracing=tracing, spans=spans, journal=journal, batched=batched, coalesce=coalesce
-    )
+    env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
     credentials = ("coordination", "grid-secret") if secure else None
     services = build_core_services(
         env,
@@ -314,8 +306,6 @@ def sharded_environment(
     tracing: bool = True,
     spans: bool = False,
     journal: bool | str = False,
-    batched: bool = True,
-    coalesce: bool = False,
     plan_library: PlanLibrary | None = None,
     knowledge_base: KnowledgeBase | None = None,
 ) -> ShardedGridEnvironment:
@@ -349,9 +339,7 @@ def sharded_environment(
         raise ValueError("shard_labels must give one distinct label per shard")
     ring = ShardRing(labels)
 
-    env = GridEnvironment(
-        tracing=tracing, spans=spans, journal=journal, batched=batched, coalesce=coalesce
-    )
+    env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
     credentials = ("coordination", "grid-secret") if secure else None
 
     # Construction order mirrors build_core_services exactly (information

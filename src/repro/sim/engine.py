@@ -43,10 +43,6 @@ Throughput internals (the observable semantics above are unchanged):
 * **O(1) accounting** — a live-event counter maintained on
   schedule/cancel/pop makes :attr:`Engine.pending` and cancellation O(1);
   cancelled entries are lazily discarded when they surface.
-
-``Engine(batched=False)`` selects the legacy one-event-at-a-time heap
-dispatch (and per-waiter signal wakeups) — the comparator the
-equivalence tests and the byte-identical-trace gate run against.
 """
 
 from __future__ import annotations
@@ -153,35 +149,15 @@ class Signal:
         self.fired = True
         self.payload = payload
         waiters, self._waiters = self._waiters, []
-        engine = self.engine
-        if not waiters:
-            return
-        if engine.coalesce:
-            # Aggressive timer coalescing (opt-in): resume parked waiters
-            # directly instead of scheduling a zero-delay wakeup event —
-            # the fire→schedule→resume chain collapses to a call.  Still
-            # fully deterministic, but the waiter now runs *before* other
-            # events already queued at this tick (and before the firing
-            # action's remaining statements), so intra-tick interleaving —
-            # and therefore id streams/traces — can differ from the
-            # event-ordered kernels.  Late waiters (_add_waiter on a fired
-            # signal) still go through the queue, which keeps recursion
-            # bounded by the agent-chain depth rather than queue depth.
-            for process in waiters:
-                process._resume(payload)
-            return
         if len(waiters) == 1:
-            engine.schedule_discard(0.0, waiters[0]._resume, payload)
-        elif engine.batched:
+            self.engine.schedule_discard(0.0, waiters[0]._resume, payload)
+        elif waiters:
             # One wakeup event resuming every waiter in order.  Identical
             # to per-waiter events: the per-waiter wakeups would carry
             # consecutive seqs (nothing is scheduled between them) and so
             # execute back-to-back, and anything a resumed waiter posts
             # carries a later seq either way.
-            engine.schedule_discard(0.0, _resume_all, waiters, payload)
-        else:
-            for process in waiters:
-                engine.schedule_discard(0.0, process._resume, payload)
+            self.engine.schedule_discard(0.0, _resume_all, waiters, payload)
 
     def _add_waiter(self, process: "ProcessHandle") -> None:
         if self.fired:
@@ -270,21 +246,10 @@ _POOL_SIZE = 512
 
 
 class Engine:
-    """The simulation event loop.
+    """The simulation event loop (see the module docstring)."""
 
-    *batched* selects the same-tick batch dispatcher (the default); pass
-    ``False`` for the legacy one-event-at-a-time heap loop.  Both produce
-    identical event orderings — the flag exists as the opt-out/comparison
-    knob for the equivalence and trace-identity gates.
-    """
-
-    def __init__(self, batched: bool = True, coalesce: bool = False) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        self.batched = batched
-        #: Aggressive zero-delay coalescing (see :meth:`Signal.fire`).
-        #: Default off: it preserves determinism but not the exact
-        #: intra-tick interleaving the byte-identical-trace gate checks.
-        self.coalesce = coalesce
         #: Heap of (time, seq, event): C-level tuple comparison, seq
         #: uniqueness guarantees the event itself is never compared.
         self._heap: list[tuple[float, int, _Event]] = []
@@ -336,7 +301,7 @@ class Engine:
         # _push, inlined (this is the hottest function in enactment runs).
         event._in_queue = True
         self._live += 1
-        if self.batched and time == self.now:
+        if time == self.now:
             self._tick.append(event)
         else:
             heappush(self._heap, (time, self._seq, event))
@@ -344,7 +309,7 @@ class Engine:
     def _push(self, event: _Event) -> None:
         event._in_queue = True
         self._live += 1
-        if self.batched and event.time == self.now:
+        if event.time == self.now:
             # Same-tick post: every earlier event at ``now`` is already in
             # the batch (drained when the tick began), so FIFO == seq order.
             self._tick.append(event)
@@ -366,13 +331,7 @@ class Engine:
                 f"spawn needs a generator, got {type(gen).__name__}"
             )
         process = ProcessHandle(self, gen, name)
-        if self.coalesce:
-            # Run the first step inline (to its first real wait) instead
-            # of through a zero-delay event — same caveat as coalesced
-            # signal fires: deterministic, different intra-tick order.
-            process._resume(None)
-        else:
-            self.schedule_discard(0.0, process._resume, None)
+        self.schedule_discard(0.0, process._resume, None)
         return process
 
     def spawn_all(
@@ -417,13 +376,11 @@ class Engine:
                 raise SimulationError("event queue time went backwards")
             heappop(heap)
             event._in_queue = False
-            if self.batched:
-                # Start of a new tick: move every event at this exact time
-                # into the FIFO batch (they pop in seq order), so the rest
-                # of the tick runs without heap traffic.
-                while heap and heap[0][0] == time:
-                    follower = heappop(heap)[2]
-                    tick.append(follower)
+            # Start of a new tick: move every event at this exact time
+            # into the FIFO batch (they pop in seq order), so the rest of
+            # the tick runs without heap traffic.
+            while heap and heap[0][0] == time:
+                tick.append(heappop(heap)[2])
             return event
         return None
 
@@ -449,6 +406,8 @@ class Engine:
         and charges only dispatched events — lazily-discarded cancelled
         entries are free.  Returns the final clock value.
         """
+        if until is not None and until < self.now:
+            return self.now
         processed = 0
         acquire = self._acquire
         tick = self._tick
@@ -475,10 +434,20 @@ class Engine:
                         self.now = until
                     return self.now
             if max_events is not None and processed >= max_events:
-                # Put the event back (front of its tick) so the queue is
-                # intact for a post-mortem or a resumed run.
+                # Put the event back so the queue is intact for a
+                # post-mortem or a resumed run.  An event due now goes to
+                # the front of its tick; one ahead of the clock came off
+                # the heap with its same-time followers drained into the
+                # (otherwise empty) tick, so they all go back on the heap.
                 event._in_queue = True
-                self._tick.appendleft(event)
+                if event.time == self.now:
+                    tick.appendleft(event)
+                else:
+                    heap = self._heap
+                    heappush(heap, (event.time, event.seq, event))
+                    while tick:
+                        follower = tick.popleft()
+                        heappush(heap, (follower.time, follower.seq, follower))
                 raise SimulationError(
                     f"exceeded max_events={max_events} at t={self.now}"
                 )

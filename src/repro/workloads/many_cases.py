@@ -117,8 +117,6 @@ def run_many_cases(
     spans: bool = False,
     journal: bool | str = False,
     gauge_period: float = 0.0,
-    batched: bool = True,
-    coalesce: bool = False,
     metrics: bool = True,
     async_reports: bool = False,
     shards: int = 0,
@@ -134,11 +132,6 @@ def run_many_cases(
     the broker's registry-changed push for invalidation — and
     ``program_cache_size`` overrides the coordinator's compiled-program
     cache (0 recompiles per enactment — the pre-compilation baseline).
-    ``batched=False`` opts out of the engine's same-tick batch dispatch
-    (the legacy heap kernel; the trace-identity gate compares both),
-    ``coalesce=True`` resumes fired signals' waiters directly instead of
-    through zero-delay wakeup events (deterministic, but intra-tick
-    interleaving — and thus id streams — differ from the default), and
     ``metrics=False`` stops counter/histogram recording (trace-safe:
     metrics never influence behaviour; the returned ``counters`` are
     then all zero), and ``async_reports=True`` turns the coordinator's
@@ -160,10 +153,10 @@ def run_many_cases(
     in-process run of the same shards and reports ``pool_error``.
     ``shards=1`` runs serially in-process on a single-shard
     :func:`~repro.services.bootstrap.sharded_environment`, whose message
-    stream is byte-identical to the unsharded grid — the trace-identity
-    gate for the sharded bootstrap.  ``case_indices`` (used by shard
-    workers) names the exact global case indices to enact, so every case
-    keeps its population-level initial data and task name.
+    stream is byte-identical to the unsharded grid (shard workers run on
+    this path).  ``case_indices`` (used by shard workers) names the exact
+    global case indices to enact, so every case keeps its
+    population-level initial data and task name.
 
     Returns ``env``, ``services``, ``outcomes`` (per-case replies) and
     summary counts.  Raises :class:`WorkloadError` when any case fails —
@@ -187,8 +180,6 @@ def run_many_cases(
             spans=spans,
             journal=journal,
             gauge_period=gauge_period,
-            batched=batched,
-            coalesce=coalesce,
             metrics=metrics,
             async_reports=async_reports,
             shards=shards,
@@ -197,13 +188,12 @@ def run_many_cases(
         grid = sharded_environment(
             many_cases_services(), shards=1, containers=containers,
             tracing=tracing, spans=spans, journal=journal,
-            batched=batched, coalesce=coalesce,
         )
         env, services, fleet = grid.env, grid.services, grid.fleet
     else:
         env, services, fleet = standard_environment(
             many_cases_services(), containers=containers, tracing=tracing,
-            spans=spans, journal=journal, batched=batched, coalesce=coalesce,
+            spans=spans, journal=journal,
         )
     if not metrics:
         env.metrics.enabled = False

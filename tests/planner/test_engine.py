@@ -1,4 +1,4 @@
-"""The batched evaluation engine: dedup, shared cache, pool determinism."""
+"""The batched evaluation engine: dedup and the shared cache."""
 
 import pickle
 
@@ -48,26 +48,26 @@ class TestStructuralKey:
 class TestEvaluateMany:
     def test_matches_single_evaluation(self, case_problem):
         trees = _random_trees(case_problem, 30)
-        with EvaluationEngine(case_problem) as engine:
-            batched = engine.evaluate_many(trees)
+        engine = EvaluationEngine(case_problem)
+        batched = engine.evaluate_many(trees)
         reference = PlanEvaluator(case_problem)
         assert batched == [reference(tree) for tree in trees]
 
     def test_in_batch_dedup_simulates_once(self, case_problem):
         tree = sequential("POD", "PSF")
         batch = [tree, sequential("POD", "PSF"), tree]
-        with EvaluationEngine(case_problem) as engine:
-            fits = engine.evaluate_many(batch)
+        engine = EvaluationEngine(case_problem)
+        fits = engine.evaluate_many(batch)
         assert engine.evaluations == 1
         assert engine.cache_hits == 2
         assert fits[0] == fits[1] == fits[2]
 
     def test_cache_spans_batches_and_single_calls(self, case_problem):
         tree = sequential("POD", "PSF")
-        with EvaluationEngine(case_problem) as engine:
-            engine.evaluate_many([tree])
-            engine.evaluate_many([sequential("POD", "PSF")])
-            engine(tree)
+        engine = EvaluationEngine(case_problem)
+        engine.evaluate_many([tree])
+        engine.evaluate_many([sequential("POD", "PSF")])
+        engine(tree)
         assert engine.evaluations == 1
         assert engine.cache_hits == 2
 
@@ -75,9 +75,9 @@ class TestEvaluateMany:
         """200 random trees: a value served from the cache is bit-identical
         to a from-scratch simulation of the same tree."""
         trees = _random_trees(case_problem, 200, seed=3)
-        with EvaluationEngine(case_problem) as engine:
-            first = engine.evaluate_many(trees)
-            again = engine.evaluate_many(trees)  # all cache hits
+        engine = EvaluationEngine(case_problem)
+        first = engine.evaluate_many(trees)
+        again = engine.evaluate_many(trees)  # all cache hits
         assert again == first
         evaluator = PlanEvaluator(case_problem)
         for tree, cached in zip(trees, first):
@@ -93,36 +93,13 @@ class TestEvaluateMany:
         evaluator = PlanEvaluator(case_problem)
         tree = sequential("POD", "PSF")
         evaluator(tree)
-        with EvaluationEngine(evaluator=evaluator) as engine:
-            engine.evaluate_many([tree])
+        engine = EvaluationEngine(evaluator=evaluator)
+        engine.evaluate_many([tree])
         assert evaluator.evaluations == 1
 
     def test_requires_problem_or_evaluator(self):
         with pytest.raises(PlanningError):
             EvaluationEngine()
-
-
-class TestDeterminism:
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_worker_count_never_changes_results(
-        self, case_problem, workers
-    ):
-        cfg = GPConfig(
-            population_size=20, generations=3, workers=workers
-        )
-        result = GPPlanner(cfg, rng=11).plan(case_problem)
-        serial = GPPlanner(cfg.with_(workers=0), rng=11).plan(case_problem)
-        assert result == serial  # eval_time excluded from comparison
-        assert result.best_fitness == serial.best_fitness
-        assert result.history == serial.history
-
-    def test_chunking_never_changes_results(self, case_problem):
-        trees = _random_trees(case_problem, 25, seed=5)
-        with EvaluationEngine(case_problem, workers=2, chunk_size=3) as a:
-            coarse = a.evaluate_many(trees)
-        with EvaluationEngine(case_problem, workers=3, chunk_size=11) as b:
-            fine = b.evaluate_many(trees)
-        assert coarse == fine
 
 
 class TestCacheEffect:
@@ -174,23 +151,13 @@ class TestCacheEffect:
 
 
 class TestPoolPlumbing:
+    """Problems reach the seed-parallel ``run_seeds`` workers by pickle."""
+
     def test_problem_pickle_roundtrip_still_evaluates(self, case_problem):
         clone = pickle.loads(pickle.dumps(case_problem))
         tree = sequential("POD", "PSF")
         original = PlanEvaluator(case_problem)(tree)
         assert PlanEvaluator(clone)(tree) == original
-
-    def test_engine_close_is_idempotent(self, case_problem):
-        engine = EvaluationEngine(case_problem, workers=2)
-        engine.evaluate_many(_random_trees(case_problem, 8))
-        engine.close()
-        engine.close()
-
-    def test_invalid_workers_rejected(self, case_problem):
-        with pytest.raises(PlanningError):
-            EvaluationEngine(case_problem, workers=-1)
-        with pytest.raises(PlanningError):
-            EvaluationEngine(case_problem, chunk_size=0)
 
 
 class TestTelemetry:

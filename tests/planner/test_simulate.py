@@ -365,26 +365,20 @@ class TestTransitionTable:
     def test_pickled_problem_carries_no_table(self):
         problem = planning_problem()
         trees = _random_trees(problem, 24, seed=7)
-        with EvaluationEngine(planning_problem()) as engine:
-            serial = engine.evaluate_many(trees)
+        serial = EvaluationEngine(planning_problem()).evaluate_many(trees)
         EvaluationEngine(problem).evaluate_many(trees)  # warm the table
         assert len(problem.transitions()) > 0
         clone = pickle.loads(pickle.dumps(problem))
         assert len(clone.transitions()) == 0
-        with EvaluationEngine(problem, workers=2) as engine:
-            pooled = engine.evaluate_many(trees)
-            assert engine.pool_error is None
-        assert pooled == serial
+        assert EvaluationEngine(clone).evaluate_many(trees) == serial
 
     def test_table_past_its_bound_scores_identically(self, monkeypatch):
         reference_problem = planning_problem()
         trees = _random_trees(reference_problem, 40, seed=11)
-        with EvaluationEngine(reference_problem) as engine:
-            reference = engine.evaluate_many(trees)
+        reference = EvaluationEngine(reference_problem).evaluate_many(trees)
         assert len(reference_problem.transitions()) > 3
         monkeypatch.setattr(TransitionTable, "MAX_STATES", 3)
         bounded_problem = planning_problem()
-        with EvaluationEngine(bounded_problem) as engine:
-            bounded = engine.evaluate_many(trees)
+        bounded = EvaluationEngine(bounded_problem).evaluate_many(trees)
         assert len(bounded_problem.transitions()) <= 3
         assert bounded == reference

@@ -1,5 +1,7 @@
 """Discrete-event engine: ordering, processes, signals, joins."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,82 +223,128 @@ class TestCancelAndPending:
         assert log == ["live"]
 
 
-class TestBatchedVsLegacyKernels:
-    """The batched tick-deque kernel must order exactly like the legacy
-    one-event heap kernel for every observable interleaving."""
+class TestRunEdgeCases:
+    def test_max_events_puts_a_future_event_back(self):
+        # The event that trips the guard came off the heap ahead of the
+        # clock, with its same-time follower: both go back there, not
+        # into the current tick.
+        engine = Engine()
+        log = []
+        engine.schedule(1.0, lambda: log.append(("a", engine.now)))
+        engine.schedule(2.0, lambda: log.append(("b", engine.now)))
+        engine.schedule(2.0, lambda: log.append(("b2", engine.now)))
+        with pytest.raises(SimulationError):
+            engine.run(max_events=1)
+        engine.schedule(0.0, lambda: log.append(("c", engine.now)))
+        engine.run(until=1.5)
+        assert log == [("a", 1.0), ("c", 1.0)]
+        assert engine.now == 1.5
+        assert engine.pending == 2
+        engine.run()
+        assert log[2:] == [("b", 2.0), ("b2", 2.0)]
 
-    def test_same_tick_ordering_stable_across_kernels(self):
-        def run(batched):
-            engine = Engine(batched=batched)
-            log = []
+    def test_until_in_the_past_is_a_no_op(self):
+        engine = Engine()
+        log = []
+        engine.schedule(5.0, log.append, "a")
+        engine.run(until=5.0)
+        engine.schedule(0.0, log.append, "x")
+        assert engine.run(until=3.0) == 5.0
+        assert log == ["a"]
+        assert engine.pending == 1
+        engine.run()
+        assert log == ["a", "x"]
 
-            def worker(tag, delay):
-                yield delay
-                log.append((tag, engine.now))
-                if tag == "a":
-                    # Same-tick work scheduled mid-dispatch lands after
-                    # the already-queued same-tick events.
-                    engine.schedule(0.0, log.append, ("a-extra", engine.now))
 
-            for tag, delay in (
-                ("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0),
-            ):
-                engine.spawn(worker(tag, delay), tag)
-            engine.run()
-            return log
+def _heap_order(ops):
+    """Reference dispatch order: one ``(time, seq)`` heap, one event per
+    pop.  Cancelled events take a seq but are never queued; a nested post
+    is queued at dispatch with the next seq."""
+    heap, log, seq = [], [], 0
+    for delay, tag, cancel in ops:
+        seq += 1
+        if not cancel:
+            heapq.heappush(heap, (delay, seq, tag, False))
+    while heap:
+        time, _, tag, nested = heapq.heappop(heap)
+        if nested:
+            log.append((tag, "nested", time))
+            continue
+        log.append((tag, time))
+        if tag % 5 == 0:
+            seq += 1
+            heapq.heappush(heap, (time, seq, tag, True))
+    return log
 
-        assert run(True) == run(False)
+
+class TestTickOrdering:
+    """Same-time events run in schedule order, whether they were queued
+    before the tick began or posted while it runs."""
+
+    def test_same_tick_ordering(self):
+        engine = Engine()
+        log = []
+
+        def worker(tag, delay):
+            yield delay
+            log.append((tag, engine.now))
+            if tag == "a":
+                # Same-tick work scheduled mid-dispatch lands after the
+                # already-queued same-tick events.
+                engine.schedule(0.0, log.append, ("a-extra", engine.now))
+
+        for tag, delay in (("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0)):
+            engine.spawn(worker(tag, delay), tag)
+        engine.run()
+        assert log == [
+            ("a", 1.0), ("b", 1.0), ("c", 1.0), ("a-extra", 1.0), ("d", 2.0),
+        ]
 
     def test_multi_waiter_signal_resumption_order(self):
-        def run(batched):
-            engine = Engine(batched=batched)
-            signal = engine.signal("s")
-            order = []
+        engine = Engine()
+        signal = engine.signal("s")
+        order = []
 
-            def waiter(tag):
-                yield signal
-                order.append((tag, engine.now))
+        def waiter(tag):
+            yield signal
+            order.append((tag, engine.now))
 
-            for tag in "abcde":
-                engine.spawn(waiter(tag), tag)
-            engine.schedule(1.0, signal.fire, None)
-            engine.run()
-            return order
-
-        batched = run(True)
-        assert batched == run(False)
-        assert [tag for tag, _ in batched] == list("abcde")
+        for tag in "abcde":
+            engine.spawn(waiter(tag), tag)
+        engine.schedule(1.0, signal.fire, None)
+        engine.run()
+        assert order == [(tag, 1.0) for tag in "abcde"]
 
     def test_spawn_inside_step_determinism(self):
-        def run(batched):
-            engine = Engine(batched=batched)
-            log = []
+        engine = Engine()
+        log = []
 
-            def child(i):
-                log.append(("child", i, engine.now))
-                yield 0.5
-                log.append(("child-done", i, engine.now))
+        def child(i):
+            log.append(("child", i, engine.now))
+            yield 0.5
+            log.append(("child-done", i, engine.now))
 
-            def parent():
-                for i in range(3):
-                    engine.spawn(child(i), f"c{i}")
-                yield 0.0
-                log.append(("parent", engine.now))
+        def parent():
+            for i in range(3):
+                engine.spawn(child(i), f"c{i}")
+            yield 0.0
+            log.append(("parent", engine.now))
 
-            engine.spawn(parent(), "p")
-            engine.run()
-            return log
+        engine.spawn(parent(), "p")
+        engine.run()
+        assert log == [
+            ("child", 0, 0.0), ("child", 1, 0.0), ("child", 2, 0.0),
+            ("parent", 0.0),
+            ("child-done", 0, 0.5), ("child-done", 1, 0.5), ("child-done", 2, 0.5),
+        ]
 
-        assert run(True) == run(False)
-
-    def test_randomized_schedules_order_equivalent(self):
-        # Property-style: seeded random schedules (same-tick bursts,
-        # cancellations, dispatch-time rescheduling) must execute in the
-        # identical order on both kernels.
+    def test_randomized_schedules_match_heap_order(self):
+        # Seeded random schedules (same-tick bursts, cancellations,
+        # dispatch-time rescheduling) execute in (time, seq) order.
         import random
 
-        def run(ops, batched):
-            engine = Engine(batched=batched)
+        def run(ops):
+            engine = Engine()
             log = []
 
             def make(tag):
@@ -328,77 +376,7 @@ class TestBatchedVsLegacyKernels:
                 )
                 for i in range(40)
             ]
-            assert run(ops, True) == run(ops, False), f"seed {seed}"
-
-
-class TestCoalesce:
-    def test_opt_in_default_off(self):
-        assert Engine().coalesce is False
-        assert Engine(coalesce=True).coalesce is True
-
-    def test_fire_resumes_waiters_inline(self):
-        engine = Engine(coalesce=True)
-        signal = engine.signal("s")
-        log = []
-
-        def waiter():
-            yield signal
-            log.append("waiter")
-
-        def firer():
-            log.append("before")
-            signal.fire(None)
-            log.append("after")
-            yield 0.0
-
-        engine.spawn(waiter(), "w")
-        engine.spawn(firer(), "f")
-        engine.run()
-        # Inline resumption: the waiter ran inside fire(), between the
-        # firer's two statements (the default kernel would log it last).
-        assert log == ["before", "waiter", "after"]
-
-    def test_late_waiter_still_goes_through_queue(self):
-        # Parking on an already-fired signal resumes via a queued event,
-        # not inline — coalesced recursion stays bounded by agent-chain
-        # depth, not queue depth.
-        engine = Engine(coalesce=True)
-        signal = engine.signal("s")
-        signal.fire("v")
-        log = []
-
-        def late():
-            value = yield signal
-            log.append(value)
-
-        engine.spawn(late(), "late")  # first step runs inline at spawn
-        assert log == []  # ...but the fired-signal park still queues
-        engine.run()
-        assert log == ["v"]
-
-    def test_deterministic_across_runs(self):
-        def run():
-            engine = Engine(coalesce=True)
-            log = []
-            signals = [engine.signal(f"s{i}") for i in range(3)]
-
-            def producer():
-                for i, signal in enumerate(signals):
-                    yield 0.5
-                    signal.fire(i)
-
-            def consumer(tag):
-                for signal in signals:
-                    value = yield signal
-                    log.append((tag, value, engine.now))
-
-            engine.spawn(consumer("a"), "a")
-            engine.spawn(consumer("b"), "b")
-            engine.spawn(producer(), "p")
-            engine.run()
-            return log, engine.now, engine.events_processed
-
-        assert run() == run()
+            assert run(ops) == _heap_order(ops), f"seed {seed}"
 
 
 @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))

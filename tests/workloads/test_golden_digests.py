@@ -1,21 +1,37 @@
-"""Golden digests of the canonical many_cases message trace.
+"""Golden digests of the canonical message traces.
 
-Each digest covers every delivered message of an 8-case, 4-container run
-(time, endpoints, performative, action, conversation / message / trace /
-parent ids and the repr of the content) plus the per-case outcomes.  A
-change that alters the protocol — one extra RPC, a reordered reply, a
-different candidate ranking — moves the digest; preserved behaviour keeps
-it.  When a change alters the trace on purpose, update the digest and say
-why in the change description.
+Each digest covers every delivered message of a run (time, endpoints,
+performative, action, conversation / message / trace / parent ids and the
+repr of the content) plus the outcomes: the 8-case, 4-container
+many_cases run, and the paper's Figure-2 planning exchange, Figure-3
+replanning flow and Figure-10 enactment.  A change that alters the
+protocol — one extra RPC, a reordered reply, a different candidate
+ranking — moves the digest; preserved behaviour keeps it.  When a change
+alters the trace on purpose, update the digest and say why in the change
+description.
+
+The figure runs use synthetic services (fixed work, no numerics): the
+real case-study services put FFT-derived floats into message content,
+whose last digits depend on the numpy build.
 """
 
 from hashlib import blake2b
 
 import pytest
 
+from repro.experiments.figures import _synthetic_services
+from repro.planner.config import GPConfig
+from repro.services.bootstrap import standard_environment
+from repro.virolab import (
+    DATA_CLASSIFICATIONS,
+    INITIAL_DATA,
+    planning_problem,
+    process_description,
+)
 from repro.workloads import run_many_cases
 
-#: The default configuration; the single-shard sharded grid must match it.
+#: The default configuration; the single-shard sharded grid and the
+#: record-only journal must match it.
 DEFAULT_DIGEST = "b57492bed8d17b135bffa5459c1d41d9"
 
 
@@ -45,13 +61,89 @@ def trace_digest(result) -> str:
     [
         ({}, 1040, DEFAULT_DIGEST),
         ({"shards": 1}, 1040, DEFAULT_DIGEST),
+        # The flight recorder only records: the trace is unchanged.
+        ({"journal": "record"}, 1040, DEFAULT_DIGEST),
         # The read-through cache of coordinator and scheduler at a
         # run-long TTL: 458 messages instead of 1040.
         ({"cache_ttl": 120.0}, 458, "c06d802eacc89f63ada694b18e029602"),
     ],
-    ids=["default", "shards1", "cache_ttl120"],
+    ids=["default", "shards1", "journal_record", "cache_ttl120"],
 )
 def test_trace_digest(knobs, messages, digest):
     result = run_many_cases(cases=8, containers=4, **knobs)
     assert result["messages"] == messages
     assert trace_digest(result) == digest
+
+
+def _figure_run(target: str, action: str, content: dict, **grid):
+    """One RPC from the coordinator on a synthetic-service grid, run to
+    quiescence."""
+    env, services, _ = standard_environment(_synthetic_services(), **grid)
+    outcome = {}
+
+    def client():
+        outcome["reply"] = yield from services.coordination.call(
+            target, action, content
+        )
+
+    env.engine.spawn(client(), "client")
+    env.run(max_events=1_000_000)
+    return {"env": env, "outcomes": [outcome["reply"]]}
+
+
+#: The Figure-2/3 grid of :mod:`repro.experiments.figures`.
+_PLANNING_GRID = {
+    "containers": 2,
+    "planner_config": GPConfig(population_size=20, generations=3),
+}
+
+
+@pytest.mark.parametrize(
+    ("action", "content", "messages", "digest"),
+    [
+        # Figure 2: the plan request and its reply.
+        (
+            "plan",
+            {"problem": planning_problem()},
+            2,
+            "9e77f4acb68d97d14cf45cf387b9d456",
+        ),
+        # Figure 3: replanning consults information, brokerage and the
+        # containers before it replies.
+        (
+            "replan",
+            {
+                "problem": planning_problem(),
+                "data": {"D1": {"Classification": "POD-Parameter"}},
+                "failed_activities": ["POR"],
+            },
+            22,
+            "d16441cf78735264bbf50592df4b0493",
+        ),
+    ],
+    ids=["fig2", "fig3"],
+)
+def test_planning_protocol_digest(action, content, messages, digest):
+    result = _figure_run("planning", action, content, **_PLANNING_GRID)
+    assert len(result["env"].trace) == messages
+    assert trace_digest(result) == digest
+
+
+def test_fig10_enactment_digest():
+    result = _figure_run(
+        "coordination",
+        "execute-task",
+        {
+            "process": process_description(),
+            "initial_data": {
+                name: {"Classification": DATA_CLASSIFICATIONS[name]}
+                for name in INITIAL_DATA
+            },
+            "problem": planning_problem(),
+            "task": "3DSD",
+        },
+        containers=4,
+    )
+    assert result["outcomes"][0]["status"] == "completed"
+    assert len(result["env"].trace) == 114
+    assert trace_digest(result) == "10fb9c2cdb1ced50c61eef27f7ae6c8f"

@@ -177,20 +177,6 @@ class TestAsyncReports:
         )
 
 
-class TestCoalescedEngineWorkload:
-    def test_coalesce_completes_and_is_deterministic(self):
-        runs = [
-            run_many_cases(cases=4, containers=2, tracing=False, coalesce=True)
-            for _ in range(2)
-        ]
-        assert all(r["completed"] == 4 for r in runs)
-        assert runs[0]["makespan"] == runs[1]["makespan"]
-        assert runs[0]["engine_events"] == runs[1]["engine_events"]
-        assert [o["events"] for o in runs[0]["outcomes"]] == [
-            o["events"] for o in runs[1]["outcomes"]
-        ]
-
-
 class TestParallelDriver:
     """The process-pool side of the one process-split driver (``shards=N``)."""
 
