@@ -97,8 +97,10 @@ The **prov** suite (BENCH_prov.json) measures the case flight recorder:
 * a 1k-case record-only append-throughput stress row (events/s) on the
   fast-path knobs;
 * the enacted ``plan_mix`` acceptance workload replayed case-by-case
-  from storage blobs alone — replay wall time plus the journal-vs-span
-  agreement, enforced at >= 0.95 per case unconditionally.
+  from storage blobs alone — replay wall time, and every replayed
+  provenance graph must equal the one built from the live journal
+  (``replay_mismatched`` lists the cases that do not; enforced
+  unconditionally).
 
 Each PR can re-run this and diff against the committed JSON to keep a
 perf trajectory.  Timings are medians of --rounds repetitions; the host
@@ -844,13 +846,13 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
     * a 1k-case record-only stress row on the fast-path knobs — events
       appended per second is the journal's append throughput;
     * the enacted ``plan_mix`` acceptance workload: every case's journal
-      replayed from its storage blob alone, wall time recorded, and the
-      journal-vs-span agreement enforced at >= 0.95 per case
-      (unconditionally — agreement is host-independent).
+      replayed from its storage blob alone, wall time recorded, and each
+      replayed provenance graph compared with the one built from the
+      live journal (host-independent, so enforced everywhere).
     """
     import time as _walltime
 
-    from repro.obs.provenance import journal_replay
+    from repro.obs.provenance import ProvenanceGraph, journal_replay
     from repro.workloads import run_many_cases, run_plan_mix
 
     out = {"cases": cases, "containers": containers}
@@ -903,20 +905,21 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
     }
 
     # Replay: the enacted plan_mix acceptance workload, rebuilt from
-    # storage blobs alone and cross-checked against live spans.
+    # storage blobs alone, then held equal to the live journal's graph.
     mix = run_plan_mix(
         requests=8, distinct=4, enact=True, journal=True, spans=True
     )
     services, env = mix["services"], mix["env"]
-    replays = []
+    cases = [f"mix-{index}" for index in range(mix["requests"])]
     started = _walltime.perf_counter()
-    for index in range(mix["requests"]):
-        replay = journal_replay(
-            services.storage, f"mix-{index}", recorder=env.spans
-        )
-        replays.append(replay)
+    replays = [journal_replay(services.storage, case) for case in cases]
     replay_elapsed = _walltime.perf_counter() - started
-    agreements = [r["agreement"]["agreement"] for r in replays]
+    mismatched = [
+        case
+        for case, replay in zip(cases, replays)
+        if replay["graph"].to_json()
+        != ProvenanceGraph.from_journal(env.journal, case).to_json()
+    ]
     out["replay"] = {
         "cases": mix["requests"],
         "completed": mix["completed"],
@@ -928,8 +931,7 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
             if replay_elapsed > 0
             else 0.0
         ),
-        "agreement_min": min(agreements),
-        "agreements": agreements,
+        "replay_mismatched": mismatched,
     }
     return out
 
@@ -1160,11 +1162,11 @@ def main(argv=None) -> int:
             "prov": bench_prov(args.rounds, cases=args.cases),
         }
         _write(args.prov_out, record)
-        agreement = record["prov"]["replay"]["agreement_min"]
-        if agreement < 0.95:
+        mismatched = record["prov"]["replay"]["replay_mismatched"]
+        if mismatched:
             print(
-                "FAIL: journal replay disagrees with live spans "
-                f"(min agreement {agreement:.3f} < 0.95)"
+                "FAIL: provenance replayed from storage differs from the "
+                f"live journal for {mismatched}"
             )
             return 1
         if args.max_journal_overhead is not None and not enforce_gate(

@@ -131,8 +131,6 @@ class ApplicationContainer(Agent):
         self.services: dict[str, EndUserService] = dict(services or {})
         self.failures = failures
         self.require_auth = require_auth
-        self.executions: list[tuple[float, str, str, bool]] = []
-        self.transfers: list[tuple[float, str, tuple[str, ...]]] = []
 
     def host(self, service: EndUserService) -> None:
         if service.name in self.services:
@@ -158,7 +156,6 @@ class ApplicationContainer(Agent):
     def _run_checkpointed(
         self,
         service: EndUserService,
-        activity: str,
         service_name: str,
         checkpoint_key: str,
     ):
@@ -184,9 +181,6 @@ class ApplicationContainer(Agent):
             if self.failures is not None and self.failures.should_fail_fraction(
                 self.name, 1.0 / chunks, self.engine.now
             ):
-                self.executions.append(
-                    (self.engine.now, activity, service_name, False)
-                )
                 self.metrics.inc(
                     "activities_failed", agent=self.name, action=service_name
                 )
@@ -211,37 +205,12 @@ class ApplicationContainer(Agent):
     def handle_execute_activity(self, message: Message):
         """Run one end-user activity.
 
-        Content: ``activity`` (name, for the log), ``service``, ``inputs``
+        Content: ``activity`` (name, for the span), ``service``, ``inputs``
         (data name -> properties), optionally ``payload_keys`` (data name
         -> persistent-storage key for real input payloads).
         """
         content = message.content
-        recorder = self.env.spans
-        span = (
-            recorder.start(
-                content.get("activity", content.get("service", "")),
-                "execute",
-                agent=self.name,
-                trace_id=message.trace_id,
-                service=content.get("service", ""),
-                node=self.node.name,
-            )
-            if recorder.enabled
-            else None
-        )
-        try:
-            reply = yield from self._execute_activity(content, span, message.trace_id)
-        except ServiceError:
-            recorder.end(span, status="error")
-            raise
-        recorder.end(span)
-        return reply
-
-    def _execute_activity(self, content: dict, span, trace_id=None):
-        recorder = self.env.spans
-        journal = self.env.journal
         service_name = content.get("service", "")
-        activity = content.get("activity", service_name)
         service = self.services.get(service_name)
         if service is None:
             raise ServiceError(
@@ -267,22 +236,42 @@ class ApplicationContainer(Agent):
                     f"{verdict.get('error', 'invalid')}"
                 )
 
+        # The execute span opens once the request is admitted; it carries
+        # the case trace, so the journal files its events under the case.
+        recorder = self.env.spans
+        span = (
+            recorder.start(
+                content.get("activity", service_name),
+                "execute",
+                agent=self.name,
+                trace_id=message.trace_id,
+                service=service_name,
+                node=self.node.name,
+                container=self.name,
+                inputs=sorted(content.get("inputs", {})),
+            )
+            if recorder.enabled
+            else None
+        )
+        try:
+            reply = yield from self._execute_activity(content, service, span)
+        except ServiceError:
+            recorder.end(span, status="error")
+            raise
+        recorder.end(span)
+        return reply
+
+    def _execute_activity(self, content: dict, service: EndUserService, span):
+        recorder = self.env.spans
+        service_name = content.get("service", "")
+        activity = content.get("activity", service_name)
+
         # Formal/actual parameter binding (Figure 13's Input/Output Data
         # Order): when the request carries ordered actual data names and
         # the service declares formal ones of the same arity, inputs are
         # renamed actual->formal before the run and outputs formal->actual
         # after it.  Without orders, names pass through unchanged (the
         # synthetic-services case, where formal == actual).
-        if journal.enabled:
-            # The container never sees the case id; the dispatch RPC's
-            # trace (bound at intake) files the event under the case.
-            journal.append_traced(
-                trace_id, "execute", agent=self.name,
-                activity=activity, service=service_name,
-                node=self.node.name, container=self.name,
-                inputs=sorted(content.get("inputs", {})),
-            )
-
         input_order: list[str] = list(content.get("input_order", ()))
         rename_in: dict[str, str] = {}
         if service.inputs and len(service.inputs) == len(input_order):
@@ -308,7 +297,7 @@ class ApplicationContainer(Agent):
             fetch_span = (
                 recorder.start(
                     data_name, "payload", agent=self.name, parent=span,
-                    key=key, direction="fetch",
+                    key=key, direction="fetch", node=self.node.name,
                 )
                 if recorder.enabled
                 else None
@@ -317,12 +306,6 @@ class ApplicationContainer(Agent):
                 self.env.storage_name, "retrieve", {"key": key}
             )
             recorder.end(fetch_span)
-            if journal.enabled:
-                journal.append_traced(
-                    trace_id, "transfer", agent=self.name,
-                    data=data_name, key=key, direction="fetch",
-                    node=self.node.name,
-                )
             fmt = (result.get("meta") or {}).get("format")
             if fmt:
                 spec = TransferSpec(
@@ -339,28 +322,24 @@ class ApplicationContainer(Agent):
                     dest_speed=self.node.hardware.speed,
                     metrics=self.metrics,
                     component=self.name,
-                    journal=journal,
-                    trace_id=trace_id,
-                    node=self.node.name,
-                    data=data_name,
-                    key=key,
                 )
+                migrate_span = (
+                    recorder.start(
+                        data_name, "transfer", agent=self.name,
+                        parent=span, key=key, direction="migrate",
+                        node=self.node.name,
+                        steps=[s.kind for s in plan.steps],
+                        wire_bytes=plan.wire_size,
+                    )
+                    if recorder.enabled
+                    else None
+                )
+                # With no destination-side work the migration costs 0 s:
+                # the span (and its journal event) still opens, and closes
+                # at once.
                 if dest_seconds > 0:
-                    migrate_span = (
-                        recorder.start(
-                            data_name, "transfer", agent=self.name,
-                            parent=span, key=key,
-                            steps=[s.kind for s in plan.steps],
-                            wire_size=plan.wire_size,
-                        )
-                        if recorder.enabled
-                        else None
-                    )
                     yield dest_seconds
-                    recorder.end(migrate_span)
-                    self.transfers.append(
-                        (self.engine.now, key, tuple(s.kind for s in plan.steps))
-                    )
+                recorder.end(migrate_span)
             payloads[rename_in.get(data_name, data_name)] = result["payload"]
 
         checkpoint_key = content.get("checkpoint_key")
@@ -387,16 +366,13 @@ class ApplicationContainer(Agent):
         try:
             if use_checkpoints:
                 yield from self._run_checkpointed(
-                    service, activity, service_name, checkpoint_key
+                    service, service_name, checkpoint_key
                 )
             else:
                 yield self.node.duration(service.work)
                 if self.failures is not None and self.failures.should_fail(
                     self.name, self.engine.now
                 ):
-                    self.executions.append(
-                        (self.engine.now, activity, service_name, False)
-                    )
                     self.metrics.inc(
                         "activities_failed", agent=self.name, action=service_name
                     )
@@ -431,7 +407,7 @@ class ApplicationContainer(Agent):
             store_span = (
                 recorder.start(
                     data_name, "payload", agent=self.name, parent=span,
-                    key=key, direction="store",
+                    key=key, direction="store", node=self.node.name,
                 )
                 if recorder.enabled
                 else None
@@ -442,15 +418,8 @@ class ApplicationContainer(Agent):
                 {"key": key, "payload": payload},
             )
             recorder.end(store_span)
-            if journal.enabled:
-                journal.append_traced(
-                    trace_id, "transfer", agent=self.name,
-                    data=data_name, key=key, direction="store",
-                    node=self.node.name,
-                )
             payload_keys[data_name] = key
 
-        self.executions.append((self.engine.now, activity, service_name, True))
         self.metrics.inc(
             "activities_completed", agent=self.name, action=service_name
         )

@@ -59,22 +59,23 @@ class GridEnvironment:
         # on ``spans.enabled``, so the default configuration's event
         # stream and protocol traces are byte-identical to an
         # uninstrumented build (recording itself never schedules events).
+        # The case flight recorder is filed from span boundaries, so
+        # enabling it enables spans: journal="record" records in memory
+        # only, journal=True additionally mirrors each completed case
+        # into the storage service as a JSONL blob.
+        recording = spans or bool(journal)
         self.spans = (
-            SpanRecorder(self.engine, enabled=spans, capacity=span_capacity)
+            SpanRecorder(self.engine, enabled=recording, capacity=span_capacity)
             if span_capacity is not None
-            else SpanRecorder(self.engine, enabled=spans)
+            else SpanRecorder(self.engine, enabled=recording)
         )
-        # The case flight recorder follows the same default-off contract:
-        # journal=False disables it entirely, journal="record" records
-        # in memory only (recording is pure arithmetic — protocol traces
-        # stay byte-identical), journal=True additionally mirrors each
-        # completed case into the storage service as a JSONL blob.
         self.journal = CaseJournal(
             self.engine,
             enabled=bool(journal),
             mirror=journal is True or journal == "mirror",
             **({"max_cases": journal_cases} if journal_cases is not None else {}),
         )
+        self.spans.journal = self.journal
         #: The attached gauge sampler (None until :meth:`attach_gauges`).
         self.gauges: GaugeSampler | None = None
         if router is not None:

@@ -165,12 +165,6 @@ def execute_plan(
     dest_speed: float = 1.0,
     metrics: "MetricsRegistry | None" = None,
     component: str = "transfer",
-    span: "Span | None" = None,
-    journal=None,
-    trace_id=None,
-    node: str = "",
-    data: str = "",
-    key: str = "",
 ) -> tuple[float, float, float]:
     """(wire bytes, source CPU seconds, destination CPU seconds).
 
@@ -179,32 +173,13 @@ def execute_plan(
     recorded: wire bytes and per-side CPU seconds as histograms labelled
     with *component*, plus a counter per transformation kind — so
     migration costs show up in the same observability plane as RPC
-    latencies.  With a *span* (an open
-    :class:`~repro.obs.spans.Span`), the same numbers land in the span's
-    attributes, so trace exports show what each transfer moved and paid.
-    With a *journal* (the environment's
-    :class:`~repro.obs.journal.CaseJournal`) and the requesting case's
-    *trace_id*, a ``transfer`` event with the migration steps joins the
-    case's flight record as well.
+    latencies.  (A container's migrate ``transfer`` span carries the
+    steps and wire bytes; the case journal files it from there.)
     """
     if source_speed <= 0 or dest_speed <= 0:
         raise GridError("node speeds must be positive")
     source_seconds = plan.work_on("source") / source_speed
     dest_seconds = plan.work_on("destination") / dest_speed
-    if journal is not None and journal.enabled:
-        journal.append_traced(
-            trace_id, "transfer", agent=component,
-            data=data, key=key, direction="migrate", node=node,
-            steps=[step.kind for step in plan.steps],
-            wire_bytes=plan.wire_size,
-        )
-    if span is not None:
-        span.attrs.update(
-            wire_bytes=plan.wire_size,
-            cpu_source_s=source_seconds,
-            cpu_dest_s=dest_seconds,
-            steps=[step.kind for step in plan.steps],
-        )
     if metrics is not None:
         metrics.inc("transfer_plans", agent=component)
         metrics.observe("transfer_wire_bytes", plan.wire_size, agent=component)

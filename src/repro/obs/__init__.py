@@ -11,12 +11,13 @@ plane (see DESIGN.md §5f and §5k):
 * :mod:`repro.obs.profile` — per-case time attribution
   (:func:`case_profile`, served as monitoring's ``case-profile`` RPC);
 * :mod:`repro.obs.journal` — the opt-in append-only per-case
-  :class:`CaseJournal` (the case flight recorder), mirrored through the
-  storage service as schema-versioned JSONL blobs;
+  :class:`CaseJournal` (the case flight recorder), filed from span
+  boundaries through one rule table and mirrored through the storage
+  service as schema-versioned JSONL blobs;
 * :mod:`repro.obs.provenance` — the :class:`ProvenanceGraph` derived
   from the journal (activity → data-artifact DAG with lineage /
   descendants / timeline queries) and the :func:`journal_replay`
-  post-mortem reconstructor cross-checked against live spans;
+  post-mortem reconstructor that rebuilds it from storage alone;
 * :mod:`repro.obs.export` — Chrome trace-event JSON and flat JSONL
   exporters (``repro-grid trace export``).
 """
@@ -45,7 +46,6 @@ from repro.obs.provenance import (
     journal_replay,
     lineage_jsonl,
     provenance_dot,
-    span_agreement,
 )
 from repro.obs.spans import (
     DEFAULT_SPAN_CAPACITY,
@@ -78,7 +78,6 @@ __all__ = [
     "lineage_jsonl",
     "provenance_dot",
     "render_profile",
-    "span_agreement",
     "spans_jsonl",
     "validate_chrome_trace",
     "write_chrome_trace",

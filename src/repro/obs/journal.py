@@ -2,20 +2,24 @@
 
 The :class:`SpanRecorder` answers *how long* each stage of a case took;
 the journal answers *what happened*: an ordered, replayable record of
-case intake, the plan chosen (with its PR-8 ``plan_source``), every
+case intake, the plan chosen (with its plan-library ``source``), every
 compile, every :class:`~repro.process.program.ActivityStep` dispatch /
 completion / failure with the executing node and the input/output data
-keys, replans, data transfers, and refusals.  Events are emitted from
-coordination, containers, and the transfer planner at the same hook
-points as spans, and join across agents the same way spans do — by the
-message ``trace_id`` (container-side events use :meth:`append_traced`
-against the binding installed at case intake; no journal ids ever ride
-in message content).
+keys, replans, data transfers, and refusals.
+
+Spans are the one emission.  The span recorder hands each span start
+and close to :meth:`CaseJournal.record_span`, which files an event when
+:data:`SPAN_EVENTS` has a rule for the span's ``(kind, phase, status)``.
+Events join across agents by the span's message ``trace_id``: a
+``case`` span's start binds its trace to the case id, and every event
+resolves its case through that binding (no journal ids ever ride in
+message content).  A trace with no binding — never bound, or its case
+evicted — files nothing and is counted.
 
 Recording follows the :class:`~repro.obs.spans.SpanRecorder` contract:
 
-* **Default-off.**  Every emission site guards on :attr:`enabled`;
-  a disabled journal does pure attribute reads and returns ``None``.
+* **Default-off.**  A disabled journal is never fed; enabling it
+  enables span recording too.
 * **Never schedules.**  Appending is plain arithmetic on in-memory
   lists — it sends no messages and creates no simulation events, so a
   *recording* journal (``journal="record"``) leaves the protocol trace
@@ -48,6 +52,7 @@ from repro.errors import ObservabilityError
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
+    "SPAN_EVENTS",
     "CaseJournal",
     "JournalEvent",
     "decode_events",
@@ -64,6 +69,34 @@ JOURNAL_KEY_PREFIX = "journal/"
 
 #: Default LRU cap on resident cases (whole cases, not events).
 DEFAULT_JOURNAL_CASES = 4096
+
+#: The journal's one source: ``(span kind, phase, span status)`` ->
+#: ``(event kind, event attribute the span's name fills or None, span
+#: attributes the event carries when present)``.  Other boundaries file
+#: nothing.
+SPAN_EVENTS: dict[tuple[str, str, str], tuple[str, str | None, tuple[str, ...]]] = {
+    ("case", "start", "ok"): ("case-intake", None, ("process", "initial", "payload_keys", "shard")),
+    ("case", "end", "ok"): ("case-complete", None, ("activities_run", "replans")),
+    ("case", "end", "error"): ("case-fail", None, ("error",)),
+    ("refusal", "end", "ok"): ("refusal", None, ("reason", "findings", "source", "process")),
+    ("plan", "end", "ok"): ("plan", None, ("source", "process", "solved", "fitness")),
+    ("compile", "end", "ok"): ("compile", "process", ("activities", "choices", "loops")),
+    ("compile", "end", "error"): ("compile", "process", ("error",)),
+    ("replan", "start", "ok"): ("replan", None, ("round", "excluded", "aborted")),
+    ("dispatch", "start", "ok"): (
+        "dispatch", None, ("activity", "service", "container", "inputs", "attempt"),
+    ),
+    ("execute", "start", "ok"): ("execute", "activity", ("service", "node", "container", "inputs")),
+    ("payload", "end", "ok"): ("transfer", "data", ("key", "direction", "node")),
+    ("transfer", "start", "ok"): (
+        "transfer", "data", ("key", "direction", "node", "steps", "wire_bytes"),
+    ),
+    ("activity", "end", "ok"): (
+        "activity-complete", "activity",
+        ("service", "container", "outputs", "payload_keys", "retries"),
+    ),
+    ("activity", "end", "error"): ("activity-fail", "activity", ("service", "reason")),
+}
 
 
 def journal_storage_key(case_id: str) -> str:
@@ -190,7 +223,7 @@ class CaseJournal:
         self.max_cases = max(1, int(max_cases))
         self._cases: OrderedDict[str, list[JournalEvent]] = OrderedDict()
         self._trace_to_case: dict[str, str] = {}
-        self._case_to_trace: dict[str, str] = {}
+        self._case_traces: dict[str, list[str]] = {}
         #: Per-case count of events already mirrored into storage.
         self._flushed: dict[str, int] = {}
         self._seq = 0
@@ -200,7 +233,7 @@ class CaseJournal:
         self.events_evicted = 0
         #: Evicted events that had never reached the storage mirror.
         self.events_lost = 0
-        #: ``append_traced`` calls whose trace had no case binding.
+        #: Events dropped because their trace had no case binding.
         self.unbound_dropped = 0
         #: Cases re-materialized from the storage mirror via ``absorb``.
         self.cases_synced = 0
@@ -208,30 +241,50 @@ class CaseJournal:
     # -- recording ----------------------------------------------------
 
     def bind(self, trace_id, case_id) -> None:
-        """Bind a message ``trace_id`` to *case_id* (done at intake), so
-        remote emissions with the same trace land in the case bucket."""
+        """Bind a message ``trace_id`` to *case_id*, so every event with
+        that trace lands in the case bucket (a ``case`` span's start
+        does this; a case may be bound to several traces)."""
         if not self.enabled or trace_id is None:
             return
         self._trace_to_case[trace_id] = case_id
-        self._case_to_trace.setdefault(case_id, trace_id)
+        self._case_traces.setdefault(case_id, []).append(trace_id)
 
     def case_for_trace(self, trace_id):
         return self._trace_to_case.get(trace_id)
 
     def trace_for_case(self, case_id):
-        return self._case_to_trace.get(case_id)
+        """The first trace bound to *case_id* (None when unbound)."""
+        traces = self._case_traces.get(case_id)
+        return traces[0] if traces else None
+
+    def record_span(self, span, phase: str):
+        """File the event :data:`SPAN_EVENTS` maps the boundary of *span*
+        to (*phase* is ``"start"`` or ``"end"``); None when the boundary
+        has no rule or its trace no case."""
+        rule = SPAN_EVENTS.get((span.kind, phase, span.status))
+        if rule is None:
+            return None
+        kind, name_attr, carried = rule
+        attrs = span.attrs
+        if kind == "case-intake":
+            self.bind(span.trace_id, attrs.get("case"))
+        fields = {name_attr: span.name} if name_attr is not None else {}
+        for key in carried:
+            if key in attrs:
+                fields[key] = attrs[key]
+        return self.append_traced(span.trace_id, kind, span.agent, **fields)
 
     def append(self, case_id, kind, agent="", trace_id=None, **attrs):
         """Append one event to *case_id*'s journal; ``None`` when disabled.
 
         Pure in-memory arithmetic: never sends a message, never creates
-        a simulation event.  ``trace_id`` defaults to the trace bound at
-        intake so every coordinator-side event carries the case trace.
+        a simulation event.  ``trace_id`` defaults to the case's first
+        bound trace.
         """
         if not self.enabled:
             return None
         if trace_id is None:
-            trace_id = self._case_to_trace.get(case_id)
+            trace_id = self.trace_for_case(case_id)
         event = JournalEvent(
             self._seq, case_id, kind, self.engine.now, agent, trace_id, attrs
         )
@@ -249,10 +302,7 @@ class CaseJournal:
     def append_traced(self, trace_id, kind, agent="", **attrs):
         """Append an event resolved through the trace→case binding.
 
-        Used by agents that never see the case id (containers, the
-        transfer planner): the dispatch RPC inherits the case's
-        ``trace_id``, which was bound at intake.  Unbindable events are
-        dropped and counted, never misfiled.
+        Unbindable events are dropped and counted, never misfiled.
         """
         if not self.enabled:
             return None
@@ -271,8 +321,7 @@ class CaseJournal:
             self.cases_evicted += 1
             self.events_evicted += len(events)
             self.events_lost += max(0, len(events) - flushed)
-            trace_id = self._case_to_trace.pop(case_id, None)
-            if trace_id is not None:
+            for trace_id in self._case_traces.pop(case_id, ()):
                 self._trace_to_case.pop(trace_id, None)
 
     def purge(self) -> tuple[int, int]:
@@ -285,7 +334,7 @@ class CaseJournal:
         events = sum(len(bucket) for bucket in self._cases.values())
         self._cases.clear()
         self._trace_to_case.clear()
-        self._case_to_trace.clear()
+        self._case_traces.clear()
         self._flushed.clear()
         return cases, events
 
@@ -322,7 +371,7 @@ class CaseJournal:
         for event in events:
             if event.trace is not None:
                 self._trace_to_case.setdefault(event.trace, case_id)
-                self._case_to_trace.setdefault(case_id, event.trace)
+                self._case_traces.setdefault(case_id, []).append(event.trace)
                 break
         self._evict()
 

@@ -20,11 +20,10 @@ Three queries cover the post-mortem questions:
 
 :func:`journal_replay` is the crash-recovery rehearsal: it rebuilds the
 graph *purely* from the storage-mirrored journal blob (no live journal,
-no spans) and, given the live :class:`~repro.obs.spans.SpanRecorder`,
-cross-checks the two observability planes with
-:func:`span_agreement` — every checkable journal event must have a
-matching span in the same trace.  The bench gate holds agreement at
-≥ 95%, mirroring the PR-4 case-profile coverage gate.
+no spans).  The journal is filed from span boundaries
+(:data:`~repro.obs.journal.SPAN_EVENTS`), so the graph and the spans
+are one record, not two to reconcile; the bench and the tests hold the
+replayed graph equal to the one built from the live journal.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "journal_replay",
     "lineage_jsonl",
     "provenance_dot",
-    "span_agreement",
 ]
 
 ACTIVITY_STATUSES = ("pending", "running", "completed", "failed")
@@ -441,76 +439,15 @@ def provenance_dot(activities, data, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- post-mortem replay + cross-check ---------------------------------
-
-#: Journal kinds checkable against spans, mapped to the span kinds that
-#: should exist in the same trace when both planes were recording.
-_SPAN_KINDS_FOR = {
-    "case-intake": ("case",),
-    "case-complete": ("case",),
-    "case-fail": ("case",),
-    "plan": ("plan",),
-    "compile": ("compile",),
-    "replan": ("replan",),
-    "dispatch": ("activity",),
-    "activity-complete": ("activity",),
-    "activity-fail": ("activity",),
-    "execute": ("execute",),
-    "transfer": ("payload", "transfer", "storage"),
-}
-
-#: Journal kinds whose matching span must also share the activity name.
-_NAME_CHECKED = {"dispatch", "activity-complete", "activity-fail", "execute"}
+# -- post-mortem replay ----------------------------------------------
 
 
-def span_agreement(events, recorder) -> dict:
-    """Cross-check journal *events* against a live span recorder.
-
-    An event *agrees* when a span of the mapped kind exists in the same
-    ``trace_id`` (and, for activity-level events, with the same name).
-    Returns exact ``checkable`` / ``matched`` counts, the agreement
-    ratio, and the first few disagreements for diagnosis.
-    """
-    index: dict[tuple, list] = {}
-    for span in list(recorder.closed) + list(recorder._open.values()):
-        index.setdefault((span.trace_id, span.kind), []).append(span)
-    checkable = 0
-    matched = 0
-    mismatches = []
-    for event in events:
-        kinds = _SPAN_KINDS_FOR.get(event.kind)
-        if kinds is None:
-            continue
-        checkable += 1
-        found = False
-        for kind in kinds:
-            for span in index.get((event.trace, kind), ()):
-                if event.kind in _NAME_CHECKED and span.name != event.attrs.get("activity"):
-                    continue
-                found = True
-                break
-            if found:
-                break
-        if found:
-            matched += 1
-        elif len(mismatches) < 8:
-            mismatches.append({"seq": event.seq, "kind": event.kind, "trace": event.trace})
-    agreement = (matched / checkable) if checkable else 1.0
-    return {
-        "checkable": checkable,
-        "matched": matched,
-        "agreement": agreement,
-        "mismatches": mismatches,
-    }
-
-
-def journal_replay(storage, case_id: str, recorder=None) -> dict:
+def journal_replay(storage, case_id: str) -> dict:
     """Rebuild a case's provenance purely from its stored journal blob.
 
     *storage* is the storage service (its direct ``get`` API); nothing
     is read from the live journal, so this is exactly what a post-crash
-    coordinator could reconstruct.  With *recorder* given, the rebuilt
-    event stream is cross-checked against live spans.
+    coordinator could reconstruct.
     """
     from repro.errors import StorageError
 
@@ -520,16 +457,13 @@ def journal_replay(storage, case_id: str, recorder=None) -> dict:
         raise ObservabilityError(f"no stored journal for case {case_id!r}: {exc}") from exc
     stored_case, events = decode_events(blob)
     graph = ProvenanceGraph.from_events(stored_case, events)
-    result = {
+    return {
         "case": stored_case,
         "events": len(events),
         "graph": graph,
         "activities": len(graph.activities),
         "data": len(graph.data),
     }
-    if recorder is not None:
-        result["agreement"] = span_agreement(events, recorder)
-    return result
 
 
 def lineage_jsonl(result: dict) -> str:

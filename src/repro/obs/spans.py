@@ -24,6 +24,10 @@ Closed spans live in a bounded ring (like the message trace) with exact
 lifecycle bugs (double close, close-after-evict) surface as
 :class:`~repro.errors.ObservabilityError` instead of silent corruption.
 
+The recorder is also the case journal's one source: every span start
+and close goes to the attached, enabled journal's
+:meth:`~repro.obs.journal.CaseJournal.record_span`.
+
 Threshold **watch rules** ride on the recorder: a :class:`WatchRule`
 names a span population (by kind) and a bound over a field (the span's
 duration or any attribute — e.g. an activity span's retry count, a
@@ -42,6 +46,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ObservabilityError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.journal import CaseJournal
     from repro.sim.engine import Engine
 
 __all__ = ["Span", "SpanRecorder", "WatchRule", "Alert", "DEFAULT_SPAN_CAPACITY"]
@@ -216,6 +221,8 @@ class SpanRecorder:
         self.rules: list[WatchRule] = []
         self.alerts: deque[Alert] = deque(maxlen=alert_capacity)
         self.total_alerts = 0
+        #: The case journal fed from span boundaries (None = none).
+        self.journal: CaseJournal | None = None
 
     # -- lifecycle ----------------------------------------------------------- #
     def start(
@@ -246,6 +253,8 @@ class SpanRecorder:
             span.attrs.update(attrs)
         self._open[span.span_id] = span
         self.total_started += 1
+        if self.journal is not None and self.journal.enabled:
+            self.journal.record_span(span, "start")
         return span
 
     def end(
@@ -262,6 +271,8 @@ class SpanRecorder:
         span.status = status
         if attrs:
             span.attrs.update(attrs)
+        if self.journal is not None and self.journal.enabled:
+            self.journal.record_span(span, "end")
         self.closed.append(span)
         self.total_closed += 1
         for rule in self.rules:
@@ -343,7 +354,8 @@ class SpanRecorder:
         return len(self.rules) != before
 
     def clear(self) -> None:
-        """Drop recorded spans and alerts (rules and accounting reset too)."""
+        """Drop recorded spans and alerts and reset the accounting; the
+        watch rules stay installed."""
         self.closed.clear()
         self._open.clear()
         self.alerts.clear()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Hashable
+from typing import Any
 
 from repro.process.ast_nodes import ChoiceNode, IterativeNode, Node
 from repro.process.conditions import Condition, compile_condition
@@ -94,11 +95,11 @@ class EnactmentProgram:
                     for condition, branch in node.branches
                 )
 
-    def stats(self) -> dict[str, int]:
-        """Structural counts (span/telemetry attributes for the compile
-        step): end-user activities, Choice nodes, Iterative nodes."""
+    def stats(self) -> dict[str, Any]:
+        """Structure summary (the compile span's attributes): the sorted
+        end-user activity names, and the Choice and Iterative counts."""
         return {
-            "activities": len(self.steps),
+            "activities": sorted(self.steps),
             "choices": len(self._choices),
             "loops": len(self._checks),
         }

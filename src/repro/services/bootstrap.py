@@ -159,7 +159,8 @@ def standard_environment(
     which is what the re-planning experiments dial up.  ``tracing=False``
     selects the router fast path (no per-delivery TraceEvents) for
     throughput runs; id streams are unaffected.  ``spans=True`` turns on
-    the workflow span recorder (see :mod:`repro.obs.spans`).
+    the workflow span recorder (see :mod:`repro.obs.spans`); ``journal``
+    does too, since the case journal is filed from span boundaries.
     """
     env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
     credentials = ("coordination", "grid-secret") if secure else None

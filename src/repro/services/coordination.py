@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.analysis import Severity, analyze_process, critical_activities
@@ -97,8 +97,6 @@ class EnactmentRecord:
     coordinator for experiment assertions)."""
 
     task: str
-    #: Journal case id ("" when the case journal is disabled).
-    case_id: str = ""
     events: list[tuple[float, str, str]] = field(default_factory=list)
     activities_run: int = 0
     activities_failed: int = 0
@@ -278,11 +276,13 @@ class CoordinationService(CoreService):
         action: str,
         content: dict[str, Any],
         policy: CallPolicy | None = None,
+        on_reply: Callable[[dict[str, Any]], dict[str, Any]] | None = None,
         **attrs: Any,
     ) -> Generator[Any, Any, dict[str, Any]]:
         """RPC wrapped in a child span of *parent* (plain ``call`` when
         recording is off — the wrapper itself adds no engine events, so
-        the message stream is identical either way)."""
+        the message stream is identical either way).  *on_reply* maps
+        the reply to attributes the span closes with."""
         recorder = self.env.spans
         span = (
             recorder.start(action, kind, agent=self.name, parent=parent, **attrs)
@@ -294,6 +294,8 @@ class CoordinationService(CoreService):
         except ServiceError:
             recorder.end(span, status="error")
             raise
+        if span is not None and on_reply is not None:
+            span.attrs.update(on_reply(reply))
         recorder.end(span)
         return reply
 
@@ -336,54 +338,31 @@ class CoordinationService(CoreService):
         """
         content = message.content
         recorder = self.env.spans
-        journal = self.env.journal
-        case_span = (
-            recorder.start(
+        case_span = None
+        if recorder.enabled:
+            # The case span's start files the journal's case-intake and
+            # binds the case trace, so every downstream span (containers
+            # and transfers only see the trace id) lands in this case.
+            process = content.get("process")
+            case_span = recorder.start(
                 content.get("task", ""), "case",
                 agent=self.name, trace_id=message.trace_id,
-                **({"shard": self.shard} if self.shard else {}),
-            )
-            if recorder.enabled
-            else None
-        )
-        case_id: str | None = None
-        if journal.enabled:
-            # Flight recorder: bind the case trace first, so every
-            # downstream emission (containers, transfers — they only see
-            # the trace id) lands in this case's journal.
-            case_id = self._journal_case_id(content, message.trace_id)
-            journal.bind(message.trace_id, case_id)
-            process = content.get("process")
-            journal.append(
-                case_id, "case-intake",
-                agent=self.name, trace_id=message.trace_id,
+                case=self._journal_case_id(content, message.trace_id),
                 process=process.name if process is not None else None,
                 initial=sorted(content.get("initial_data") or ()),
                 payload_keys=sorted(content.get("payload_keys") or ()),
                 **({"shard": self.shard} if self.shard else {}),
             )
         try:
-            result = yield from self._execute_task(content, case_span, case_id)
+            result = yield from self._execute_task(content, case_span)
         except ServiceError as exc:
-            recorder.end(case_span, status="error")
-            if case_id is not None:
-                journal.append(
-                    case_id, "case-fail", agent=self.name,
-                    trace_id=message.trace_id, error=str(exc),
-                )
-                if journal.mirror:
-                    yield from self._journal_flush(case_id)
+            if case_span is not None:
+                recorder.end(case_span, status="error", error=str(exc))
+                yield from self._journal_flush(case_span.attrs["case"])
             raise
-        recorder.end(case_span)
-        if case_id is not None:
-            journal.append(
-                case_id, "case-complete", agent=self.name,
-                trace_id=message.trace_id,
-                activities_run=result.get("activities_run", 0),
-                replans=result.get("replans", 0),
-            )
-            if journal.mirror:
-                yield from self._journal_flush(case_id)
+        if case_span is not None:
+            recorder.end(case_span)
+            yield from self._journal_flush(case_span.attrs["case"])
         return result
 
     @staticmethod
@@ -404,8 +383,12 @@ class CoordinationService(CoreService):
         """Mirror *case_id*'s journal into the storage service as one
         schema-versioned JSONL blob under ``journal/<case_id>`` (shards
         and replicas share the store, so any monitoring replica can
-        lazily sync the case back)."""
+        lazily sync the case back).  A case that is not resident — the
+        journal is off or record-only, or the case was evicted mid-run
+        — mirrors nothing."""
         journal = self.env.journal
+        if not (journal.mirror and journal.has_case(case_id)):
+            return
         events = journal.events(case_id)
         yield from self.call(
             self.env.storage_name,
@@ -427,10 +410,8 @@ class CoordinationService(CoreService):
         self,
         content: dict[str, Any],
         case_span: Span | None,
-        case_id: str | None = None,
     ) -> Generator[Any, Any, dict[str, Any]]:
         recorder = self.env.spans
-        journal = self.env.journal
         process: ProcessDescription | None = content.get("process")
         findings = []
         if process is not None:
@@ -451,11 +432,14 @@ class CoordinationService(CoreService):
             ]
             if refused:
                 self.metrics.inc("cases_refused", agent=self.name)
-                if case_id is not None:
-                    journal.append(
-                        case_id, "refusal", agent=self.name,
-                        reason="semantic-analysis",
-                        findings=[str(f) for f in refused],
+                if case_span is not None:
+                    # Instant span: the refusal is zero sim-time.
+                    recorder.end(
+                        recorder.start(
+                            process.name, "refusal", agent=self.name,
+                            parent=case_span, reason="semantic-analysis",
+                            findings=[str(f) for f in refused],
+                        )
                     )
                 raise ServiceError(
                     f"case {content.get('task', process.name)!r} refused: "
@@ -471,25 +455,27 @@ class CoordinationService(CoreService):
             reply = yield from self._timed_call(
                 "plan", case_span,
                 self.planner_name, "plan", {"problem": problem_for_plan},
+                on_reply=lambda reply: {
+                    "source": reply.get("source") or "gp",
+                    "process": reply["process"].name,
+                    "solved": reply.get("solved"),
+                    "fitness": reply.get("fitness"),
+                },
             )
             process = reply["process"]
             plan_source = reply.get("source")
-            if case_id is not None:
-                journal.append(
-                    case_id, "plan", agent=self.name,
-                    source=plan_source or "gp", process=process.name,
-                    solved=reply.get("solved"), fitness=reply.get("fitness"),
-                )
             if plan_source in ("hit", "repair") and not reply.get("verified"):
                 # A plan-library plan may only skip GP when the planning
                 # service re-verified it against the current registry in
                 # *this* exchange — a stale plan is never enacted blind.
                 self.metrics.inc("cases_refused", agent=self.name)
-                if case_id is not None:
-                    journal.append(
-                        case_id, "refusal", agent=self.name,
-                        reason="unverified-library-plan", source=plan_source,
-                        process=process.name,
+                if case_span is not None:
+                    recorder.end(
+                        recorder.start(
+                            process.name, "refusal", agent=self.name,
+                            parent=case_span, reason="unverified-library-plan",
+                            source=plan_source, process=process.name,
+                        )
                     )
                 raise ServiceError(
                     f"case {content.get('task', process.name)!r} refused: "
@@ -499,9 +485,7 @@ class CoordinationService(CoreService):
         case = _CaseData(content.get("initial_data"))
         case.payload_keys.update(content.get("payload_keys", {}))
         problem: PlanningProblem | None = content.get("problem")
-        record = EnactmentRecord(
-            task=content.get("task", process.name), case_id=case_id or ""
-        )
+        record = EnactmentRecord(task=content.get("task", process.name))
         if case_span is not None:
             case_span.name = record.task
             if plan_source is not None:
@@ -524,23 +508,13 @@ class CoordinationService(CoreService):
             try:
                 program = self._program_for(current)
             except ConversionError as exc:
-                recorder.end(compile_span, status="error")
-                if case_id is not None:
-                    journal.append(
-                        case_id, "compile", agent=self.name,
-                        process=current.name, error=str(exc),
-                    )
+                if compile_span is not None:
+                    recorder.end(compile_span, status="error", error=str(exc))
                 raise ServiceError(
                     f"process {current.name!r} is not well-structured: {exc}"
                 ) from exc
-            recorder.end(compile_span, **program.stats())
-            if case_id is not None:
-                stats = program.stats()
-                journal.append(
-                    case_id, "compile", agent=self.name,
-                    process=current.name, activities=sorted(program.steps),
-                    choices=stats.get("choices", 0), loops=stats.get("loops", 0),
-                )
+            if compile_span is not None:
+                recorder.end(compile_span, **program.stats())
             if self.criticality_hints:
                 record.critical = critical_activities(current)
             record.log(self.engine.now, "enact", f"process {current.name}")
@@ -580,17 +554,8 @@ class CoordinationService(CoreService):
                 )
                 record.replans += 1
                 self.metrics.inc("replans", agent=self.name, action=record.task)
-                record.log(
-                    self.engine.now, "replan",
-                    f"excluding {sorted(set(failed_activities))}",
-                )
-                if case_id is not None:
-                    journal.append(
-                        case_id, "replan", agent=self.name,
-                        round=record.replans,
-                        excluded=sorted(set(failed_activities)),
-                        aborted=failure.activity,
-                    )
+                excluded = sorted(set(failed_activities))
+                record.log(self.engine.now, "replan", f"excluding {excluded}")
                 reply = yield from self._timed_call(
                     "replan", case_span,
                     self.planner_name,
@@ -598,9 +563,11 @@ class CoordinationService(CoreService):
                     {
                         "problem": problem,
                         "data": case.snapshot(),
-                        "failed_activities": sorted(set(failed_activities)),
+                        "failed_activities": excluded,
                     },
                     round=record.replans,
+                    excluded=excluded,
+                    aborted=failure.activity,
                 )
                 current = reply["process"]
 
@@ -791,7 +758,6 @@ class CoordinationService(CoreService):
         name = step.name
         service = step.service
         recorder = self.env.spans
-        journal = self.env.journal
         activity_span = (
             recorder.start(
                 name, "activity", agent=self.name, parent=parent, service=service
@@ -835,12 +801,6 @@ class CoordinationService(CoreService):
                     },
                 )
                 container = schedule["container"]
-                if journal.enabled and record.case_id:
-                    journal.append(
-                        record.case_id, "dispatch", agent=self.name,
-                        activity=name, service=service, container=container,
-                        inputs=sorted(inputs), attempt=attempt,
-                    )
                 started = self.engine.now
                 result = yield from self._timed_call(
                     "dispatch", activity_span,
@@ -860,6 +820,16 @@ class CoordinationService(CoreService):
                     },
                     policy=CallPolicy(timeout=self.activity_timeout),
                     container=container,
+                    **(
+                        {
+                            "activity": name,
+                            "service": service,
+                            "inputs": sorted(inputs),
+                            "attempt": attempt,
+                        }
+                        if activity_span is not None
+                        else {}
+                    ),
                 )
                 yield from self._report_performance(
                     service, container, self.engine.now - started, True
@@ -870,17 +840,12 @@ class CoordinationService(CoreService):
                     self.engine.now, "activity",
                     f"{name} ({service}) on {container}",
                 )
-                if journal.enabled and record.case_id:
-                    journal.append(
-                        record.case_id, "activity-complete", agent=self.name,
-                        activity=name, service=service, container=container,
+                if activity_span is not None:
+                    recorder.end(
+                        activity_span, container=container, retries=attempt,
                         outputs=sorted(result.get("outputs", {})),
                         payload_keys=dict(result.get("payload_keys", {})),
-                        retries=attempt,
                     )
-                recorder.end(
-                    activity_span, container=container, retries=attempt
-                )
                 return
             except ServiceError as exc:
                 last_error = str(exc)
@@ -892,12 +857,10 @@ class CoordinationService(CoreService):
                     yield from self._report_performance(
                         service, container, 0.0, False
                     )
-        if journal.enabled and record.case_id:
-            journal.append(
-                record.case_id, "activity-fail", agent=self.name,
-                activity=name, service=service, reason=last_error,
-            )
-        recorder.end(activity_span, status="error", retries=self.retry_limit)
+        recorder.end(
+            activity_span, status="error", retries=self.retry_limit,
+            reason=last_error,
+        )
         raise _ActivityFailed(name, last_error)
 
     @staticmethod

@@ -189,8 +189,8 @@ class TestExecution:
             "execute-activity",
             {"service": "POD", "inputs": {"D1": {"Classification": "POD-Parameter"}}},
         )
-        assert container.executions[-1][1] == "POD"
-        assert container.executions[-1][3] is True
+        assert env.metrics.value("activities_completed", "ac1", "POD") == 1
+        assert env.metrics.total("activities_failed") == 0
 
 
 class TestFailureInjection:
@@ -205,7 +205,8 @@ class TestFailureInjection:
         )
         out = call(env, "ac2", "execute-activity", {"service": "S", "inputs": {}})
         assert "failed" in out["error"]
-        assert ac.executions[-1][3] is False
+        assert env.metrics.value("activities_failed", "ac2", "S") == 1
+        assert env.metrics.total("activities_completed") == 0
 
     def test_slot_released_after_failure(self, env):
         node = env.add_node("n3", "siteC", slots=1)

@@ -185,4 +185,5 @@ class TestContainerIntegration:
         env.run(max_events=10_000)
         # byteswap on 50 MB at 0.1 work/MB = 5 s on a speed-1 node
         assert env.engine.now >= 5.0
-        assert ac.transfers and ac.transfers[0][2] == ("byteswap",)
+        assert env.metrics.value("transfer_steps", "ac1", "byteswap") == 1
+        assert env.metrics.total("transfer_steps") == 1

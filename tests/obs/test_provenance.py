@@ -5,14 +5,12 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.journal import CaseJournal, JournalEvent
+from repro.obs.journal import JournalEvent
 from repro.obs.provenance import (
     ProvenanceGraph,
     lineage_jsonl,
     provenance_dot,
-    span_agreement,
 )
-from repro.sim.engine import Engine
 
 
 def _event(seq, case, kind, **attrs):
@@ -174,44 +172,3 @@ class TestQueries:
             result["activities"], result["data"], result["edges"]
         )
         assert "doublecircle" in dot2  # initial data node
-
-
-class TestSpanAgreement:
-    def test_agreement_against_matching_recorder(self):
-        from repro.obs.spans import SpanRecorder
-
-        engine = Engine()
-        recorder = SpanRecorder(engine, enabled=True)
-        events = happy_case()
-        trace = events[0].trace
-        for kind, name in [
-            ("case", "c1"), ("plan", "p"), ("compile", "p"),
-            ("activity", "first"), ("execute", "first"),
-            ("activity", "second"), ("execute", "second"),
-            ("storage", "src"),  # covers the transfer events
-        ]:
-            span = recorder.start(name, kind, trace_id=trace)
-            recorder.end(span)
-        report = span_agreement(events, recorder)
-        assert report["checkable"] > 0
-        assert report["agreement"] == 1.0
-        assert report["mismatches"] == []
-
-    def test_disagreement_reported(self):
-        from repro.obs.spans import SpanRecorder
-
-        engine = Engine()
-        recorder = SpanRecorder(engine, enabled=True)  # no spans at all
-        report = span_agreement(happy_case(), recorder)
-        assert report["agreement"] < 1.0
-        assert report["mismatches"]
-
-    def test_journal_without_checkable_events_agrees_trivially(self):
-        from repro.obs.spans import SpanRecorder
-
-        journal = CaseJournal(Engine(), enabled=True)
-        recorder = SpanRecorder(Engine(), enabled=True)
-        report = span_agreement([], recorder)
-        assert report["agreement"] == 1.0
-        assert report["checkable"] == 0
-        assert journal.stats()["appended"] == 0
