@@ -302,9 +302,13 @@ class ApplicationContainer(Agent):
                 if recorder.enabled
                 else None
             )
-            result = yield from self.call(
-                self.env.storage_name, "retrieve", {"key": key}
-            )
+            try:
+                result = yield from self.call(
+                    self.env.storage_name, "retrieve", {"key": key}
+                )
+            except ServiceError:
+                recorder.end(fetch_span, status="error")
+                raise
             recorder.end(fetch_span)
             fmt = (result.get("meta") or {}).get("format")
             if fmt:
@@ -379,7 +383,20 @@ class ApplicationContainer(Agent):
                     raise ServiceError(
                         f"service {service_name!r} on {self.name} failed"
                     )
-            out_props, out_payloads = service.run(props, payloads)
+            try:
+                out_props, out_payloads = service.run(props, payloads)
+            except ServiceError:
+                raise
+            except Exception as exc:
+                # A fault in the service's own code fails this activity
+                # alone; left to propagate it would abort the whole run.
+                self.metrics.inc(
+                    "activities_failed", agent=self.name, action=service_name
+                )
+                raise ServiceError(
+                    f"service {service_name!r} on {self.name} raised "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
         except ServiceError:
             recorder.end(compute_span, status="error")
             raise
@@ -412,11 +429,15 @@ class ApplicationContainer(Agent):
                 if recorder.enabled
                 else None
             )
-            yield from self.call(
-                self.env.storage_name,
-                "store",
-                {"key": key, "payload": payload},
-            )
+            try:
+                yield from self.call(
+                    self.env.storage_name,
+                    "store",
+                    {"key": key, "payload": payload},
+                )
+            except ServiceError:
+                recorder.end(store_span, status="error")
+                raise
             recorder.end(store_span)
             payload_keys[data_name] = key
 

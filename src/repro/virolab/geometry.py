@@ -18,6 +18,8 @@ __all__ = [
     "random_rotations",
     "orientation_grid",
     "perturb_rotation",
+    "draw_perturbation",
+    "apply_perturbation",
     "angular_distance",
 ]
 
@@ -91,10 +93,27 @@ def perturb_rotation(
 ) -> np.ndarray:
     """A rotation near *rotation*: compose with a random axis-angle of
     angle up to *magnitude* radians."""
+    axis, angle = draw_perturbation(magnitude, rng)
+    return apply_perturbation(rotation, axis, angle)
+
+
+def draw_perturbation(
+    magnitude: float, rng: int | np.random.Generator | None = None
+) -> tuple[np.ndarray, float]:
+    """The random half of :func:`perturb_rotation`: an unnormalized axis
+    (three normal draws), then an angle uniform in ``[0, magnitude)``."""
     generator = as_rng(rng)
     axis = generator.normal(size=3)
-    axis /= np.linalg.norm(axis)
     angle = float(generator.uniform(0.0, magnitude))
+    return axis, angle
+
+
+def apply_perturbation(
+    rotation: np.ndarray, axis: np.ndarray, angle: float
+) -> np.ndarray:
+    """The deterministic half of :func:`perturb_rotation`: rotate
+    *rotation* by *angle* about the normalized *axis* (Rodrigues)."""
+    axis = axis / np.linalg.norm(axis)
     k = np.array(
         [
             [0.0, -axis[2], axis[1]],

@@ -12,9 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import VirolabError
+from repro.virolab._parallel import parallel_map
 from repro.virolab.projection import backproject
 
 __all__ = ["p3dr"]
+
+#: Backprojections computed per step: the volume sums them in image
+#: order, and holding a window instead of the whole stack bounds memory.
+_WINDOW = 4
 
 
 def p3dr(
@@ -31,6 +36,9 @@ def p3dr(
     Nyquist`` (the cap doubles as the noise-suppressing low-pass; None
     disables filtering entirely).  Returns a ``(size, size, size)`` map
     normalized to unit peak.
+
+    The backprojections run on every usable CPU, a window at a time, and
+    are summed in image order, so the map is the serial sum bit for bit.
     """
     if len(images) != len(orientations):
         raise VirolabError(
@@ -40,8 +48,14 @@ def p3dr(
         raise VirolabError("cannot reconstruct from zero images")
     size = images.shape[1]
     volume = np.zeros((size, size, size))
-    for image, rotation in zip(images, orientations):
-        volume += backproject(image, rotation, size)
+
+    def smear(i: int) -> np.ndarray:
+        return backproject(images[i], orientations[i], size)
+
+    for start in range(0, len(images), _WINDOW):
+        window = range(start, min(start + _WINDOW, len(images)))
+        for backprojection in parallel_map(smear, window):
+            volume += backprojection
     volume /= len(images)
 
     if lowpass is not None:

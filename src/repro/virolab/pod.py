@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import VirolabError
+from repro.virolab._parallel import parallel_map
 from repro.virolab.geometry import orientation_grid
 from repro.virolab.projection import project
 
@@ -21,11 +22,17 @@ __all__ = ["reference_projections", "match_orientations", "pod"]
 def reference_projections(
     model: np.ndarray, rotations: np.ndarray
 ) -> np.ndarray:
-    """Project *model* at every rotation; shape ``(k, size, size)``."""
+    """Project *model* at every rotation; shape ``(k, size, size)``.
+
+    The projections run on every usable CPU, each filling its own row.
+    """
     size = model.shape[0]
     refs = np.empty((len(rotations), size, size))
-    for i, rotation in enumerate(rotations):
-        refs[i] = project(model, rotation)
+
+    def fill(i: int) -> None:
+        refs[i] = project(model, rotations[i])
+
+    parallel_map(fill, range(len(rotations)))
     return refs
 
 

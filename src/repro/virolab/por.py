@@ -14,7 +14,8 @@ import numpy as np
 
 from repro._util import as_rng
 from repro.errors import VirolabError
-from repro.virolab.geometry import perturb_rotation
+from repro.virolab._parallel import parallel_map
+from repro.virolab.geometry import apply_perturbation, draw_perturbation
 from repro.virolab.projection import project
 
 __all__ = ["por"]
@@ -42,24 +43,38 @@ def por(
     *trials* perturbations per image, drawn at magnitudes shrinking from
     *magnitude* radians; greedy accept.  Returns (refined orientations,
     correlation scores).
+
+    Every perturbation is drawn first, image by image and trial by trial
+    (the draws never depend on what was accepted), then the images are
+    refined on every usable CPU, each with its own accept/reject loop.
     """
     if len(images) != len(orientations):
         raise VirolabError(
             f"{len(images)} images but {len(orientations)} orientations"
         )
     rng = as_rng(seed)
+    scales = [magnitude * (1.0 - t / (2.0 * trials)) for t in range(trials)]
+    draws = [
+        [draw_perturbation(scale, rng) for scale in scales]
+        for _ in range(len(images))
+    ]
+
     refined = orientations.copy()
     scores = np.empty(len(images))
-    for i, image in enumerate(images):
+
+    def refine(i: int) -> tuple[np.ndarray, float]:
+        image = images[i]
         current = refined[i]
         best_score = _corr(image, project(model, current))
-        for t in range(trials):
-            scale = magnitude * (1.0 - t / (2.0 * trials))
-            candidate = perturb_rotation(current, scale, rng)
+        for axis, angle in draws[i]:
+            candidate = apply_perturbation(current, axis, angle)
             score = _corr(image, project(model, candidate))
             if score > best_score:
                 best_score = score
                 current = candidate
-        refined[i] = current
-        scores[i] = best_score
+        return current, best_score
+
+    for i, (rotation, score) in enumerate(parallel_map(refine, range(len(images)))):
+        refined[i] = rotation
+        scores[i] = score
     return refined, scores

@@ -16,6 +16,7 @@ from scipy import ndimage
 
 from repro._util import as_rng
 from repro.errors import VirolabError
+from repro.virolab._parallel import parallel_map
 from repro.virolab.geometry import random_rotations
 
 __all__ = ["project", "backproject", "Dataset", "make_dataset"]
@@ -91,13 +92,19 @@ def make_dataset(
     seed: int | np.random.Generator | None = 0,
 ) -> Dataset:
     """Project *volume* at *count* random orientations with additive
-    Gaussian noise of standard deviation ``noise_sigma * signal_peak``."""
+    Gaussian noise of standard deviation ``noise_sigma * signal_peak``.
+
+    The projections run on every usable CPU, each filling its own image.
+    """
     rng = as_rng(seed)
     rotations = random_rotations(count, rng)
     size = volume.shape[0]
     images = np.empty((count, size, size))
-    for i in range(count):
+
+    def fill(i: int) -> None:
         images[i] = project(volume, rotations[i])
+
+    parallel_map(fill, range(count))
     peak = float(np.abs(images).max()) or 1.0
     if noise_sigma > 0:
         images = images + rng.normal(0.0, noise_sigma * peak, size=images.shape)

@@ -2,7 +2,7 @@
 """Determinism lint: AST checks over the simulation-facing packages.
 
 The reproduction's core property is that runs are deterministic — same
-seeds, same traces, byte-identical telemetry.  Three habits quietly break
+seeds, same traces, byte-identical telemetry.  Four habits quietly break
 that, and this checker bans them from all of ``src/repro``:
 
 * ``DET001`` — wall-clock reads (``time.time()``, ``datetime.now()``,
@@ -18,6 +18,12 @@ that, and this checker bans them from all of ``src/repro``:
   order is salted per interpreter run, so any scheduling or messaging
   decision derived from it diverges between runs.  Iterate a ``sorted()``
   view or a list/dict instead.
+* ``DET004`` — consuming concurrent results in completion order
+  (``as_completed(...)``, ``.imap_unordered(...)``, ``FIRST_COMPLETED``):
+  which worker finishes first depends on the host's load, so anything
+  assembled in that order — a float sum, a list — differs between runs.
+  Consume results in submission order (``Executor.map``, or the futures
+  in the order they were submitted).
 
 A line ending in a ``# det: ok`` comment is exempt (for the rare case
 that has a real reason, e.g. hashing wall time into a log file name).
@@ -46,6 +52,14 @@ _CLOCK_CALLS = {
     ("datetime.datetime", "utcnow"),
     ("datetime.datetime", "today"),
 }
+
+#: Callables and names that hand out results in completion order.
+_COMPLETION_ORDER_CALLS = {"as_completed", "imap_unordered"}
+_COMPLETION_ORDER_NAME = "FIRST_COMPLETED"
+_COMPLETION_ORDER_MESSAGE = (
+    "results consumed in completion order — consume them in submission "
+    "order (Executor.map) instead"
+)
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -91,6 +105,11 @@ class _Checker(ast.NodeVisitor):
                     f"wall-clock read {chain}.{node.func.attr}() — simulated "
                     f"code takes time from the engine",
                 )
+            called = node.func.attr
+        else:
+            called = node.func.id if isinstance(node.func, ast.Name) else None
+        if called in _COMPLETION_ORDER_CALLS:
+            self._report(node, "DET004", f"{called}(): {_COMPLETION_ORDER_MESSAGE}")
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -100,7 +119,13 @@ class _Checker(ast.NodeVisitor):
                 f"global random.{node.attr} — use a seeded "
                 f"numpy.random.Generator passed explicitly",
             )
+        if node.attr == _COMPLETION_ORDER_NAME:
+            self._report(node, "DET004", f"{node.attr}: {_COMPLETION_ORDER_MESSAGE}")
         self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == _COMPLETION_ORDER_NAME:
+            self._report(node, "DET004", f"{node.id}: {_COMPLETION_ORDER_MESSAGE}")
 
     def _check_iter(self, iter_node: ast.expr) -> None:
         if _is_set_expr(iter_node):
