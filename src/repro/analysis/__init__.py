@@ -30,12 +30,10 @@ from repro.analysis.concurrency import (
     WitnessReport,
     WitnessVerdict,
     concurrency_findings,
-    critical_activities,
     fork_metrics,
     fork_regions,
     interference_conflicts,
     race_witness,
-    tree_speedup,
 )
 from repro.analysis.conditions_pass import condition_findings
 from repro.analysis.dataflow import bindings_known, dataflow_findings
@@ -70,7 +68,6 @@ __all__ = [
     "concurrency_findings",
     "condition_findings",
     "conditions_overlap",
-    "critical_activities",
     "dataflow_findings",
     "definitely_unsatisfiable",
     "fork_metrics",
@@ -83,7 +80,6 @@ __all__ = [
     "race_witness",
     "render_findings",
     "resolvability_findings",
-    "tree_speedup",
     "unresolvable_loci",
     "verify_resolvable",
     "verify_reusable",

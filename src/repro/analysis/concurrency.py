@@ -35,9 +35,7 @@ and pure graph work like the rest of the analyzer:
 3. **Critical path** — unit-cost longest chains per branch.  A fork whose
    parallel speedup bound (total branch work over the longest branch)
    falls below 1.25 is effectively serial and reported as ``W621
-   fork-imbalance``.  The same costs feed :func:`critical_activities`
-   (the scheduler's optional placement hint) and :func:`tree_speedup`
-   (the GP planner's optional tie-breaker).
+   fork-imbalance``; :func:`fork_metrics` reports the same costs.
 
 Every verdict is conservative in the analyzer's usual sense: the pass
 stays silent on graphs whose regions cannot be recovered (that is E104's
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING
 
 from repro.analysis.dataflow import _reads, _writes
 from repro.analysis.findings import Finding
@@ -61,9 +58,6 @@ from repro.process.conditions import TRUE, Condition
 from repro.process.model import Activity, ActivityKind, ProcessDescription
 from repro.process.structure import find_back_edges
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.plan.tree import PlanNode
-
 __all__ = [
     "Conflict",
     "ForkBranch",
@@ -71,12 +65,10 @@ __all__ = [
     "WitnessReport",
     "WitnessVerdict",
     "concurrency_findings",
-    "critical_activities",
     "fork_metrics",
     "fork_regions",
     "interference_conflicts",
     "race_witness",
-    "tree_speedup",
 ]
 
 #: Give up on the E612 witness search past this many candidate states.
@@ -607,41 +599,6 @@ def fork_metrics(pd: ProcessDescription) -> dict[str, dict[str, float]]:
         }
         for region in fork_regions(pd)
     }
-
-
-def critical_activities(pd: ProcessDescription) -> frozenset[str]:
-    """End-user activities on the process's critical path — everything
-    except activities confined to fork branches strictly shorter than
-    their region's longest branch.  The scheduler uses this as a
-    placement hint; an empty-fork or unstructured graph degrades to "all
-    activities are critical" (the hint is only ever an accelerant)."""
-    critical = {a.name for a in pd.end_user_activities()}
-    for region in fork_regions(pd):
-        longest = region.critical_path
-        for branch in region.branches:
-            if branch.critical_path < longest:
-                critical -= set(branch.activities)
-    return frozenset(critical)
-
-
-def tree_speedup(tree: "PlanNode") -> float:
-    """Parallel speedup bound of a plan tree under unit activity cost:
-    terminal count over the critical path (CONCURRENT/SELECTIVE take the
-    longest child, SEQUENTIAL/ITERATIVE the sum).  The GP planner uses
-    this as an optional tie-breaker between equal-fitness plans."""
-    from repro.plan.tree import ControllerKind, Terminal
-
-    def crit(node) -> float:
-        if isinstance(node, Terminal):
-            return 1.0
-        costs = [crit(child) for child in node.children]
-        if node.kind in (ControllerKind.CONCURRENT, ControllerKind.SELECTIVE):
-            return max(costs)
-        return float(sum(costs))
-
-    work = sum(1.0 for node in tree.walk() if isinstance(node, Terminal))
-    longest = crit(tree)
-    return work / longest if longest else 1.0
 
 
 # -- the combined pass -------------------------------------------------------- #

@@ -22,19 +22,18 @@ Fitness` bit-identical to full evaluation.  Evolution, traces and final
 plans are therefore unchanged; only the work avoided shows up (in the
 engine's ``analysis_rejected`` counter).
 
-``"penalty"`` mode goes further — doomed trees get a floor fitness
-without any simulation at all.  That *does* perturb goal-fitness credit
-from Sinit, so it is opt-in via ``GPConfig.static_filter``.
-
 ``"race"`` mode is ``"exact"`` plus the concurrency verifier's
 interference check applied at the tree level: a CONCURRENT controller
 whose children hold spec-distinct terminals writing the same data key is
 *racy* — the enacted fork's outcome depends on branch completion order,
-so the plan is penalized to the floor before any simulation.  Like
-``"penalty"``, this perturbs fitness (racy plans may simulate as
-"solved" under the simulator's per-order enumeration), so it is opt-in;
-doomed trees still score bit-identically through the exact stub path.
-Racy rejections are counted separately (``race_rejected``).
+so the plan is penalized to a floor fitness (only the
+representation-efficiency term's size pressure) before any simulation.
+This perturbs fitness (racy plans may simulate as "solved" under the
+simulator's per-order enumeration), so it is opt-in via
+``GPConfig.static_filter``; doomed trees still score bit-identically
+through the exact stub path.  Racy rejections are counted separately
+(``race_rejected``).  ``"off"`` disables the filter: it is the reference
+the exact mode's bit-identity is checked against.
 
 The closure depends only on the *set* of terminal names, which GP
 populations repeat endlessly, so verdicts are cached per name-set; racy
@@ -89,7 +88,7 @@ def terminal_names(tree: PlanNode) -> frozenset[str]:
 class PlanStaticFilter:
     """Per-problem static rejector shared by all evaluations of one run."""
 
-    MODES = ("off", "exact", "penalty", "race")
+    MODES = ("off", "exact", "race")
 
     def __init__(
         self,
@@ -224,11 +223,10 @@ class PlanStaticFilter:
         """The tree's fitness if it is statically doomed (or, in
         ``"race"`` mode, racy), else None (caller simulates normally).
 
-        ``"exact"`` mode returns a value bit-identical to full
-        evaluation; ``"penalty"`` returns a floor score keeping only the
-        representation-efficiency term's size pressure; racy trees always
-        take the penalty floor (there is no "exact" score for a plan
-        whose enacted outcome is order-dependent).
+        Doomed trees get a value bit-identical to full evaluation; racy
+        trees take a floor score keeping only the representation-
+        efficiency term's size pressure (there is no "exact" score for a
+        plan whose enacted outcome is order-dependent).
         """
         if self.racy(tree):
             self.race_rejected += 1
@@ -237,8 +235,6 @@ class PlanStaticFilter:
         if not self.doomed(tree):
             return None
         fr = representation_efficiency(tree, self.smax)
-        if self.mode == "penalty":
-            return Fitness(0.0, 0.0, fr, self.weights.efficiency * fr, False)
         report = simulate_plan(tree, self._stub, self.options)
         fv = report.validity_fitness()
         fg = report.goal_fitness(self.problem)

@@ -10,8 +10,11 @@ serve per-service breakdowns over RPC.
 
 Everything here is synchronous arithmetic on plain dicts: recording a
 metric never schedules a simulation event, so instrumentation cannot
-perturb message ordering (the Figure-2/3 protocol traces stay
-byte-for-byte identical with metrics on or off).
+perturb message ordering.  Recording is always on, and it stays cheap
+enough for that: a counter bump writes one dict entry, and the rare
+aggregate reads (:meth:`MetricsRegistry.total`, behind the monitoring
+service's ``status``/``census`` and the workload summaries) sum the
+counter table when they are asked.
 """
 
 from __future__ import annotations
@@ -120,36 +123,16 @@ class MetricsRegistry:
         with the callee and action.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        #: Recording switch.  Metrics are pure synchronous arithmetic and
-        #: never influence behaviour (scheduling facts read live node
-        #: state, not counters), so flipping this off is trace-safe; the
-        #: throughput configuration uses it to skip ~15k dict updates per
-        #: 32-case enactment.  Reads keep working and report zeros.
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[_Key, int] = {}
         self._histograms: dict[_Key, LatencyHistogram] = {}
-        # Aggregates maintained on every inc() so total() is O(1) — the
-        # monitoring service reads per-agent health on every status RPC,
-        # which used to scan the whole counter table each time.
-        self._name_totals: dict[str, int] = {}
-        self._agent_totals: dict[tuple[str, str], int] = {}
 
     # -- recording ---------------------------------------------------------- #
     def inc(self, name: str, agent: str = "", action: str = "", amount: int = 1) -> None:
-        if not self.enabled:
-            return
         key = (name, agent, action)
         self._counters[key] = self._counters.get(key, 0) + amount
-        totals = self._name_totals
-        totals[name] = totals.get(name, 0) + amount
-        agent_key = (name, agent)
-        totals = self._agent_totals
-        totals[agent_key] = totals.get(agent_key, 0) + amount
 
     def observe(self, name: str, value: float, agent: str = "", action: str = "") -> None:
-        if not self.enabled:
-            return
         key = (name, agent, action)
         histogram = self._histograms.get(key)
         if histogram is None:
@@ -161,11 +144,14 @@ class MetricsRegistry:
         return self._counters.get((name, agent, action), 0)
 
     def total(self, name: str, agent: str | None = None) -> int:
-        """Sum of a counter across actions (and agents when None).
-        O(1): served from aggregates maintained at recording time."""
-        if agent is None:
-            return self._name_totals.get(name, 0)
-        return self._agent_totals.get((name, agent), 0)
+        """Sum of a counter across actions (and agents when None): one
+        scan of the counter table, which holds about 630 series after a
+        500-case run."""
+        return sum(
+            count
+            for (metric, who, _), count in self._counters.items()
+            if metric == name and (agent is None or who == agent)
+        )
 
     def histogram(
         self, name: str, agent: str = "", action: str = ""
@@ -214,5 +200,3 @@ class MetricsRegistry:
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
-        self._name_totals.clear()
-        self._agent_totals.clear()

@@ -23,14 +23,17 @@ through module globals:
   timeout/retry/failover paths without crashing whole agents.
 
 Metrics for every send, delivery and drop go to the router's
-:class:`~repro.bus.metrics.MetricsRegistry`.  All accounting is
-synchronous: the router schedules exactly one engine event per routed
-message, so migrating onto it preserves event ordering byte-for-byte.
+:class:`~repro.bus.metrics.MetricsRegistry`, whatever the trace records:
+they are the exact message accounting in every configuration.  All
+accounting is synchronous: the router schedules exactly one engine event
+per routed message, so migrating onto it preserves event ordering
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -81,7 +84,10 @@ class Router:
         #: default) and single-shard rings leave every message untouched,
         #: so unsharded and N=1 message streams are byte-identical.
         self.sharding: "ShardRouter | None" = None
-        self.dropped: list["Message"] = []
+        #: The newest dropped messages, bounded by the trace's capacity so
+        #: a long lossy run cannot grow it without limit; the exact count
+        #: is the registry's ``messages_dropped`` total.
+        self.dropped: deque["Message"] = deque(maxlen=self.trace.capacity)
         self._conversations = itertools.count(1)
         self._message_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)

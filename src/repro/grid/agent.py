@@ -192,19 +192,15 @@ class Agent:
             metrics.inc("rpc_timeout", agent=to, action=action)
             raise ServiceError(f"{to}!{action} timed out after {timeout}s")
         assert isinstance(reply, Message)
-        # One guard instead of two guaranteed no-op registry calls per RPC
-        # when the registry is switched off (throughput configurations).
-        if metrics.enabled:
-            metrics.observe(
-                "rpc_latency", self.engine.now - started, agent=to, action=action
-            )
+        metrics.observe(
+            "rpc_latency", self.engine.now - started, agent=to, action=action
+        )
         if reply.is_error:
             metrics.inc("rpc_error", agent=to, action=action)
             raise ServiceError(
                 f"{to}!{action} failed: {reply.content.get('error', 'unknown error')}"
             )
-        if metrics.enabled:
-            metrics.inc("rpc_ok", agent=to, action=action)
+        metrics.inc("rpc_ok", agent=to, action=action)
         return reply.content
 
     def call_any(
@@ -303,11 +299,7 @@ class Agent:
                 {"error": f"{self.name} does not provide {message.action!r}"},
             )
             return
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.inc(
-                "requests_handled", agent=self.name, action=message.action
-            )
+        self.metrics.inc("requests_handled", agent=self.name, action=message.action)
         if self.service_delay:
             yield self.service_delay
         try:

@@ -14,6 +14,7 @@ The environment is substrate only; the Figure-1 core services live in
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 
 from repro.bus.metrics import MetricsRegistry
@@ -41,18 +42,13 @@ class GridEnvironment:
 
     def __init__(
         self,
-        engine: Engine | None = None,
-        network: Network | None = None,
-        router: Router | None = None,
         trace_capacity: int | None = None,
         tracing: bool = True,
         spans: bool = False,
-        span_capacity: int | None = None,
         journal: bool | str = False,
-        journal_cases: int | None = None,
     ) -> None:
-        self.engine = engine or Engine()
-        self.network = network or Network()
+        self.engine = Engine()
+        self.network = Network()
         self._agents: dict[str, Agent] = {}
         self._nodes: dict[str, GridNode] = {}
         # Span recording is default-off: every instrumented layer guards
@@ -63,39 +59,29 @@ class GridEnvironment:
         # enabling it enables spans: journal="record" records in memory
         # only, journal=True additionally mirrors each completed case
         # into the storage service as a JSONL blob.
-        recording = spans or bool(journal)
-        self.spans = (
-            SpanRecorder(self.engine, enabled=recording, capacity=span_capacity)
-            if span_capacity is not None
-            else SpanRecorder(self.engine, enabled=recording)
-        )
+        self.spans = SpanRecorder(self.engine, enabled=spans or bool(journal))
         self.journal = CaseJournal(
             self.engine,
             enabled=bool(journal),
             mirror=journal is True or journal == "mirror",
-            **({"max_cases": journal_cases} if journal_cases is not None else {}),
         )
         self.spans.journal = self.journal
         #: The attached gauge sampler (None until :meth:`attach_gauges`).
         self.gauges: GaugeSampler | None = None
-        if router is not None:
-            self.router = router
-            router._agents = self._agents
-        else:
-            trace = (
-                MessageTrace(capacity=trace_capacity)
-                if trace_capacity is not None
-                else MessageTrace()
-            )
-            # tracing=False keeps id streams identical but skips per-message
-            # TraceEvent recording — the throughput configuration.
-            self.router = Router(
-                self.engine,
-                self.network,
-                agents=self._agents,
-                trace=trace,
-                record_trace=tracing,
-            )
+        trace = (
+            MessageTrace(capacity=trace_capacity)
+            if trace_capacity is not None
+            else MessageTrace()
+        )
+        # tracing=False keeps id streams identical but skips per-message
+        # TraceEvent recording — the throughput configuration.
+        self.router = Router(
+            self.engine,
+            self.network,
+            agents=self._agents,
+            trace=trace,
+            record_trace=tracing,
+        )
 
     # -- bus views --------------------------------------------------------------- #
     @property
@@ -108,9 +94,11 @@ class GridEnvironment:
         return self.router.metrics
 
     @property
-    def dropped(self) -> list[Message]:
-        """Messages the fabric lost (unknown receiver, crashed agent, or
-        the drop oracle) — the sender's timeout policy handles them."""
+    def dropped(self) -> deque[Message]:
+        """The newest messages the fabric lost (unknown receiver, crashed
+        agent, or the drop oracle), bounded like the trace; the exact
+        count is the registry's ``messages_dropped`` total.  The sender's
+        timeout policy handles each loss."""
         return self.router.dropped
 
     # -- agents ---------------------------------------------------------------- #

@@ -34,15 +34,9 @@ class GPConfig:
     """Static pre-filter for candidate trees (:mod:`repro.analysis.
     plan_filter`): ``"exact"`` (default) scores statically-doomed trees
     without simulating them, bit-identical to full evaluation;
-    ``"penalty"`` short-circuits them to a floor fitness (changes
-    traces); ``"race"`` is ``"exact"`` plus a floor penalty for trees
-    whose CONCURRENT branches statically interfere (changes traces);
-    ``"off"`` disables the filter."""
-    critical_path_tiebreak: str = "off"
-    """``"on"`` breaks exact fitness ties between final candidates by the
-    concurrency verifier's parallel speedup bound (prefer the plan with
-    the shorter critical path).  ``"off"`` (default) keeps the historical
-    first-maximal choice, byte-identical to previous releases."""
+    ``"race"`` is ``"exact"`` plus a floor penalty for trees whose
+    CONCURRENT branches statically interfere (changes traces); ``"off"``
+    disables the filter."""
     library: str = "off"
     """Plan-library warm starts (:mod:`repro.planner.library`): ``"off"``
     (default) plans every request from scratch — GP populations, fitness
@@ -50,15 +44,6 @@ class GPConfig:
     at all; ``"on"`` lets the planning service consult the persistent
     repository (verified hits skip GP entirely, near-misses seed the
     initial population) and :meth:`GPPlanner.plan` honor *seeds*."""
-    seed_fraction: float = 0.5
-    """Greatest fraction of the initial population filled from library
-    seeds when warm-starting; the rest stays random to preserve
-    exploration.  Ignored while ``library="off"``."""
-    seed_mutation_rate: float = 0.2
-    """Per-node mutation rate applied to the extra copies of each seed
-    placed in the initial population (the first copy of every seed enters
-    verbatim).  Deliberately far above *mutation_rate*: seeds should spread
-    through the neighborhood of the stored solution, not clone it."""
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -75,24 +60,15 @@ class GPConfig:
             raise PlanningError("mutation rate must be in [0, 1]")
         if self.smax < 1:
             raise PlanningError("Smax must be >= 1")
-        if self.static_filter not in ("off", "exact", "penalty", "race"):
+        if self.static_filter not in ("off", "exact", "race"):
             raise PlanningError(
-                f"static_filter must be 'off', 'exact', 'penalty' or "
-                f"'race', got {self.static_filter!r}"
-            )
-        if self.critical_path_tiebreak not in ("off", "on"):
-            raise PlanningError(
-                f"critical_path_tiebreak must be 'off' or 'on', "
-                f"got {self.critical_path_tiebreak!r}"
+                f"static_filter must be 'off', 'exact' or 'race', "
+                f"got {self.static_filter!r}"
             )
         if self.library not in ("off", "on"):
             raise PlanningError(
                 f"library must be 'off' or 'on', got {self.library!r}"
             )
-        if not 0.0 <= self.seed_fraction <= 1.0:
-            raise PlanningError("seed fraction must be in [0, 1]")
-        if not 0.0 <= self.seed_mutation_rate <= 1.0:
-            raise PlanningError("seed mutation rate must be in [0, 1]")
 
     def with_(self, **changes) -> "GPConfig":
         """A copy with the given fields replaced (ablation sweeps)."""

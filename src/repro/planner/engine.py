@@ -165,9 +165,10 @@ class EvaluationEngine:
                 slots.append(i)
 
         if self._filter is not None and pending_trees:
-            # Partition: statically-doomed trees get their (exact or
-            # penalty) fitness without simulation; the rest dispatch as
-            # usual.  Order within `pending` is preserved either way.
+            # Partition: statically-doomed trees get their exact fitness
+            # (racy ones, in race mode, the floor) without simulation;
+            # the rest dispatch as usual.  Order within `pending` is
+            # preserved either way.
             fitnesses: list[Fitness | None] = [None] * len(pending_trees)
             to_simulate: list[tuple[int, PlanNode]] = []
             for j, tree in enumerate(pending_trees):

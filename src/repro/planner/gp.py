@@ -35,6 +35,18 @@ from repro.planner.selection import tournament_select
 
 __all__ = ["GenerationStats", "PlanningResult", "GPPlanner"]
 
+#: Greatest fraction of the initial population filled from plan-library
+#: seeds when warm-starting; the rest stays random to preserve
+#: exploration.
+SEED_FRACTION = 0.5
+
+#: Per-node mutation rate applied to the extra copies of each seed placed
+#: in the initial population (the first copy of every seed enters
+#: verbatim).  Deliberately far above the Table-1 mutation rate: seeds
+#: should spread through the neighborhood of the stored solution, not
+#: clone it.
+SEED_MUTATION_RATE = 0.2
+
 
 @dataclass(frozen=True)
 class GenerationStats:
@@ -122,10 +134,10 @@ class GPPlanner:
         paper's initializer — ``population_size`` random trees — and the
         RNG stream is untouched by the seeding code, so the cold path is
         bit-identical to pre-library behavior.  With seeds (plans
-        retrieved from the plan library), up to ``seed_fraction`` of the
-        slots warm-start the search: the first copy of each seed enters
-        verbatim, further copies are mutated variants at
-        ``seed_mutation_rate``, and the remaining slots stay random.
+        retrieved from the plan library), up to :data:`SEED_FRACTION` of
+        the slots warm-start the search: the first copy of each seed
+        enters verbatim, further copies are mutated variants at
+        :data:`SEED_MUTATION_RATE`, and the remaining slots stay random.
         """
         cfg = self.config
         activities = list(problem.activity_names)
@@ -137,7 +149,7 @@ class GPPlanner:
         population: list[PlanNode] = []
         if usable:
             n_seeded = min(
-                int(cfg.population_size * cfg.seed_fraction), cfg.population_size
+                int(cfg.population_size * SEED_FRACTION), cfg.population_size
             )
             for slot in range(n_seeded):
                 base = usable[slot % len(usable)]
@@ -150,7 +162,7 @@ class GPPlanner:
                             activities,
                             self.rng,
                             cfg.smax,
-                            cfg.seed_mutation_rate,
+                            SEED_MUTATION_RATE,
                             cfg.max_branch,
                         )
                     )
@@ -240,8 +252,6 @@ class GPPlanner:
             fitnesses = self._evaluate(engine, population)
 
         best_idx = int(np.argmax([f.overall for f in fitnesses]))
-        if cfg.critical_path_tiebreak == "on":
-            best_idx = self._speedup_tiebreak(population, fitnesses, best_idx)
         return PlanningResult(
             best_plan=population[best_idx],
             best_fitness=fitnesses[best_idx],
@@ -254,26 +264,6 @@ class GPPlanner:
             race_rejected=getattr(engine, "race_rejected", 0),
             eval_time=engine.eval_time,
         )
-
-    @staticmethod
-    def _speedup_tiebreak(
-        population: list[PlanNode], fitnesses: list[Fitness], best_idx: int
-    ) -> int:
-        """Among individuals whose overall fitness exactly ties the best,
-        prefer the greatest parallel speedup bound (shortest critical
-        path).  Ties on speedup keep the historical first-maximal pick,
-        so the off-mode choice is always a valid fallback."""
-        from repro.analysis.concurrency import tree_speedup
-
-        best = fitnesses[best_idx].overall
-        winner, winner_speedup = best_idx, tree_speedup(population[best_idx])
-        for idx, fitness in enumerate(fitnesses):
-            if idx == winner or fitness.overall != best:
-                continue
-            speedup = tree_speedup(population[idx])
-            if speedup > winner_speedup:
-                winner, winner_speedup = idx, speedup
-        return winner
 
     def _evaluate(
         self, engine: EvaluationEngine, population: list[PlanNode]

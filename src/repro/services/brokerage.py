@@ -209,20 +209,9 @@ class BrokerageService(CoreService):
         service = message.content["service"]
         return {"service": service, "containers": self.containers_for(service)}
 
-    def handle_record_performance(self, message: Message):
-        content = message.content
-        self.record(
-            content["service"],
-            content["container"],
-            float(content.get("duration", 0.0)),
-            bool(content.get("success", True)),
-        )
-        return {"recorded": True}
-
     def on_unhandled(self, message: Message) -> None:
-        # One-way performance reports (the coordinator's async_reports
-        # fast path): same bookkeeping as the RPC handler, processed
-        # inline in the serve loop, no reply.
+        # The coordinator's one-way performance reports: booked inline in
+        # the serve loop, no handler process and no reply.
         if message.action == "record-performance":
             content = message.content
             self.record(

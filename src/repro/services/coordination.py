@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Generator
 from typing import Any
 
-from repro.analysis import Severity, analyze_process, critical_activities
+from repro.analysis import Severity, analyze_process
 from repro.bus.policy import CallPolicy
 from repro.errors import ConversionError, EnactmentError, ServiceError
 from repro.grid.environment import GridEnvironment
@@ -106,9 +106,6 @@ class EnactmentRecord:
     #: Final case data, set on completion — kept so intermittently
     #: connected users can poll for results after reconnecting.
     result: dict[str, dict] | None = None
-    #: Activities on the process's static critical path (empty unless the
-    #: coordinator's ``criticality_hints`` knob is on).
-    critical: frozenset = frozenset()
 
     def log(self, time: float, kind: str, detail: str) -> None:
         self.events.append((time, kind, detail))
@@ -146,22 +143,8 @@ class CoordinationService(CoreService):
     #: the join cannot actually starve here.
     tolerated_findings = frozenset({"E202", "E612"})
 
-    #: When True, activities on the static critical path (the concurrency
-    #: verifier's :func:`~repro.analysis.concurrency.critical_activities`)
-    #: carry a ``criticality`` hint in their schedule requests, letting
-    #: the scheduler bias placement toward lightly loaded containers.
-    #: Default off: schedule-request payloads stay byte-identical.
-    criticality_hints: bool = False
-
     #: Name of the authentication service used when credentials are set.
     auth_name = WELL_KNOWN["authentication"]
-
-    #: When set, per-activity performance reports to the broker go as
-    #: one-way INFORM notifications instead of blocking RPCs — half the
-    #: messages, no reply wait, and the broker books them inline in its
-    #: serve loop (no handler process).  Default off: the RPC's reply is
-    #: part of the recorded protocol traces.
-    async_reports: bool = False
 
     def __init__(
         self,
@@ -226,28 +209,26 @@ class CoordinationService(CoreService):
 
     def _report_performance(
         self, service: str, container: str, duration: float, success: bool
-    ):
-        """Report an activity outcome to the broker (generator).  Blocking
-        RPC by default; one-way INFORM under :attr:`async_reports`."""
-        content = {
-            "service": service,
-            "container": container,
-            "duration": duration,
-            "success": success,
-        }
-        if self.async_reports:
-            self.send(
-                Message(
-                    sender=self.name,
-                    receiver=self.broker_name,
-                    performative=Performative.INFORM,
-                    action="record-performance",
-                    content=content,
-                    size=1_000.0,
-                )
+    ) -> None:
+        """Report an activity outcome to the broker as a one-way INFORM.
+        Nothing waits on it: the broker books it in its serve loop, and a
+        lost report costs one sample of metainformation that Section 2
+        already allows to be obsolete, never the case itself."""
+        self.send(
+            Message(
+                sender=self.name,
+                receiver=self.broker_name,
+                performative=Performative.INFORM,
+                action="record-performance",
+                content={
+                    "service": service,
+                    "container": container,
+                    "duration": duration,
+                    "success": success,
+                },
+                size=1_000.0,
             )
-            return
-        yield from self.call(self.broker_name, "record-performance", content)
+        )
 
     def _program_for(self, process: ProcessDescription) -> EnactmentProgram:
         """Compile *process* (or fetch the shared compilation): N cases of
@@ -515,8 +496,6 @@ class CoordinationService(CoreService):
                 ) from exc
             if compile_span is not None:
                 recorder.end(compile_span, **program.stats())
-            if self.criticality_hints:
-                record.critical = critical_activities(current)
             record.log(self.engine.now, "enact", f"process {current.name}")
             enact_span = (
                 recorder.start(current.name, "enact", agent=self.name, parent=case_span)
@@ -791,13 +770,6 @@ class CoordinationService(CoreService):
                         "service": service,
                         "candidates": candidates,
                         "work": work.get(service, 10.0),
-                        # Only present when the hints knob is on — default
-                        # request payloads stay byte-identical.
-                        **(
-                            {"criticality": 1.0}
-                            if name in record.critical
-                            else {}
-                        ),
                     },
                 )
                 container = schedule["container"]
@@ -831,7 +803,7 @@ class CoordinationService(CoreService):
                         else {}
                     ),
                 )
-                yield from self._report_performance(
+                self._report_performance(
                     service, container, self.engine.now - started, True
                 )
                 case.merge(result.get("outputs", {}), result.get("payload_keys", {}))
@@ -854,9 +826,7 @@ class CoordinationService(CoreService):
                     f"{name} attempt {attempt + 1} failed: {last_error}",
                 )
                 if container is not None:
-                    yield from self._report_performance(
-                        service, container, 0.0, False
-                    )
+                    self._report_performance(service, container, 0.0, False)
         recorder.end(
             activity_span, status="error", retries=self.retry_limit,
             reason=last_error,

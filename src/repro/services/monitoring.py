@@ -127,16 +127,18 @@ class MonitoringService(CoreService):
     def handle_census(self, message: Message):
         """Environment-wide summary (agents, nodes, messages).
 
-        Message counts come from the trace's exact accounting (and the
-        metrics registry), so they stay correct even after the bounded
-        trace starts evicting old events.
+        Message counts come from the metrics registry, which counts every
+        send, delivery and drop whatever the trace records — so they stay
+        exact with ``tracing=False`` and after the bounded trace and drop
+        ring start evicting old entries.
         """
+        metrics = self.env.metrics
         return {
             "agents": len(self.env.agent_names),
             "nodes": len(self.env.node_names),
-            "messages_sent": int(self.env.metrics.total("messages_sent")),
-            "messages_delivered": self.env.trace.total_recorded,
-            "messages_dropped": len(self.env.dropped),
+            "messages_sent": metrics.total("messages_sent"),
+            "messages_delivered": metrics.total("messages_delivered"),
+            "messages_dropped": metrics.total("messages_dropped"),
             "time": self.engine.now,
         }
 

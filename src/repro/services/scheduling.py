@@ -95,12 +95,6 @@ class SchedulingService(CoreService):
         work = float(content.get("work", 10.0))
         deadline = content.get("deadline")
         objective = content.get("objective", "time")
-        # Critical-path hint from the coordinator's concurrency analysis:
-        # a positive criticality inflates queueing-wait in the ranking key
-        # so critical activities land on lightly loaded containers.  The
-        # reply's estimate/cost stay the plain values — the hint reorders
-        # preferences, it does not re-price anything.
-        criticality = float(content.get("criticality", 0.0))
         if objective not in ("time", "cost"):
             raise ServiceError(f"unknown scheduling objective {objective!r}")
         if not candidates:
@@ -173,12 +167,7 @@ class SchedulingService(CoreService):
             if deadline is not None and estimate > float(deadline):
                 continue
             feasible_existed = True
-            if objective == "cost":
-                key = cost
-            elif criticality > 0.0:
-                key = fact["penalty"] * (wait * (1.0 + criticality) + compute)
-            else:
-                key = estimate
+            key = cost if objective == "cost" else estimate
             scored.append((key, estimate, cost, fact["container"]))
 
         if not scored:

@@ -117,8 +117,6 @@ def run_many_cases(
     spans: bool = False,
     journal: bool | str = False,
     gauge_period: float = 0.0,
-    metrics: bool = True,
-    async_reports: bool = False,
     shards: int = 0,
     case_indices: Sequence[int] | None = None,
 ) -> dict[str, Any]:
@@ -132,10 +130,6 @@ def run_many_cases(
     the broker's registry-changed push for invalidation — and
     ``program_cache_size`` overrides the coordinator's compiled-program
     cache (0 recompiles per enactment — the pre-compilation baseline).
-    ``metrics=False`` stops counter/histogram recording (trace-safe:
-    metrics never influence behaviour; the returned ``counters`` are
-    then all zero), and ``async_reports=True`` turns the coordinator's
-    per-activity broker performance reports into one-way notifications.
     The two observability knobs: ``spans=True`` records workflow spans
     (``repro trace export`` / ``repro profile`` run on this), and
     ``gauge_period > 0`` samples sim-time gauges at that period.
@@ -180,8 +174,6 @@ def run_many_cases(
             spans=spans,
             journal=journal,
             gauge_period=gauge_period,
-            metrics=metrics,
-            async_reports=async_reports,
             shards=shards,
         )
     if shards == 1:
@@ -195,10 +187,6 @@ def run_many_cases(
             many_cases_services(), containers=containers, tracing=tracing,
             spans=spans, journal=journal,
         )
-    if not metrics:
-        env.metrics.enabled = False
-    if async_reports:
-        services.coordination.async_reports = True
     if gauge_period > 0.0:
         env.attach_gauges(period=gauge_period)
     if program_cache_size is not None:

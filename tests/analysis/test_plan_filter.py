@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import PlanStaticFilter
 from repro.analysis.plan_filter import terminal_names
+from repro.errors import PlanningError
 from repro.plan import concurrent, sequential, terminal
 from repro.planner import EvaluationEngine, GPConfig, GPPlanner
 from repro.planner.fitness import FitnessWeights, evaluate_tree
@@ -76,19 +77,19 @@ def test_off_mode_never_dooms(problem):
     assert not off.doomed(terminal("NOPE"))
 
 
-def test_penalty_mode_floors_fitness(problem):
-    pen = PlanStaticFilter(
-        problem, FitnessWeights(), SMAX, SimulationOptions(), mode="penalty"
-    )
-    fitness = pen.fitness_for(sequential("POR", "POR"))
-    assert fitness.validity == 0.0 and fitness.goal == 0.0
-
-
 def test_bad_mode_rejected(problem):
     with pytest.raises(ValueError):
         PlanStaticFilter(
             problem, FitnessWeights(), SMAX, SimulationOptions(), mode="maybe"
         )
+
+
+def test_modes_are_off_exact_race():
+    # "off" is the bit-identity reference, "exact" the default, "race"
+    # the opt-in fork-interference floor; nothing else is accepted.
+    assert PlanStaticFilter.MODES == ("off", "exact", "race")
+    with pytest.raises(PlanningError):
+        GPConfig(static_filter="penalty")
 
 
 def test_engine_counters_track_filtered_trees(problem):
@@ -145,20 +146,6 @@ class TestRaceMode:
     def test_other_modes_never_flag_races(self, filt):
         assert not filt.racy(concurrent("POD", "POR"))
         assert filt.race_rejected == 0
-
-
-def test_critical_path_tiebreak_prefers_shorter_critical_path(problem):
-    cfg_off = GPConfig(population_size=30, generations=4)
-    cfg_on = cfg_off.with_(critical_path_tiebreak="on")
-    off = GPPlanner(cfg_off, rng=3).plan(problem)
-    on = GPPlanner(cfg_on, rng=3).plan(problem)
-    # Same search (tie-break only touches the final argmax): identical
-    # fitness and history, and the winner never has a worse speedup bound.
-    assert on.best_fitness == off.best_fitness
-    assert on.history == off.history
-    from repro.analysis import tree_speedup
-
-    assert tree_speedup(on.best_plan) >= tree_speedup(off.best_plan)
 
 
 def test_gp_run_identical_with_exact_filter(problem):

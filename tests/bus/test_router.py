@@ -1,6 +1,7 @@
 """Router: identity streams, delivery, drop accounting, failure injection."""
 
 from repro.grid import Agent, GridEnvironment, Message, Performative
+from repro.services.monitoring import MonitoringService
 from repro.sim.failures import BernoulliFailures
 
 
@@ -85,6 +86,48 @@ class TestDelivery:
         env.run()
         assert len(env.dropped) == 1
         assert env.metrics.value("drop_reason", agent="receiver-down") == 1
+
+
+class TestDropAccounting:
+    """The drop ring is bounded like the trace; the registry keeps the
+    exact counts, which the monitoring census reports in every
+    configuration."""
+
+    @staticmethod
+    def census(env):
+        monitoring = MonitoringService(env)
+        user = Agent(env, "user", "site")
+        out = {}
+
+        def main():
+            out["census"] = yield from user.call(monitoring.name, "census", {})
+
+        env.engine.spawn(main(), "census-client")
+        env.run()
+        return out["census"]
+
+    def test_drop_ring_keeps_the_newest_and_the_registry_counts_all(self):
+        env = GridEnvironment(trace_capacity=2)
+        lost = [msg(receiver="ghost", action=f"lost-{i}") for i in range(5)]
+        for message in lost:
+            env.route(message)
+        assert list(env.dropped) == lost[-2:]
+        assert env.metrics.total("messages_dropped") == 5
+        assert self.census(env)["messages_dropped"] == 5
+
+    def test_census_counts_deliveries_without_the_trace(self):
+        env = GridEnvironment(tracing=False)
+        Echo(env, "b", "site")
+        for _ in range(3):
+            env.route(msg(action="echo"))
+        env.run()
+        census = self.census(env)
+        assert env.trace.total_recorded == 0
+        # Three echo requests and the census request itself; the echo
+        # replies go to the unregistered sender "a" and are dropped.
+        assert census["messages_delivered"] == 4
+        assert census["messages_dropped"] == 3
+        assert census["messages_sent"] == 7
 
 
 class TestDropOracle:

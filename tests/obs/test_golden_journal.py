@@ -71,7 +71,7 @@ def test_many_cases_digest():
     cases = [f"case-{i}" for i in range(8)]
     env = result["env"]
     assert event_count(env, cases) == 216
-    assert journal_digest(env, cases) == "c2790cd57e4c32138a63f00c25915b7a"
+    assert journal_digest(env, cases) == "e2468431260bb4b46cb9106c67fd4b62"
 
 
 def test_plan_mix_digest():
@@ -82,7 +82,7 @@ def test_plan_mix_digest():
     env = result["env"]
     assert event_count(env, cases) == 16304
     digest = journal_digest(env, cases, extra={"sources": result["sources"]})
-    assert digest == "934c6b34fc807d2597c331e061ef1263"
+    assert digest == "77629e8dbd7fd9709d8599d6a8cb7a83"
 
 
 def test_sharded_digest():
@@ -108,14 +108,14 @@ def test_sharded_digest():
     assert all(o and o["status"] == "completed" for o in outcomes)
     cases = [f"case-{i}" for i in range(6)]
     assert event_count(grid.env, cases) == 144
-    assert journal_digest(grid.env, cases) == "38d5931834905143035de0cb950fdbbb"
+    assert journal_digest(grid.env, cases) == "146eccb20be74137641021fce09b7995"
 
 
 @pytest.mark.parametrize(
     ("seed", "replans", "events", "digest"),
     [
-        (0, 1, 54, "f91976e8e461296459bc2e4fddb96ff8"),
-        (1, 0, 72, "ebf0f57f1818e08c3a0acc575705488b"),
+        (0, 1, 54, "c15026bc7a24f1116f41cd81ccee638d"),
+        (1, 0, 72, "1339196471abff82ab536dcfe0e3bba8"),
     ],
     ids=["seed0_replan", "seed1_retries"],
 )
@@ -178,7 +178,7 @@ def test_secure_digest():
     env.run(max_events=5_000_000)
     cases = ["secure-a", "secure-b", "secure-c"]
     assert event_count(env, cases) == 102
-    assert journal_digest(env, cases) == "e6073a42dc64a50d0685241b4c2c683f"
+    assert journal_digest(env, cases) == "9bd80c79b6cfe24bcfac7f0182b8fdc0"
 
 
 def test_refusal_digest():
@@ -244,7 +244,7 @@ def test_racy_fork_digest():
     }
     assert event_count(env, ["racy-0"]) == 9
     digest = journal_digest(env, ["racy-0"], extra=extra)
-    assert digest == "463d53d1252380d3b2ef50e3a3b2b2a1"
+    assert digest == "e5315c0c733106c24f764b5003977b2b"
 
 
 def test_migrate_digest():
@@ -295,4 +295,4 @@ def test_migrate_digest():
         e.attrs["direction"] == "migrate" and e.attrs["steps"] == []
         for e in transfers
     )
-    assert journal_digest(env, cases) == "ca42d1d15669025530dcb79ac736e150"
+    assert journal_digest(env, cases) == "378d445a49031d37b725e621ba9111be"

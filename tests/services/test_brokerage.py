@@ -1,5 +1,6 @@
 """Brokerage: advertisements, performance DB, equivalence classes."""
 
+from repro.grid.messages import Message, Performative
 from tests.services.conftest import drive
 
 
@@ -35,15 +36,20 @@ def test_readvertise_replaces(grid):
 def test_performance_db(grid):
     env, services, fleet = grid
     user = services.coordination
+    # Performance reports are one-way INFORMs: the broker books them in
+    # its serve loop and sends nothing back.
     for duration, success in ((5.0, True), (7.0, True), (0.0, False)):
-        drive(
-            env,
-            user,
-            lambda d=duration, s=success: user.call(
-                "brokerage",
-                "record-performance",
-                {"service": "POD", "container": "ac1", "duration": d, "success": s},
-            ),
+        user.send(
+            Message(
+                sender=user.name,
+                receiver="brokerage",
+                performative=Performative.INFORM,
+                action="record-performance",
+                content={
+                    "service": "POD", "container": "ac1",
+                    "duration": duration, "success": success,
+                },
+            )
         )
     result = drive(
         env,
@@ -57,6 +63,11 @@ def test_performance_db(grid):
     assert row["runs"] == 3
     assert row["success_rate"] == (2 / 3)
     assert row["mean_duration"] == 6.0
+    assert not [
+        event for event in env.trace.events()
+        if event.message.sender == "brokerage"
+        and event.message.action == "record-performance"
+    ]
 
 
 def test_performance_unknown_pair_optimistic(grid):

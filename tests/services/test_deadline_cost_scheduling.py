@@ -61,24 +61,3 @@ def test_cost_reported_alongside_time(grid):
     result = schedule(grid)
     assert result["cost"] == pytest.approx(25.0 * 6.0)
     assert set(result) == {"service", "container", "estimate", "cost", "alternatives"}
-
-
-def test_criticality_hint_avoids_queued_fast_container(grid):
-    # Pile three pending assignments onto ac3 (the fastest container).
-    for _ in range(3):
-        assert schedule(grid)["container"] == "ac3"
-    # Plain ranking still prefers ac3: estimate 25 * (1 + 3/4) = 43.75 < 50.
-    assert schedule(grid)["container"] == "ac3"
-    # A critical activity weights the queueing wait double, so the idle
-    # ac2 (50) now beats the queued ac3 (18.75 * 2 + 25 = 62.5)...
-    result = schedule(grid, criticality=1.0)
-    assert result["container"] == "ac2"
-    # ...while the reported estimate stays the plain (unweighted) value.
-    assert result["estimate"] == pytest.approx(50.0)
-
-
-def test_zero_criticality_is_the_default_ranking(grid):
-    # An explicit zero hint ranks exactly like an absent one.
-    result = schedule(grid, criticality=0.0)
-    assert result["container"] == "ac3"
-    assert result["estimate"] == pytest.approx(25.0)

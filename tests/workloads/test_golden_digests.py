@@ -32,7 +32,7 @@ from repro.workloads import run_many_cases
 
 #: The default configuration; the single-shard sharded grid and the
 #: record-only journal must match it.
-DEFAULT_DIGEST = "b57492bed8d17b135bffa5459c1d41d9"
+DEFAULT_DIGEST = "260ff135674450a957ef6d5f32fb141e"
 
 
 def trace_digest(result) -> str:
@@ -59,13 +59,13 @@ def trace_digest(result) -> str:
 @pytest.mark.parametrize(
     ("knobs", "messages", "digest"),
     [
-        ({}, 1040, DEFAULT_DIGEST),
-        ({"shards": 1}, 1040, DEFAULT_DIGEST),
+        ({}, 976, DEFAULT_DIGEST),
+        ({"shards": 1}, 976, DEFAULT_DIGEST),
         # The flight recorder only records: the trace is unchanged.
-        ({"journal": "record"}, 1040, DEFAULT_DIGEST),
+        ({"journal": "record"}, 976, DEFAULT_DIGEST),
         # The read-through cache of coordinator and scheduler at a
-        # run-long TTL: 458 messages instead of 1040.
-        ({"cache_ttl": 120.0}, 458, "c06d802eacc89f63ada694b18e029602"),
+        # run-long TTL: 394 messages instead of 976.
+        ({"cache_ttl": 120.0}, 394, "148ca05874949cbc0fd8fcfa37148701"),
     ],
     ids=["default", "shards1", "journal_record", "cache_ttl120"],
 )
@@ -145,5 +145,5 @@ def test_fig10_enactment_digest():
         containers=4,
     )
     assert result["outcomes"][0]["status"] == "completed"
-    assert len(result["env"].trace) == 114
-    assert trace_digest(result) == "10fb9c2cdb1ced50c61eef27f7ae6c8f"
+    assert len(result["env"].trace) == 107
+    assert trace_digest(result) == "8b796b7c54ec0ec0986b1dd0be053471"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.grid.messages import Performative
 from repro.workloads import many_cases_process, run_many_cases
 
 
@@ -151,29 +152,25 @@ class TestMissCoalescing:
         assert result["completed"] == 8
 
 
-class TestMetricsKillSwitch:
-    def test_disabled_registry_zero_counters_same_outcomes(self, default_run):
-        off = run_many_cases(cases=CASES, containers=2, metrics=False)
-        assert off["completed"] == CASES
-        assert all(value == 0 for value in off["counters"].values())
-        # Metrics never influence behaviour: identical per-case events.
-        assert [o["events"] for o in off["outcomes"]] == [
-            o["events"] for o in default_run["outcomes"]
+class TestPerformanceReports:
+    def test_one_way_reports_reach_broker(self, default_run):
+        # Every activity's performance report reaches the broker as a
+        # one-way INFORM: the broker books one run per activity and
+        # sends no reply back.
+        broker = default_run["services"].brokerage
+        recorded = sum(perf.runs for perf in broker._performance.values())
+        assert recorded == default_run["activities_run"]
+        reports = [
+            event.message
+            for event in default_run["env"].trace.events()
+            if event.message.action == "record-performance"
         ]
-
-
-class TestAsyncReports:
-    def test_one_way_reports_reach_broker_with_fewer_messages(self, default_run):
-        result = run_many_cases(cases=CASES, containers=2, async_reports=True)
-        assert result["completed"] == CASES
-        broker = result["services"].brokerage
-        recorded = sum(
-            perf.runs for perf in broker._performance.values()
-        )
-        assert recorded == result["activities_run"]
-        assert (
-            result["counters"]["messages_sent"]
-            < default_run["counters"]["messages_sent"]
+        assert len(reports) == default_run["activities_run"]
+        assert all(
+            message.sender == "coordination"
+            and message.receiver == "brokerage"
+            and message.performative is Performative.INFORM
+            for message in reports
         )
 
 
