@@ -1,4 +1,5 @@
-"""Small shared utilities: id generation, RNG plumbing, text helpers.
+"""Small shared utilities: id generation, RNG plumbing, text helpers and
+the process pool that every process-split run uses.
 
 The library is fully deterministic when seeded: every stochastic component
 (GP planner, workload generators, failure models, virolab synthetic data)
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -21,10 +22,12 @@ __all__ = [
     "pairwise",
     "stable_unique",
     "indent",
+    "process_map",
     "valid_identifier",
 ]
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_\-]*$")
 
@@ -90,3 +93,37 @@ def stable_unique(items: Iterable[T]) -> list[T]:
 def indent(text: str, prefix: str = "  ") -> str:
     """Indent every non-empty line of *text* by *prefix*."""
     return "\n".join(prefix + line if line else line for line in text.splitlines())
+
+
+def process_map(
+    fn: Callable[[T], R], jobs: Sequence[T], workers: int
+) -> tuple[list[R], str | None]:
+    """``[fn(job) for job in jobs]`` on up to *workers* processes.
+
+    Results keep submission order.  A job's own exception is raised as
+    the job raised it, and nothing runs again.  Only when the pool cannot
+    start (``OSError`` while the workers spawn) or breaks
+    (``BrokenProcessPool``) do the jobs run serially in this process; the
+    second value then names the error, and is None otherwise.  With fewer
+    than two workers or jobs no pool is made.  *fn* must be a module-level
+    function, and jobs and results must pickle.
+    """
+    workers = min(workers, len(jobs))
+    if workers < 2:
+        return [fn(job) for job in jobs], None
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    submitted = False
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = pool.map(fn, jobs)  # submits every job: workers spawn
+            submitted = True
+            return list(results), None
+    except BrokenProcessPool as exc:
+        error: Exception = exc
+    except OSError as exc:
+        if submitted:
+            raise
+        error = exc
+    return [fn(job) for job in jobs], f"{type(error).__name__}: {error}"

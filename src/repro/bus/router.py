@@ -80,9 +80,9 @@ class Router:
         self.record_trace = record_trace
         #: Optional shard resolver (see :class:`~repro.grid.sharding.
         #: ShardRouter`): consulted once per routed message to rewrite a
-        #: *logical* receiver name to the owning shard's agent.  None (the
-        #: default) and single-shard rings leave every message untouched,
-        #: so unsharded and N=1 message streams are byte-identical.
+        #: *logical* receiver name to the owning shard's agent.  Only
+        #: ``sharded_environment`` (two or more shards) installs one; None,
+        #: the default, leaves every message untouched.
         self.sharding: "ShardRouter | None" = None
         #: The newest dropped messages, bounded by the trace's capacity so
         #: a long lossy run cannot grow it without limit; the exact count

@@ -476,7 +476,7 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
 
 
 def _cmd_cases(args: argparse.Namespace) -> int:
-    """Enact the many-cases workload, optionally on the sharded grid."""
+    """Enact the many-cases workload, optionally split across processes."""
     from repro.workloads.many_cases import run_many_cases, shard_assignment
 
     result = run_many_cases(
@@ -650,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--containers", type=int, default=4)
 
     pk = sub.add_parser(
-        "cases", help="enact the many-cases workload (optionally sharded)"
+        "cases", help="enact the many-cases workload (optionally split "
+        "across processes)"
     )
     pk.add_argument("--cases", type=int, default=32)
     pk.add_argument("--containers", type=int, default=4)
@@ -659,12 +660,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="router fast path (no per-delivery trace events)")
     pk.add_argument(
         "--shards", type=int, default=0,
-        help="coordination shards: each case is assigned to a shard by "
-        "consistent hash of its case id (case-<index>) over a ring of "
-        "labels s0..s{N-1}, so the case->shard mapping is deterministic "
-        "and independent of population size or enactment order; 1 runs "
-        "the single-shard grid (byte-identical traces to the default), "
-        "0 the unsharded grid",
+        help="split the cases across N processes, one grid each: each "
+        "case is assigned to a shard by consistent hash of its case id "
+        "(case-<index>) over a ring of labels s0..s{N-1}, so the "
+        "case->shard mapping is deterministic and independent of "
+        "population size or enactment order; 0 and 1 run every case on "
+        "one grid in this process",
     )
 
     return parser

@@ -4,18 +4,19 @@ Every table/figure driver returns a :class:`Table` whose ``render()``
 produces the same rows the paper prints; benches ``print`` it and assert
 on the underlying values.  :func:`run_seeds` is the shared multi-seed GP
 runner: seeds are independent, so with ``workers`` > 1 it fans whole runs
-out to a process pool (results identical to serial — each run is
-self-contained and seeded).
+out to :func:`repro._util.process_map`'s process pool (results identical
+to serial — each run is self-contained and seeded).
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+from repro._util import process_map
 
 if TYPE_CHECKING:  # circular-import guard: gp imports nothing from here
     from repro.planner.config import GPConfig
@@ -26,7 +27,7 @@ __all__ = ["Table", "summarize_runs", "run_seeds"]
 
 
 def _run_one_seed(args: tuple) -> "PlanningResult":
-    """Module-level for picklability (ProcessPoolExecutor dispatch)."""
+    """Module-level for picklability (process pool dispatch)."""
     from repro.planner.gp import GPPlanner
 
     config, problem, seed = args
@@ -42,19 +43,13 @@ def run_seeds(
     """One independent GP run per seed, in seed order.
 
     ``workers`` > 1 runs seeds concurrently in a process pool (each worker
-    re-derives its compiled problem on unpickle); falls back to serial
-    in-process execution on pool failure or when there is nothing to
-    parallelize.
+    re-derives its compiled problem on unpickle).  A pool that cannot
+    start or breaks degrades to a serial in-process run; a seed's own
+    error is raised once, and no seed reruns.
     """
     jobs = [(config, problem, int(seed)) for seed in seeds]
-    if workers > 1 and len(jobs) > 1:
-        # Sandboxed fork etc.: degrade to serial.
-        with contextlib.suppress(Exception):
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-                return list(pool.map(_run_one_seed, jobs))
-    return [_run_one_seed(job) for job in jobs]
+    results, _ = process_map(_run_one_seed, jobs, workers)
+    return results
 
 
 @dataclass

@@ -18,8 +18,8 @@ pure pieces make that possible without touching delivery semantics:
   addressed to a *logical* service name (``coordination``) is rewritten to
   the owning shard's agent (``coordination@s2``) keyed by the case id in
   the message content.  Replies are untouched (they address concrete
-  agents), and with a single shard the rewrite is the identity, so the
-  N=1 message stream is byte-identical to the unsharded grid.
+  agents).  Only grids of two or more shards install one; the one-shard
+  grid routes with no resolver at all.
 
 Both classes are deterministic and engine-free: hashing uses
 :func:`hashlib.blake2b` (never the salted builtin ``hash``), and the ring

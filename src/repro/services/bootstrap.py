@@ -4,13 +4,16 @@
 environment; :func:`standard_environment` additionally creates nodes and
 application containers hosting the given end-user services and advertises
 them to the information and brokerage services — everything the paper's
-Figure 1 shows, ready for a coordination request.
+Figure 1 shows, ready for a coordination request — as the grid's one-shard
+form.  :func:`sharded_environment` replicates the per-case services into
+two or more shard groups behind one bus; both create their fleet through
+the same helper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.grid.container import ApplicationContainer, EndUserService
 from repro.grid.environment import GridEnvironment
@@ -21,7 +24,7 @@ from repro.planner.config import GPConfig
 from repro.planner.library import PlanLibrary
 from repro.services.authentication import AuthenticationService
 from repro.services.base import WELL_KNOWN
-from repro.services.brokerage import BrokerageService
+from repro.services.brokerage import BrokerageService, ContainerAd
 from repro.services.coordination import CoordinationService
 from repro.services.information import InformationService
 from repro.services.matchmaking import MatchmakingService
@@ -36,6 +39,7 @@ from repro.sim.failures import BernoulliFailures
 
 __all__ = [
     "CoreServices",
+    "SITES",
     "ShardGroup",
     "ShardedGridEnvironment",
     "build_core_services",
@@ -123,57 +127,33 @@ def build_core_services(
     return services
 
 
-@dataclass
-class _ContainerSpec:
-    name: str
-    site: str
-    services: Sequence[EndUserService]
-    speed: float = 1.0
-    slots: int = 4
+#: Sites the fleet's nodes cycle through, one per node in turn.
+SITES = ("siteA", "siteB", "siteC")
 
 
-def standard_environment(
+def _add_fleet(
+    env: GridEnvironment,
+    information: InformationService,
+    brokers: Sequence[BrokerageService],
+    owner: Callable[[str], BrokerageService],
     end_user_services: Sequence[EndUserService],
-    containers: int = 3,
-    sites: Sequence[str] = ("siteA", "siteB", "siteC"),
-    speeds: Sequence[float] = (1.0, 2.0, 4.0),
-    cost_rates: Sequence[float] = (1.0, 2.5, 6.0),
-    slots: int = 4,
-    reservable: bool = False,
-    secure: bool = False,
-    failure_probability: float = 0.0,
-    failure_seed: int = 7,
-    planner_config: GPConfig | None = None,
-    planner_seed: int = 0,
-    tracing: bool = True,
-    spans: bool = False,
-    journal: bool | str = False,
-    plan_library: PlanLibrary | None = None,
-    knowledge_base: KnowledgeBase | None = None,
-) -> tuple[GridEnvironment, CoreServices, list[ApplicationContainer]]:
-    """One-call Figure-1 grid: core services + *containers* application
-    containers (each on its own node, cycling through *sites*/*speeds*,
-    all hosting every end-user service), fully advertised.
+    *,
+    containers: int,
+    speeds: Sequence[float],
+    cost_rates: Sequence[float],
+    slots: int,
+    reservable: bool,
+    secure: bool,
+    failure_probability: float,
+    failure_seed: int,
+) -> list[ApplicationContainer]:
+    """*containers* application containers, each on its own node (cycling
+    through :data:`SITES`, *speeds* and *cost_rates*) and each hosting
+    every end-user service, advertised to *information* and *brokers*.
 
-    With ``failure_probability > 0`` every container invocation can fail,
-    which is what the re-planning experiments dial up.  ``tracing=False``
-    selects the router fast path (no per-delivery TraceEvents) for
-    throughput runs; id streams are unaffected.  ``spans=True`` turns on
-    the workflow span recorder (see :mod:`repro.obs.spans`); ``journal``
-    does too, since the case journal is filed from span boundaries.
+    Every broker records every node (nodes are few and shard-agnostic);
+    a container's ad for a service goes to ``owner(service)``.
     """
-    env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
-    credentials = ("coordination", "grid-secret") if secure else None
-    services = build_core_services(
-        env,
-        planner_config=planner_config,
-        planner_seed=planner_seed,
-        coordination_credentials=credentials,
-        plan_library=plan_library,
-        knowledge_base=knowledge_base,
-    )
-    if secure:
-        services.authentication.add_principal(*credentials)
     failures = (
         BernoulliFailures(failure_probability, rng=failure_seed)
         if failure_probability > 0
@@ -181,7 +161,7 @@ def standard_environment(
     )
     fleet: list[ApplicationContainer] = []
     for idx in range(containers):
-        site = sites[idx % len(sites)]
+        site = SITES[idx % len(SITES)]
         speed = speeds[idx % len(speeds)]
         node = env.add_node(
             f"node{idx + 1}",
@@ -202,26 +182,82 @@ def standard_environment(
             require_auth=secure,
         )
         fleet.append(container)
-        services.brokerage.advertise_node(node)
-        from repro.services.brokerage import ContainerAd
-
-        services.brokerage.advertise(
-            ContainerAd(
-                container=container.name,
-                site=site,
-                services=[svc.name for svc in end_user_services],
-                speed=speed,
-                advertised_at=0.0,
-                node=node.name,
-            )
-        )
-        services.information.register_offering(
+        for broker in brokers:
+            broker.advertise_node(node)
+            owned = [
+                svc.name for svc in end_user_services if owner(svc.name) is broker
+            ]
+            if owned:
+                broker.advertise(
+                    ContainerAd(
+                        container=container.name,
+                        site=site,
+                        services=owned,
+                        speed=speed,
+                        advertised_at=0.0,
+                        node=node.name,
+                    )
+                )
+        information.register_offering(
             container.name, "application-container", site, container.name
         )
         for svc in end_user_services:
-            services.information.register_offering(
+            information.register_offering(
                 f"{svc.name}@{container.name}", "end-user", site, container.name
             )
+    return fleet
+
+
+def standard_environment(
+    end_user_services: Sequence[EndUserService],
+    containers: int = 3,
+    speeds: Sequence[float] = (1.0, 2.0, 4.0),
+    cost_rates: Sequence[float] = (1.0, 2.5, 6.0),
+    slots: int = 4,
+    reservable: bool = False,
+    secure: bool = False,
+    failure_probability: float = 0.0,
+    failure_seed: int = 7,
+    planner_config: GPConfig | None = None,
+    planner_seed: int = 0,
+    tracing: bool = True,
+    spans: bool = False,
+    journal: bool | str = False,
+    plan_library: PlanLibrary | None = None,
+    knowledge_base: KnowledgeBase | None = None,
+) -> tuple[GridEnvironment, CoreServices, list[ApplicationContainer]]:
+    """One-call Figure-1 grid: core services + *containers* application
+    containers (each on its own node, cycling through :data:`SITES` and
+    *speeds*, all hosting every end-user service), fully advertised.
+
+    This is the grid's one-shard form: every core service is a singleton
+    under its well-known name and the bus rewrites no receiver.  With
+    ``failure_probability > 0`` every container invocation can fail,
+    which is what the re-planning experiments dial up.  ``tracing=False``
+    selects the router fast path (no per-delivery TraceEvents) for
+    throughput runs; id streams are unaffected.  ``spans=True`` turns on
+    the workflow span recorder (see :mod:`repro.obs.spans`); ``journal``
+    does too, since the case journal is filed from span boundaries.
+    """
+    env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
+    credentials = ("coordination", "grid-secret") if secure else None
+    services = build_core_services(
+        env,
+        planner_config=planner_config,
+        planner_seed=planner_seed,
+        coordination_credentials=credentials,
+        plan_library=plan_library,
+        knowledge_base=knowledge_base,
+    )
+    if secure:
+        services.authentication.add_principal(*credentials)
+    broker = services.brokerage
+    fleet = _add_fleet(
+        env, services.information, [broker], lambda service: broker, end_user_services,
+        containers=containers, speeds=speeds, cost_rates=cost_rates, slots=slots,
+        reservable=reservable, secure=secure,
+        failure_probability=failure_probability, failure_seed=failure_seed,
+    )
     return env, services, fleet
 
 
@@ -254,21 +290,16 @@ class ShardedGridEnvironment:
     ``services`` is the familiar :class:`CoreServices` view — the shared
     singletons (information, monitoring, storage, authentication,
     simulation, planning, the ontology *primary*) plus shard group 0's
-    replicas for the sharded types; at ``shards=1`` it is exactly the
-    unsharded service set.  ``router`` is the consistent-hash resolver
-    installed on the bus; ``ring`` its membership.
+    replicas for the sharded types.  ``ring`` is the shard membership the
+    bus's :class:`~repro.grid.sharding.ShardRouter` (``env.router.
+    sharding``) routes on.
     """
 
     env: GridEnvironment
     services: CoreServices
     groups: list[ShardGroup]
     ring: ShardRing
-    router: ShardRouter
     fleet: list[ApplicationContainer]
-
-    @property
-    def shards(self) -> tuple[str, ...]:
-        return self.ring.shards
 
     def group_for(self, case_id: str) -> ShardGroup:
         """The shard group that owns *case_id* on the ring."""
@@ -278,23 +309,11 @@ class ShardedGridEnvironment:
                 return group
         raise KeyError(owner)  # pragma: no cover - ring and groups agree
 
-    def coordinator_for(self, case_id: str) -> str:
-        """Agent name of the coordination replica owning *case_id*."""
-        return self.group_for(case_id).coordination.name
-
-
-def _shard_name(base: str, label: str, shards: int) -> str:
-    """Agent name for *base* on shard *label* — unsuffixed at ``shards=1``
-    so the single-shard grid is byte-identical to the unsharded one."""
-    return base if shards == 1 else f"{base}@{label}"
-
 
 def sharded_environment(
     end_user_services: Sequence[EndUserService],
-    shards: int = 1,
-    shard_labels: Sequence[str] | None = None,
+    shards: int = 2,
     containers: int = 3,
-    sites: Sequence[str] = ("siteA", "siteB", "siteC"),
     speeds: Sequence[float] = (1.0, 2.0, 4.0),
     cost_rates: Sequence[float] = (1.0, 2.5, 6.0),
     slots: int = 4,
@@ -310,65 +329,46 @@ def sharded_environment(
     plan_library: PlanLibrary | None = None,
     knowledge_base: KnowledgeBase | None = None,
 ) -> ShardedGridEnvironment:
-    """Figure-1 grid with *shards* replicated coordination/scheduling
-    groups behind one bus.
+    """Figure-1 grid with *shards* (at least two) replicated
+    coordination/scheduling groups behind one bus.
 
     The singleton services of :func:`standard_environment` stay shared
     (information, monitoring, storage, authentication, simulation,
     planning, and the ontology *primary*); coordination, scheduling,
-    matchmaking and brokerage are replicated per shard.  Case traffic
+    matchmaking and brokerage are replicated per shard under the labels
+    ``s0..s{shards-1}`` (``coordination@s0`` ...).  Case traffic
     addressed to the logical ``coordination`` name is rewritten at the
     bus to the owning shard's coordinator by consistent hash of the case
     id; the end-user service registry is partitioned across the broker
     replicas by service name on the same ring, with cross-shard scatter
     on a local miss.  Ontology replicas follow the primary through its
     versioned delta stream and catch up over ``ontology-sync`` on join.
-
-    With ``shards=1`` every replica keeps its well-known unsharded name,
-    the ring rewrite is the identity, and the message stream — and
-    therefore every recorded protocol trace — is byte-identical to
-    :func:`standard_environment`.
+    The one-shard grid is :func:`standard_environment`.
     """
-    if shards < 1:
-        raise ValueError("sharded_environment needs at least one shard")
-    labels = (
-        list(shard_labels)
-        if shard_labels is not None
-        else [f"s{index}" for index in range(shards)]
-    )
-    if len(labels) != shards or len(set(labels)) != shards:
-        raise ValueError("shard_labels must give one distinct label per shard")
+    if shards < 2:
+        raise ValueError(
+            f"sharded_environment needs at least two shards, not {shards}; "
+            "the one-shard grid is standard_environment"
+        )
+    labels = [f"s{index}" for index in range(shards)]
     ring = ShardRing(labels)
+
+    def replica_names(kind: str) -> list[str]:
+        return [f"{WELL_KNOWN[kind]}@{label}" for label in labels]
 
     env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
     credentials = ("coordination", "grid-secret") if secure else None
-
-    # Construction order mirrors build_core_services exactly (information
-    # first, coordination last) with each sharded type expanded in shard
-    # order in place of its singleton — at shards=1 the agent sequence,
-    # and with it every spawned process and id stream, is identical.
     information = InformationService(env)
     brokers = [
-        PartitionedBrokerageService(
-            env,
-            _shard_name(WELL_KNOWN["brokerage"], label, shards),
-            ring=ring if shards > 1 else None,
-            shard=label if shards > 1 else None,
-        )
-        for label in labels
+        PartitionedBrokerageService(env, name, ring, label)
+        for name, label in zip(replica_names("brokerage"), labels)
     ]
-    matchmakers = [
-        MatchmakingService(env, _shard_name(WELL_KNOWN["matchmaking"], label, shards))
-        for label in labels
-    ]
+    matchmakers = [MatchmakingService(env, name) for name in replica_names("matchmaking")]
     monitoring = MonitoringService(env)
     ontology = OntologyService(env)
     storage = PersistentStorageService(env)
     authentication = AuthenticationService(env)
-    schedulers = [
-        SchedulingService(env, _shard_name(WELL_KNOWN["scheduling"], label, shards))
-        for label in labels
-    ]
+    schedulers = [SchedulingService(env, name) for name in replica_names("scheduling")]
     simulation = SimulationService(env)
     # Planning stays a shared singleton across shards, so one library —
     # like one broker registry — serves every shard group: a plan stored
@@ -382,52 +382,32 @@ def sharded_environment(
         knowledge_base=knowledge_base,
     )
     coordinators = [
-        CoordinationService(
-            env,
-            _shard_name(WELL_KNOWN["coordination"], label, shards),
-            credentials=credentials,
-        )
-        for label in labels
+        CoordinationService(env, name, credentials=credentials)
+        for name in replica_names("coordination")
     ]
-    replicas: list[OntologyService] = []
-    if shards > 1:
-        # Replicas join last: they subscribe to the primary's delta stream
-        # and catch up on whatever it published during bootstrap.
-        for label in labels:
-            replica = OntologyService(
-                env, f"{WELL_KNOWN['ontology']}@{label}", replica_of=ontology.name
-            )
-            ontology.subscribe_replica(replica.name)
-            replica.start_replication()
-            replicas.append(replica)
+    # Ontology replicas join last: they subscribe to the primary's delta
+    # stream and catch up on whatever it published during bootstrap.
+    ontologies: list[OntologyService] = []
+    for name in replica_names("ontology"):
+        replica = OntologyService(env, name, replica_of=ontology.name)
+        ontology.subscribe_replica(replica.name)
+        replica.start_replication()
+        ontologies.append(replica)
 
-    groups: list[ShardGroup] = []
     peers = {label: broker.name for label, broker in zip(labels, brokers)}
-    for index, label in enumerate(labels):
-        broker = brokers[index]
-        matchmaker = matchmakers[index]
-        scheduler = schedulers[index]
-        coordinator = coordinators[index]
-        if shards > 1:
-            broker.set_peers(peers)
-            matchmaker.shard = label
-            matchmaker.broker_name = broker.name
-            scheduler.shard = label
-            scheduler.broker_name = broker.name
-            coordinator.shard = label
-            coordinator.matchmaker_name = matchmaker.name
-            coordinator.scheduler_name = scheduler.name
-            coordinator.broker_name = broker.name
-        groups.append(
-            ShardGroup(
-                shard=label,
-                brokerage=broker,
-                matchmaking=matchmaker,
-                scheduling=scheduler,
-                coordination=coordinator,
-                ontology=replicas[index] if shards > 1 else ontology,
-            )
-        )
+    groups = [
+        ShardGroup(*members)
+        for members in zip(labels, brokers, matchmakers, schedulers, coordinators, ontologies)
+    ]
+    for group in groups:
+        group.brokerage.set_peers(peers)
+        for service in (group.matchmaking, group.scheduling, group.coordination):
+            service.shard = group.shard
+            service.broker_name = group.brokerage.name
+        group.coordination.matchmaker_name = group.matchmaking.name
+        group.coordination.scheduler_name = group.scheduling.name
+        if knowledge_base is not None:
+            group.coordination.knowledge_base = knowledge_base
 
     services = CoreServices(
         information=information,
@@ -443,97 +423,32 @@ def sharded_environment(
         coordination=coordinators[0],
     )
     env.core_services = services  # type: ignore[attr-defined]
-    if knowledge_base is not None:
-        for coordinator in coordinators:
-            coordinator.knowledge_base = knowledge_base
     if secure:
         authentication.add_principal(*credentials)
 
     # The bus-level routing seam: logical case traffic goes to the owning
     # coordinator (keyed on the case/task id), logical registry traffic to
     # the owning broker/matchmaker partition (keyed on the service name).
-    shard_router = ShardRouter(
+    env.router.sharding = ShardRouter(
         ring,
         targets={
-            WELL_KNOWN["coordination"]: {
-                label: coord.name
-                for label, coord in zip(labels, coordinators)
-            },
-            WELL_KNOWN["brokerage"]: dict(peers),
-            WELL_KNOWN["matchmaking"]: {
-                label: matchmaker.name
-                for label, matchmaker in zip(labels, matchmakers)
-            },
+            WELL_KNOWN["coordination"]: {g.shard: g.coordination.name for g in groups},
+            WELL_KNOWN["brokerage"]: peers,
+            WELL_KNOWN["matchmaking"]: {g.shard: g.matchmaking.name for g in groups},
         },
         keys={
             WELL_KNOWN["brokerage"]: ("service",),
             WELL_KNOWN["matchmaking"]: ("service",),
         },
     )
-    env.router.sharding = shard_router
-
-    failures = (
-        BernoulliFailures(failure_probability, rng=failure_seed)
-        if failure_probability > 0
-        else None
+    by_label = dict(zip(labels, brokers))
+    fleet = _add_fleet(
+        env, information, brokers, lambda service: by_label[ring.owner(service)],
+        end_user_services,
+        containers=containers, speeds=speeds, cost_rates=cost_rates, slots=slots,
+        reservable=reservable, secure=secure,
+        failure_probability=failure_probability, failure_seed=failure_seed,
     )
-    from repro.services.brokerage import ContainerAd
-
-    fleet: list[ApplicationContainer] = []
-    for idx in range(containers):
-        site = sites[idx % len(sites)]
-        speed = speeds[idx % len(speeds)]
-        node = env.add_node(
-            f"node{idx + 1}",
-            site,
-            HardwareProfile(speed=speed),
-            slots=slots,
-            domain=site,
-            cost_rate=cost_rates[idx % len(cost_rates)],
-        )
-        if reservable:
-            node.enable_reservations()
-        container = ApplicationContainer(
-            env,
-            f"ac{idx + 1}",
-            node,
-            services={svc.name: svc for svc in end_user_services},
-            failures=failures,
-            require_auth=secure,
-        )
-        fleet.append(container)
-        for label, broker in zip(labels, brokers):
-            # Every partition keeps the full resource KB (nodes are few
-            # and shard-agnostic); service ads land on the ring owner.
-            broker.advertise_node(node)
-            owned = [
-                svc.name
-                for svc in end_user_services
-                if shards == 1 or ring.owner(svc.name) == label
-            ]
-            if owned:
-                broker.advertise(
-                    ContainerAd(
-                        container=container.name,
-                        site=site,
-                        services=owned,
-                        speed=speed,
-                        advertised_at=0.0,
-                        node=node.name,
-                    )
-                )
-        information.register_offering(
-            container.name, "application-container", site, container.name
-        )
-        for svc in end_user_services:
-            information.register_offering(
-                f"{svc.name}@{container.name}", "end-user", site, container.name
-            )
     return ShardedGridEnvironment(
-        env=env,
-        services=services,
-        groups=groups,
-        ring=ring,
-        router=shard_router,
-        fleet=fleet,
+        env=env, services=services, groups=groups, ring=ring, fleet=fleet
     )

@@ -19,9 +19,9 @@ remaining partitions and merges their answers.  The hit/miss metrics
 The layering follows renku-python's service architecture: thin controllers
 (the message handlers) over per-partition cache gateways (the inherited
 ad/performance state), with cross-partition traffic as explicit RPCs.
-With a single shard there are no peers and every code path collapses to
-the plain :class:`~repro.services.brokerage.BrokerageService` behaviour —
-the N=1 message stream is byte-identical to the unsharded grid.
+Partitions exist only in grids of two or more shards; the one-shard grid
+(:func:`~repro.services.bootstrap.standard_environment`) runs the plain
+:class:`~repro.services.brokerage.BrokerageService`.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ class PartitionedBrokerageService(BrokerageService):
 
     *ring* and *shard* give the partition its identity on the consistent-
     hash ring; :meth:`set_peers` (called by the bootstrap once every
-    partition exists) wires the scatter fallback.  Without peers the
-    service behaves exactly like its base class.
+    partition exists) wires the scatter fallback.
     """
 
     def __init__(
         self,
         env: GridEnvironment,
-        name: str | None = None,
+        name: str,
+        ring: ShardRing,
+        shard: str,
         site: str = "core",
-        ring: ShardRing | None = None,
-        shard: str | None = None,
     ) -> None:
         super().__init__(env, name, site)
         self.ring = ring
@@ -57,18 +56,11 @@ class PartitionedBrokerageService(BrokerageService):
         #: shard label -> peer partition agent name (never includes self).
         self._peers: dict[str, str] = {}
 
-    # -- partition identity ---------------------------------------------------- #
     def set_peers(self, peers: dict[str, str]) -> None:
         """Install the other partitions (shard label -> agent name)."""
         self._peers = {
             shard: agent for shard, agent in peers.items() if agent != self.name
         }
-
-    def owns(self, service: str) -> bool:
-        """Is this partition the ring owner of *service*'s key?"""
-        if self.ring is None or self.shard is None:
-            return True
-        return self.ring.owner(service) == self.shard
 
     # -- message API ------------------------------------------------------------ #
     def handle_find_containers(self, message: Message):
@@ -76,14 +68,11 @@ class PartitionedBrokerageService(BrokerageService):
         scatter on miss (ring owner queried before the remainder)."""
         service = message.content["service"]
         local = self.containers_for(service)
-        if local or not self._peers:
-            self.metrics.inc(
-                "broker_local_hit" if local else "broker_local_miss",
-                agent=self.name,
-            )
+        if local:
+            self.metrics.inc("broker_local_hit", agent=self.name)
             return {"service": service, "containers": local}
         self.metrics.inc("broker_scatter", agent=self.name, action=service)
-        owner = self.ring.owner(service) if self.ring is not None else None
+        owner = self.ring.owner(service)
         ordered = sorted(
             self._peers.items(), key=lambda item: (item[0] != owner, item[0])
         )

@@ -25,13 +25,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
+from repro._util import process_map
 from repro.errors import WorkloadError
 from repro.grid.container import EndUserService
 from repro.grid.sharding import ShardRing
 from repro.process.builder import WorkflowBuilder
 from repro.process.conditions import Atom, Relation
 from repro.process.model import Activity, ProcessDescription
-from repro.services.bootstrap import sharded_environment, standard_environment
+from repro.services.bootstrap import standard_environment
 
 __all__ = [
     "many_cases_process",
@@ -134,23 +135,23 @@ def run_many_cases(
     (``repro trace export`` / ``repro profile`` run on this), and
     ``gauge_period > 0`` samples sim-time gauges at that period.
 
-    ``shards=N`` (N > 1) runs the **sharded grid**: cases are assigned
-    to N coordination shards by consistent hash of their case id
+    ``shards=N`` (N > 1) splits the population across N processes:
+    cases are assigned to shards by consistent hash of their case id
     (``case-<index>`` on the :class:`~repro.grid.sharding.ShardRing` over
     labels ``s0..s{N-1}`` — a fixed, population-independent mapping), and
-    each shard enacts its slice in its own process with its own shard
-    group.  Shard results merge deterministically (outcomes in global
-    case order, counters summed, makespan = the slowest shard);
-    ``env``/``services``/``fleet`` are ``None`` in the merged result
-    since live environments do not cross process boundaries.  When a
-    worker pool cannot be spawned the driver degrades to a serial
-    in-process run of the same shards and reports ``pool_error``.
-    ``shards=1`` runs serially in-process on a single-shard
-    :func:`~repro.services.bootstrap.sharded_environment`, whose message
-    stream is byte-identical to the unsharded grid (shard workers run on
-    this path).  ``case_indices`` (used by shard workers) names the exact
-    global case indices to enact, so every case keeps its
-    population-level initial data and task name.
+    each shard enacts its slice on its own
+    :func:`~repro.services.bootstrap.standard_environment` in its own
+    process.  Shard results merge deterministically (outcomes in global
+    case order, counts and span/journal accounting summed, makespan = the
+    slowest shard); ``env``/``services``/``fleet`` are ``None`` in the
+    merged result since live environments do not cross process
+    boundaries.  When the worker pool cannot start or breaks, the same
+    shards run serially in-process and ``pool_error`` says why;
+    a shard's own error is raised once, and nothing reruns.
+    ``shards`` 0 and 1 both run in-process on the standard grid.
+    ``case_indices`` (used by shard workers) names the exact global case
+    indices to enact, so every case keeps its population-level initial
+    data and task name.
 
     Returns ``env``, ``services``, ``outcomes`` (per-case replies) and
     summary counts.  Raises :class:`WorkloadError` when any case fails —
@@ -176,17 +177,10 @@ def run_many_cases(
             gauge_period=gauge_period,
             shards=shards,
         )
-    if shards == 1:
-        grid = sharded_environment(
-            many_cases_services(), shards=1, containers=containers,
-            tracing=tracing, spans=spans, journal=journal,
-        )
-        env, services, fleet = grid.env, grid.services, grid.fleet
-    else:
-        env, services, fleet = standard_environment(
-            many_cases_services(), containers=containers, tracing=tracing,
-            spans=spans, journal=journal,
-        )
+    env, services, fleet = standard_environment(
+        many_cases_services(), containers=containers, tracing=tracing,
+        spans=spans, journal=journal,
+    )
     if gauge_period > 0.0:
         env.attach_gauges(period=gauge_period)
     if program_cache_size is not None:
@@ -256,7 +250,7 @@ def run_many_cases(
     }
 
 
-# -- sharded-grid driver ----------------------------------------------------- #
+# -- process split ----------------------------------------------------------- #
 def _run_shard(kwargs: dict[str, Any]) -> dict[str, Any]:
     """Worker entry point: one serial shard, summarized picklably.
 
@@ -265,31 +259,25 @@ def _run_shard(kwargs: dict[str, Any]) -> dict[str, Any]:
     """
     result = run_many_cases(**kwargs)
     return {
-        "outcomes": result["outcomes"],
-        "cases": result["cases"],
-        "completed": result["completed"],
-        "activities_run": result["activities_run"],
-        "messages": result["messages"],
-        "makespan": result["makespan"],
-        "engine_events": result["engine_events"],
-        "counters": result["counters"],
-        "journal": result["journal"],
+        key: result[key]
+        for key in (
+            "outcomes", "completed", "activities_run", "messages",
+            "makespan", "engine_events", "spans", "journal", "counters",
+        )
     }
 
 
-def _merge_journal_stats(summaries: list[dict[str, Any]]) -> dict[str, Any]:
-    """Sum per-shard journal accounting (counts add; enablement agrees
-    across shards by construction)."""
-    merged = {
-        "enabled": any(s["journal"]["enabled"] for s in summaries),
-        "mirror": any(s["journal"]["mirror"] for s in summaries),
+def _sum_stats(stats: list[dict[str, Any]]) -> dict[str, Any]:
+    """Merge per-shard accounting: flags hold if any shard's holds, counts
+    add.  The journal's ``max_cases`` is a per-journal bound, not a count,
+    and is left out."""
+    return {
+        key: any(s[key] for s in stats)
+        if isinstance(value, bool)
+        else sum(s[key] for s in stats)
+        for key, value in stats[0].items()
+        if key != "max_cases"
     }
-    for key in (
-        "cases", "events", "appended", "flushed", "cases_evicted",
-        "events_evicted", "events_lost", "unbound_dropped", "cases_synced",
-    ):
-        merged[key] = sum(s["journal"][key] for s in summaries)
-    return merged
 
 
 def shard_assignment(cases: int, shards: int) -> dict[str, list[int]]:
@@ -310,45 +298,29 @@ def shard_assignment(cases: int, shards: int) -> dict[str, list[int]]:
 def _run_many_cases_sharded(
     *, cases: int, shards: int, **workload: Any
 ) -> dict[str, Any]:
-    """Enact the population on the sharded grid: one process per shard,
-    cases assigned by consistent hash, results merged deterministically."""
-    assignment = shard_assignment(cases, shards)
+    """Enact the population split across processes: one standard grid per
+    shard, cases assigned by consistent hash, results merged
+    deterministically."""
     populated = [
-        (label, indices) for label, indices in assignment.items() if indices
+        (label, indices)
+        for label, indices in shard_assignment(cases, shards).items()
+        if indices
     ]
-    shard_kwargs = [
-        dict(
-            workload,
-            cases=len(indices),
-            case_indices=indices,
-            shards=1,
-        )
-        for _, indices in populated
-    ]
-    pool_error: str | None = None
-    summaries: list[dict[str, Any]] | None = None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(populated)) as pool:
-            summaries = list(pool.map(_run_shard, shard_kwargs))
-    except Exception as exc:  # pragma: no cover - depends on host sandboxing
-        pool_error = f"{type(exc).__name__}: {exc}"
-        summaries = None
-    if summaries is None:
-        # Deterministic fallback: the same shards, serially, in-process —
-        # identical merged outcomes, just no wall-clock overlap.
-        summaries = [_run_shard(kwargs) for kwargs in shard_kwargs]
+    summaries, pool_error = process_map(
+        _run_shard,
+        [
+            dict(workload, cases=len(indices), case_indices=indices)
+            for _, indices in populated
+        ],
+        len(populated),
+    )
 
     # Outcomes go back into global case order regardless of which shard
     # carried them (the hash assignment interleaves indices).
     outcomes: list[dict[str, Any] | None] = [None] * cases
-    counters: dict[str, int] = {}
-    for (label, indices), summary in zip(populated, summaries):
+    for (_, indices), summary in zip(populated, summaries):
         for index, outcome in zip(indices, summary["outcomes"]):
             outcomes[index] = outcome
-        for key, value in summary["counters"].items():
-            counters[key] = counters.get(key, 0) + value
     completed = sum(summary["completed"] for summary in summaries)
     if completed != cases:
         raise WorkloadError(
@@ -371,13 +343,7 @@ def _run_many_cases_sharded(
             for label, indices in populated
         ],
         "pool_error": pool_error,
-        "spans": {
-            "enabled": False,
-            "started": 0,
-            "closed": 0,
-            "open": 0,
-            "evicted": 0,
-        },
-        "journal": _merge_journal_stats(summaries),
-        "counters": counters,
+        "spans": _sum_stats([s["spans"] for s in summaries]),
+        "journal": _sum_stats([s["journal"] for s in summaries]),
+        "counters": _sum_stats([s["counters"] for s in summaries]),
     }

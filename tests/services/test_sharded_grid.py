@@ -14,26 +14,6 @@ from repro.workloads.many_cases import (
 CASES = 6
 
 
-def _fingerprint(env):
-    """Everything observable about the protocol trace, per delivery."""
-    return [
-        (
-            event.time,
-            message.sender,
-            message.receiver,
-            message.performative.value,
-            message.action,
-            message.conversation,
-            message.message_id,
-            message.trace_id,
-            message.parent_id,
-            repr(message.content),
-        )
-        for event in env.router.trace.events()
-        for message in (event.message,)
-    ]
-
-
 def _enact(env, services, cases=CASES, rounds=2):
     process = many_cases_process(rounds)
     outcomes = [None] * cases
@@ -56,31 +36,11 @@ def _enact(env, services, cases=CASES, rounds=2):
     return outcomes
 
 
-class TestSingleShardIdentity:
-    def test_traces_byte_identical_to_unsharded_grid(self):
-        env_a, services_a, _ = standard_environment(
-            many_cases_services(), containers=3
-        )
-        outcomes_a = _enact(env_a, services_a)
-        grid = sharded_environment(many_cases_services(), shards=1, containers=3)
-        outcomes_b = _enact(grid.env, grid.services)
-        assert repr(outcomes_a) == repr(outcomes_b)
-        assert _fingerprint(env_a) == _fingerprint(grid.env)
-
-    def test_single_shard_keeps_well_known_names(self):
-        grid = sharded_environment(many_cases_services(), shards=1)
-        (group,) = grid.groups
-        assert group.coordination.name == "coordination"
-        assert group.brokerage.name == "brokerage"
-        assert group.ontology is grid.services.ontology
-
-    def test_rejects_zero_shards_and_bad_labels(self):
-        with pytest.raises(ValueError):
-            sharded_environment(many_cases_services(), shards=0)
-        with pytest.raises(ValueError):
-            sharded_environment(
-                many_cases_services(), shards=2, shard_labels=["a", "a"]
-            )
+class TestShardCount:
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_one_shard_grid_is_the_standard_environment(self, shards):
+        with pytest.raises(ValueError, match="standard_environment"):
+            sharded_environment(many_cases_services(), shards=shards)
 
 
 class TestMultiShardEnactment:

@@ -162,3 +162,23 @@ def test_lineage_unknown_key_fails(capsys):
     assert main([
         "lineage", "nothing-here", "--cases", "2", "--containers", "2",
     ]) == 1
+
+
+def test_cases_on_two_shards(capsys):
+    assert main([
+        "cases", "--cases", "6", "--containers", "2", "--shards", "2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "6/6 cases completed" in out
+    assert "\n  s0: " in out and "\n  s1: " in out
+
+
+def test_cases_one_shard_prints_the_default_run(capsys):
+    outputs = []
+    for shards in ("1", "0"):
+        assert main([
+            "cases", "--cases", "6", "--containers", "2", "--shards", shards,
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "6/6 cases completed" in outputs[0]
+    assert outputs[0] == outputs[1]

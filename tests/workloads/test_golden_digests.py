@@ -4,7 +4,9 @@ Each digest covers every delivered message of a run (time, endpoints,
 performative, action, conversation / message / trace / parent ids and the
 repr of the content) plus the outcomes: the 8-case, 4-container
 many_cases run, and the paper's Figure-2 planning exchange, Figure-3
-replanning flow and Figure-10 enactment.  A change that alters the
+replanning flow and Figure-10 enactment.  The two-process split of the
+many_cases run has no trace in this process; its digest covers the
+merged result instead.  A change that alters the
 protocol — one extra RPC, a reordered reply, a different candidate
 ranking — moves the digest; preserved behaviour keeps it.  When a change
 alters the trace on purpose, update the digest and say why in the change
@@ -30,8 +32,8 @@ from repro.virolab import (
 )
 from repro.workloads import run_many_cases
 
-#: The default configuration; the single-shard sharded grid and the
-#: record-only journal must match it.
+#: The default configuration; ``shards=1`` (the same standard grid) and
+#: the record-only journal must match it.
 DEFAULT_DIGEST = "260ff135674450a957ef6d5f32fb141e"
 
 
@@ -73,6 +75,28 @@ def test_trace_digest(knobs, messages, digest):
     result = run_many_cases(cases=8, containers=4, **knobs)
     assert result["messages"] == messages
     assert trace_digest(result) == digest
+
+
+def test_process_split_digest():
+    # No trace crosses the process boundary: the merged result is the
+    # digest (outcomes in global case order, summed counts, slowest
+    # shard's makespan, per-shard case counts and merged journal stats).
+    result = run_many_cases(
+        cases=8, containers=4, shards=2, spans=True, journal="record"
+    )
+    assert (result["messages"], result["engine_events"]) == (976, 3534)
+    text = repr(result["outcomes"]) + repr(
+        (
+            result["messages"],
+            result["engine_events"],
+            result["makespan"],
+            result["shards"],
+            result["counters"],
+            result["journal"],
+        )
+    )
+    digest = blake2b(text.encode(), digest_size=16).hexdigest()
+    assert digest == "c259831adbd37388eca65063b0f34762"
 
 
 def _figure_run(target: str, action: str, content: dict, **grid):

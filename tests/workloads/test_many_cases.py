@@ -275,6 +275,48 @@ class TestShardedDriver:
         ]
         assert fingerprint[0] == fingerprint[1]
 
+    def test_single_shard_builds_the_standard_grid(self):
+        result = run_many_cases(cases=2, containers=2, shards=1)
+        assert result["env"].router.sharding is None
+
+    def test_merged_span_accounting(self):
+        from repro.workloads import shard_assignment
+
+        knobs = dict(containers=2, spans=True, journal="record")
+        merged = run_many_cases(cases=6, shards=2, **knobs)
+        per_shard = [
+            run_many_cases(cases=len(indices), case_indices=indices, **knobs)
+            for indices in shard_assignment(6, 2).values()
+            if indices
+        ]
+        spans = merged["spans"]
+        assert spans["enabled"] and merged["journal"]["enabled"]
+        for key in ("started", "closed", "open", "evicted"):
+            assert spans[key] == sum(run["spans"][key] for run in per_shard)
+        assert spans["started"] == spans["closed"] > 0
+        assert merged["journal"]["events"] == sum(
+            run["journal"]["events"] for run in per_shard
+        )
+
+    def test_failed_shard_raises_without_rerun(self, monkeypatch):
+        from repro.errors import SimulationError
+        from repro.grid.environment import GridEnvironment
+
+        # Every shard runs out of events in its worker.  The worker's
+        # error comes back as raised, and no shard runs again in this
+        # process (a forked worker counts into its own copy of the list).
+        built = []
+        init = GridEnvironment.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridEnvironment, "__init__", counting_init)
+        with pytest.raises(SimulationError):
+            run_many_cases(cases=6, containers=2, shards=2, max_events=200)
+        assert built == []
+
     def test_sharded_merge_matches_serial(self):
         serial = run_many_cases(cases=8, containers=2, tracing=False)
         merged = run_many_cases(
@@ -304,6 +346,8 @@ class TestShardedDriver:
             run_many_cases(cases=3, case_indices=[0, 1])
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
+        from repro.workloads import many_cases
+
         class Boom:
             def __init__(self, *args, **kwargs):
                 raise OSError("no pool for you")
@@ -311,8 +355,21 @@ class TestShardedDriver:
         monkeypatch.setattr(
             "concurrent.futures.ProcessPoolExecutor", Boom
         )
+        # The fallback runs the workers in this process, where the grids
+        # they build can be inspected: standard grids, no shard router.
+        routers = []
+        build = many_cases.standard_environment
+
+        def recording_build(*args, **kwargs):
+            env, services, fleet = build(*args, **kwargs)
+            routers.append(env.router)
+            return env, services, fleet
+
+        monkeypatch.setattr(many_cases, "standard_environment", recording_build)
         result = run_many_cases(
             cases=4, containers=2, tracing=False, shards=2
         )
         assert result["completed"] == 4
         assert "no pool for you" in result["pool_error"]
+        assert len(routers) == len(result["shards"]) == 2
+        assert all(router.sharding is None for router in routers)
