@@ -32,18 +32,17 @@ The **enact** suite (BENCH_enact.json) measures end-to-end enactment
 throughput on the ``many_cases`` workload (K concurrent cases of one
 workflow through the full matchmaking -> scheduling -> container path):
 
-* the default configuration (tracing on, no caches);
+* the default configuration (tracing on, no read-through cache);
 * one row per surviving throughput knob, so each knob's price is on
-  record: the per-enactment-recompile configuration
-  (``program_cache_size=0``), ``tracing=False`` and ``cache_ttl=120``
-  (the coordinator and scheduler read-through cache);
+  record: ``tracing=False`` and ``cache_ttl=120`` (the coordinator and
+  scheduler read-through cache);
 * both fast-path knobs together (``FAST_PATH_KNOBS``), plus the
   cache-hit counters of the same configuration;
 * a 1k-case serial stress row (the ``--min-stress-cases-per-s`` floor
   gate watches it, host-fingerprint-matched like the obs gate).
 
-The **shard** suite (BENCH_shard.json) measures the sharded
-multi-coordinator grid on a 10k-case ``many_cases`` population:
+The **shard** suite (BENCH_shard.json) measures the process-split
+driver on a 10k-case ``many_cases`` population:
 
 * one row per shard count in {1, 2, 4, 8} — fast-path knobs, cases
   assigned to shards by consistent hash of the case id, one process per
@@ -310,8 +309,6 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     configs = {
         # Default path: byte-identical traces, program cache on.
         "default_tracing": {},
-        # Program cache disabled: recompile per enactment (the old shape).
-        "no_program_cache": {"program_cache_size": 0},
         # Each surviving fast-path knob alone: its price on record.
         "tracing_off": {"tracing": False},
         "cache_ttl_120": {"cache_ttl": 120.0},
@@ -380,7 +377,7 @@ SHARD_COUNTS = (1, 2, 4, 8)
 
 
 def bench_shard(rounds, cases=10_000, containers=8):
-    """Sharded-grid scaling: the 10k-case workload at 1/2/4/8 shards."""
+    """Process-split scaling: the 10k-case workload at 1/2/4/8 shards."""
     from repro.workloads import run_many_cases, shard_assignment
 
     out = {"cases": cases, "containers": containers}

@@ -70,5 +70,6 @@ class CallPolicy:
 
 
 #: The zero-cost default: single attempt, no timeout — byte-for-byte the
-#: behaviour of the pre-bus substrate.
+#: behaviour of the pre-bus substrate.  ``Agent.call`` shares this one
+#: instance whenever the caller names no policy.
 DEFAULT_POLICY = CallPolicy()

@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.agent import Agent
     from repro.grid.messages import Message
     from repro.grid.network import Network
-    from repro.grid.sharding import ShardRouter
     from repro.sim.engine import Engine
     from repro.sim.failures import BernoulliFailures
 
@@ -78,12 +77,6 @@ class Router:
         #: entirely.  Identity assignment is untouched, so message/trace id
         #: streams stay bit-for-bit identical either way.
         self.record_trace = record_trace
-        #: Optional shard resolver (see :class:`~repro.grid.sharding.
-        #: ShardRouter`): consulted once per routed message to rewrite a
-        #: *logical* receiver name to the owning shard's agent.  Only
-        #: ``sharded_environment`` (two or more shards) installs one; None,
-        #: the default, leaves every message untouched.
-        self.sharding: "ShardRouter | None" = None
         #: The newest dropped messages, bounded by the trace's capacity so
         #: a long lossy run cannot grow it without limit; the exact count
         #: is the registry's ``messages_dropped`` total.
@@ -123,14 +116,6 @@ class Router:
         by the drop oracle — are dropped; the sender's timeout handles it.
         """
         self.prepare(message, cause)
-        sharding = self.sharding
-        if sharding is not None:
-            resolved = sharding.resolve(message)
-            if resolved is not None and resolved != message.receiver:
-                object.__setattr__(message, "receiver", resolved)
-                self.metrics.inc(
-                    "shard_routed", agent=resolved, action=message.action
-                )
         self.metrics.inc("messages_sent", agent=message.sender, action=message.action)
         agents = self._agents
         target = agents.get(message.receiver)
@@ -166,16 +151,8 @@ class Router:
         batch_delay: float | None = None
         agents = self._agents
         metrics_inc = self.metrics.inc
-        sharding = self.sharding
         for message in messages:
             self.prepare(message, cause)
-            if sharding is not None:
-                resolved = sharding.resolve(message)
-                if resolved is not None and resolved != message.receiver:
-                    object.__setattr__(message, "receiver", resolved)
-                    metrics_inc(
-                        "shard_routed", agent=resolved, action=message.action
-                    )
             metrics_inc("messages_sent", agent=message.sender, action=message.action)
             target = agents.get(message.receiver)
             if target is None:

@@ -35,7 +35,7 @@ from types import GeneratorType
 from collections.abc import Generator, Sequence
 from typing import Any
 
-from repro.bus.policy import CallPolicy
+from repro.bus.policy import DEFAULT_POLICY, CallPolicy
 from repro.bus.tracing import MessageTrace  # noqa: F401  (re-export, historical home)
 from repro.errors import ServiceError
 from repro.grid.messages import Mailbox, Message, Performative
@@ -125,8 +125,6 @@ class Agent:
         to: str,
         action: str,
         content: dict[str, Any] | None = None,
-        size: float = 1_000.0,
-        timeout: float | None = None,
         policy: CallPolicy | None = None,
     ) -> Generator[Any, Any, dict[str, Any]]:
         """RPC helper (generator — use ``result = yield from agent.call(...)``).
@@ -140,11 +138,11 @@ class Agent:
         ServiceError instead of deadlocking the caller (a reply landing
         after the timeout is dropped via :meth:`on_unhandled`); with
         retries, failed attempts repeat after the policy's deterministic
-        backoff.  The legacy *timeout*/*size* arguments build a
-        single-attempt policy; an explicit *policy* wins over both.
+        backoff.  No *policy* means :data:`~repro.bus.policy.DEFAULT_POLICY`:
+        one attempt, no timeout.
         """
         if policy is None:
-            policy = CallPolicy(timeout=timeout, size=size)
+            policy = DEFAULT_POLICY
         last_error: ServiceError | None = None
         for attempt in range(policy.attempts):
             if attempt:

@@ -35,9 +35,9 @@ Recording follows the :class:`~repro.obs.spans.SpanRecorder` contract:
 
 The wire encoding (:func:`encode_events` / :func:`decode_events`) is
 deliberately boring: a UTF-8 JSONL blob — one compact, key-sorted JSON
-object per line under a schema-versioned header line — so a journal
-written by one coordinator shard can be decoded by any replica (lazy
-sync via :meth:`absorb`) and by the post-mortem tools in
+object per line under a schema-versioned header line — so a mirrored
+journal can be decoded back into the recorder after eviction (lazy sync
+via :meth:`absorb`) and by the post-mortem tools in
 :mod:`repro.obs.provenance` long after the producing environment is
 gone.
 """
@@ -75,7 +75,7 @@ DEFAULT_JOURNAL_CASES = 4096
 #: attributes the event carries when present)``.  Other boundaries file
 #: nothing.
 SPAN_EVENTS: dict[tuple[str, str, str], tuple[str, str | None, tuple[str, ...]]] = {
-    ("case", "start", "ok"): ("case-intake", None, ("process", "initial", "payload_keys", "shard")),
+    ("case", "start", "ok"): ("case-intake", None, ("process", "initial", "payload_keys")),
     ("case", "end", "ok"): ("case-complete", None, ("activities_run", "replans")),
     ("case", "end", "error"): ("case-fail", None, ("error",)),
     ("refusal", "end", "ok"): ("refusal", None, ("reason", "findings", "source", "process")),
@@ -360,8 +360,8 @@ class CaseJournal:
 
     def absorb(self, case_id, events: list[JournalEvent]) -> None:
         """Install a decoded mirror blob for a non-resident case (lazy
-        sync: shards and replicas share one store, so a case enacted —
-        or evicted — elsewhere is materialized on first query)."""
+        sync: a case the LRU cap evicted is materialized from its storage
+        mirror on first query)."""
         if case_id in self._cases:
             return
         self._cases[case_id] = list(events)

@@ -4,10 +4,7 @@ from repro.services.authentication import AuthenticationService, Ticket
 from repro.services.base import WELL_KNOWN, CoreService
 from repro.services.bootstrap import (
     CoreServices,
-    ShardGroup,
-    ShardedGridEnvironment,
     build_core_services,
-    sharded_environment,
     standard_environment,
 )
 from repro.services.brokerage import BrokerageService, ContainerAd
@@ -18,7 +15,6 @@ from repro.services.monitoring import MonitoringService
 from repro.services.ontology_service import OntologyService
 from repro.services.planning import PlanningService
 from repro.services.scheduling import SchedulingService
-from repro.services.sharded import PartitionedBrokerageService
 from repro.services.simulation_service import SimulationService
 from repro.services.storage import PersistentStorageService
 from repro.services.user_interface import UserInterface
@@ -43,10 +39,6 @@ __all__ = [
     "EnactmentRecord",
     "UserInterface",
     "CoreServices",
-    "PartitionedBrokerageService",
-    "ShardGroup",
-    "ShardedGridEnvironment",
     "build_core_services",
-    "sharded_environment",
     "standard_environment",
 ]

@@ -44,12 +44,6 @@ class CoreService(Agent):
 
     service_type: str = "core"
 
-    #: Shard label (e.g. ``"s2"``) when this instance is one replica of a
-    #: sharded service group, else None.  Metrics are already shard-aware
-    #: through the agent name; this feeds span attributes so profiles and
-    #: trace trees name the shard that carried a case.
-    shard: str | None = None
-
     #: Read-through cache TTL in simulated seconds (see :meth:`cached`).
     #: 0, the default, turns the cache off: every lookup crosses the
     #: network, so the message stream — and every recorded trace — is

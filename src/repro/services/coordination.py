@@ -51,6 +51,10 @@ from repro.services.base import CoreService, WELL_KNOWN
 
 __all__ = ["CoordinationService", "EnactmentRecord"]
 
+#: Compiled enactment programs (and intake analyses) kept per coordinator,
+#: LRU by process fingerprint.
+PROGRAM_CACHE_SIZE = 64
+
 
 class _ActivityFailed(ServiceError):
     """Internal: an end-user activity exhausted its retries."""
@@ -128,9 +132,6 @@ class CoordinationService(CoreService):
     max_loop_iterations = 25
     #: Re-planning rounds before giving up on a case.
     max_replans = 3
-    #: Compiled enactment programs kept per coordinator (LRU by process
-    #: fingerprint); 0 disables the cache and compiles per enactment.
-    program_cache_size = 64
     #: Knowledge base for intake-time service resolvability (E501/W502);
     #: None skips that pass.
     knowledge_base = None
@@ -163,7 +164,7 @@ class CoordinationService(CoreService):
         #: (process fingerprint, initial-data keys) -> intake findings.
         #: Analysis is pure and synchronous (no messages), so sharing one
         #: result across the N cases of a workflow is trace-safe; follows
-        #: the program cache's size knob and LRU policy.
+        #: the program cache's size and LRU policy.
         self._analysis_cache: OrderedDict[Any, list] = OrderedDict()
 
     def _candidates_for(self, service: str, span: Span | None):
@@ -185,10 +186,6 @@ class CoordinationService(CoreService):
     def _analyze(self, process: ProcessDescription, initial: set | None):
         """Intake findings for *process* (cached per fingerprint +
         initial-data keys; N cases of one workflow analyze once)."""
-        if self.program_cache_size <= 0:
-            return analyze_process(
-                process, kb=self.knowledge_base, initial_data=initial
-            )
         key = (
             process_fingerprint(process),
             frozenset(initial) if initial else None,
@@ -203,7 +200,7 @@ class CoordinationService(CoreService):
         )
         self.metrics.inc("analysis_cache_miss", agent=self.name)
         self._analysis_cache[key] = findings
-        while len(self._analysis_cache) > self.program_cache_size:
+        while len(self._analysis_cache) > PROGRAM_CACHE_SIZE:
             self._analysis_cache.popitem(last=False)
         return findings
 
@@ -234,8 +231,6 @@ class CoordinationService(CoreService):
         """Compile *process* (or fetch the shared compilation): N cases of
         one workflow share a single program.  Raises ConversionError for
         non-well-structured graphs, exactly like ``process_to_ast``."""
-        if self.program_cache_size <= 0:
-            return EnactmentProgram(process)
         key = process_fingerprint(process)
         program = self._programs.get(key)
         if program is not None:
@@ -245,7 +240,7 @@ class CoordinationService(CoreService):
         program = EnactmentProgram(process)
         self.metrics.inc("program_cache_miss", agent=self.name)
         self._programs[key] = program
-        while len(self._programs) > self.program_cache_size:
+        while len(self._programs) > PROGRAM_CACHE_SIZE:
             self._programs.popitem(last=False)
         return program
 
@@ -332,7 +327,6 @@ class CoordinationService(CoreService):
                 process=process.name if process is not None else None,
                 initial=sorted(content.get("initial_data") or ()),
                 payload_keys=sorted(content.get("payload_keys") or ()),
-                **({"shard": self.shard} if self.shard else {}),
             )
         try:
             result = yield from self._execute_task(content, case_span)
@@ -362,9 +356,9 @@ class CoordinationService(CoreService):
 
     def _journal_flush(self, case_id: str) -> Generator[Any, Any, None]:
         """Mirror *case_id*'s journal into the storage service as one
-        schema-versioned JSONL blob under ``journal/<case_id>`` (shards
-        and replicas share the store, so any monitoring replica can
-        lazily sync the case back).  A case that is not resident — the
+        schema-versioned JSONL blob under ``journal/<case_id>`` (the
+        monitor lazily syncs a case back from it once the recorder has
+        evicted it).  A case that is not resident — the
         journal is off or record-only, or the case was evicted mid-run
         — mirrors nothing."""
         journal = self.env.journal

@@ -321,9 +321,8 @@ class MonitoringService(CoreService):
     # -- case journal / provenance ------------------------------------------- #
     def _journal_case_events(self, case_id: str):
         """Resident journal events for *case_id*, lazily synced from the
-        storage mirror when the recorder no longer holds them (shards and
-        replicas share one store, so a case enacted — or evicted —
-        elsewhere is materialized on first query).  Generator."""
+        storage mirror when the recorder no longer holds them (a case the
+        LRU cap evicted is materialized on first query).  Generator."""
         journal = self.env.journal
         if journal.has_case(case_id):
             return journal.events(case_id)

@@ -6,27 +6,13 @@ ontologies populated with instances, global ontologies, and user-specific
 ontologies."  KBs travel as their JSON-dict serialization so receivers get
 independent copies (agents must never share mutable KB state across the
 simulated network).
-
-Replication (the sharded grid): the primary keeps a **versioned op log**
-of ontology registrations and pushes each change to its subscribed
-replicas as an ``ontology-delta`` INFORM — the same fine-grained push
-pattern as the broker's ``registry-changed``, extended with a version
-number so replicas can detect gaps.  A replica that observes a gap (or
-joins an already-populated grid) catches up with one ``ontology-sync``
-RPC carrying every op it missed.  Deltas are idempotent last-writer-wins
-per ontology name, so the log compacts to one op per name and replicas
-converge regardless of how they interleave push and catch-up.  With no
-replicas subscribed nothing is ever pushed — the singleton grid's message
-stream is untouched.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import ServiceError
 from repro.grid.environment import GridEnvironment
-from repro.grid.messages import Message, Performative
+from repro.grid.messages import Message
 from repro.ontology import KnowledgeBase, builtin_shell, kb_from_dict, kb_to_dict
 from repro.services.base import CoreService
 
@@ -41,32 +27,15 @@ class OntologyService(CoreService):
         env: GridEnvironment,
         name: str | None = None,
         site: str = "core",
-        replica_of: str | None = None,
     ) -> None:
         super().__init__(env, name, site)
         self._ontologies: dict[str, KnowledgeBase] = {}
-        #: Monotone replication version: bumped per registration.
-        self.version = 0
-        #: Compacted op log: one (version, name, kb dict) per ontology
-        #: name, ordered by version — what ``ontology-sync`` serves.
-        self._oplog: list[tuple[int, str, dict]] = []
-        #: Replica agents subscribed to the delta stream (primary side).
-        self._replicas: set[str] = set()
-        #: Primary this instance replicates (replica side; None = primary).
-        self.replica_of = replica_of
-        #: Catch-up in flight (replica side) — one sync at a time.
-        self._syncing = False
-        if replica_of is None:
-            # The global grid ontology (Figure 12) ships by default.
-            self.add_ontology("grid", builtin_shell("grid"))
+        # The global grid ontology (Figure 12) ships by default.
+        self.add_ontology("grid", builtin_shell("grid"))
 
     # -- direct API ------------------------------------------------------------- #
     def add_ontology(self, name: str, kb: KnowledgeBase) -> None:
         self._ontologies[name] = kb
-        self.version += 1
-        self._oplog = [op for op in self._oplog if op[1] != name]
-        self._oplog.append((self.version, name, kb_to_dict(kb)))
-        self._push_delta(self._oplog[-1])
 
     def get(self, name: str) -> KnowledgeBase:
         kb = self._ontologies.get(name)
@@ -77,89 +46,6 @@ class OntologyService(CoreService):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._ontologies))
-
-    # -- replication: primary side ---------------------------------------------- #
-    def subscribe_replica(self, agent: str) -> None:
-        """Push every subsequent registration to *agent* as a versioned
-        ``ontology-delta`` INFORM (it catches up separately on join)."""
-        self._replicas.add(agent)
-
-    def _push_delta(self, op: tuple[int, str, dict]) -> None:
-        if not self._replicas:
-            return
-        version, name, kb = op
-        self.env.router.route_many(
-            [
-                Message(
-                    sender=self.name,
-                    receiver=replica,
-                    performative=Performative.INFORM,
-                    action="ontology-delta",
-                    content={"version": version, "name": name, "kb": kb},
-                    size=2_000.0,
-                )
-                for replica in sorted(self._replicas)
-            ],
-            cause=self._current_cause,
-        )
-
-    def handle_ontology_sync(self, message: Message):
-        """Catch-up: every op after the replica's ``since`` version."""
-        since = int(message.content.get("since", 0))
-        return {
-            "version": self.version,
-            "ops": [
-                {"version": version, "name": name, "kb": kb}
-                for version, name, kb in self._oplog
-                if version > since
-            ],
-        }
-
-    # -- replication: replica side ---------------------------------------------- #
-    def _apply(self, version: int, name: str, kb: dict[str, Any]) -> None:
-        self._ontologies[name] = kb_from_dict(kb)
-        self._oplog = [op for op in self._oplog if op[1] != name]
-        self._oplog.append((version, name, dict(kb)))
-        self.version = version
-        self.metrics.inc("ontology_replica_applied", agent=self.name)
-
-    def _catch_up(self):
-        """One sync round against the primary (generator process)."""
-        try:
-            reply = yield from self.call(
-                self.replica_of, "ontology-sync", {"since": self.version}
-            )
-            for op in reply["ops"]:
-                if op["version"] > self.version:
-                    self._apply(op["version"], op["name"], op["kb"])
-            self.metrics.inc("ontology_replica_synced", agent=self.name)
-        finally:
-            self._syncing = False
-
-    def start_replication(self) -> None:
-        """Join the delta stream and pull everything missed so far (the
-        shard-join catch-up; also safe to call for gap repair)."""
-        if self.replica_of is None:
-            raise ServiceError(f"{self.name} is a primary, not a replica")
-        if self._syncing:
-            return
-        self._syncing = True
-        self.engine.spawn(self._catch_up(), name=f"{self.name}.sync")
-
-    def on_unhandled(self, message: Message) -> None:
-        if message.action == "ontology-delta" and self.replica_of is not None:
-            content = message.content
-            version = int(content["version"])
-            if version == self.version + 1:
-                self._apply(version, content["name"], content["kb"])
-            elif version > self.version:
-                # Gap: a delta was lost or this replica joined mid-stream —
-                # repair with one catch-up RPC instead of trusting order.
-                self.metrics.inc("ontology_replica_gap", agent=self.name)
-                self.start_replication()
-            # version <= self.version: stale duplicate, already applied.
-            return
-        super().on_unhandled(message)
 
     # -- message API --------------------------------------------------------------- #
     def handle_get_shell(self, message: Message):

@@ -74,7 +74,6 @@ class SchedulingService(CoreService):
                 content.get("service", ""), "schedule-eval",
                 agent=self.name, trace_id=message.trace_id,
                 candidates=len(content.get("candidates", ())),
-                **({"shard": self.shard} if self.shard else {}),
             )
             if recorder.enabled
             else None

@@ -113,7 +113,6 @@ def run_many_cases(
     rounds: int = 3,
     tracing: bool = True,
     cache_ttl: float = 0.0,
-    program_cache_size: int | None = None,
     max_events: int = 20_000_000,
     spans: bool = False,
     journal: bool | str = False,
@@ -128,9 +127,7 @@ def run_many_cases(
     ``cache_ttl`` turns on the read-through cache of the coordinator
     (ranked matches) and the scheduler (candidate facts) — see
     :meth:`~repro.services.base.CoreService.cached`; both subscribe to
-    the broker's registry-changed push for invalidation — and
-    ``program_cache_size`` overrides the coordinator's compiled-program
-    cache (0 recompiles per enactment — the pre-compilation baseline).
+    the broker's registry-changed push for invalidation.
     The two observability knobs: ``spans=True`` records workflow spans
     (``repro trace export`` / ``repro profile`` run on this), and
     ``gauge_period > 0`` samples sim-time gauges at that period.
@@ -170,7 +167,6 @@ def run_many_cases(
             rounds=rounds,
             tracing=tracing,
             cache_ttl=cache_ttl,
-            program_cache_size=program_cache_size,
             max_events=max_events,
             spans=spans,
             journal=journal,
@@ -183,8 +179,6 @@ def run_many_cases(
     )
     if gauge_period > 0.0:
         env.attach_gauges(period=gauge_period)
-    if program_cache_size is not None:
-        services.coordination.program_cache_size = program_cache_size
     if cache_ttl > 0.0:
         services.scheduling.enable_cache(cache_ttl, broker=services.brokerage)
         services.coordination.enable_cache(cache_ttl, broker=services.brokerage)

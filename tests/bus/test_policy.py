@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bus import CallPolicy
+from repro.bus import DEFAULT_POLICY, CallPolicy
 from repro.errors import GridError, ServiceError
 from repro.grid import Agent, GridEnvironment
 from repro.sim.failures import BernoulliFailures
@@ -88,7 +88,9 @@ class TestTimeoutSentinel:
         env = GridEnvironment()
         silent = Silent(env, "srv", "s1")
         user = Agent(env, "user", "s2")
-        out = drive(env, lambda: user.call("srv", "work", timeout=10.0))
+        out = drive(
+            env, lambda: user.call("srv", "work", policy=CallPolicy(timeout=10.0))
+        )
         assert "timed out after 10.0s" in out["error"]
         assert silent.requests_seen == 1
         assert env.metrics.value("rpc_timeout", agent="srv", action="work") == 1
@@ -113,10 +115,32 @@ class TestTimeoutSentinel:
 
         Slow(env, "srv", "s1")
         user = Caller(env, "user", "s2")
-        out = drive(env, lambda: user.call("srv", "work", timeout=10.0))
+        out = drive(
+            env, lambda: user.call("srv", "work", policy=CallPolicy(timeout=10.0))
+        )
         assert "timed out" in out["error"]
         env.run()  # let the stale INFORM arrive
         assert [m.action for m in user.unhandled] == ["work"]
+
+
+class TestDefaultPolicy:
+    def test_call_without_policy_shares_the_default(self, monkeypatch):
+        # No policy means the one module-level DEFAULT_POLICY, not a fresh
+        # CallPolicy built per RPC.
+        seen = []
+        call_once = Agent._call_once
+
+        def spy(self, to, action, content, policy):
+            seen.append(policy)
+            return (yield from call_once(self, to, action, content, policy))
+
+        monkeypatch.setattr(Agent, "_call_once", spy)
+        env = GridEnvironment()
+        Flaky(env, "srv", "s1")
+        user = Agent(env, "user", "s2")
+        out = drive(env, lambda: user.call("srv", "work"))
+        assert out["result"] == {"worker": "srv"}
+        assert len(seen) == 1 and seen[0] is DEFAULT_POLICY
 
 
 class TestRetries:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bus import CallPolicy
 from repro.errors import ServiceError
 from repro.grid import (
     Agent,
@@ -59,7 +60,8 @@ def call(env, user, content, timeout=None):
     def main():
         try:
             out["result"] = yield from user.call(
-                "ac1", "execute-activity", content, timeout=timeout
+                "ac1", "execute-activity", content,
+                policy=CallPolicy(timeout=timeout),
             )
         except ServiceError as exc:
             out["error"] = str(exc)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bus import CallPolicy
 from repro.errors import GridError, ServiceError
 from repro.grid import (
     Agent,
@@ -55,7 +56,9 @@ def call(env, to, action, content, timeout=None):
 
     def main():
         try:
-            out["result"] = yield from user.call(to, action, content, timeout=timeout)
+            out["result"] = yield from user.call(
+                to, action, content, policy=CallPolicy(timeout=timeout)
+            )
         except ServiceError as exc:
             out["error"] = str(exc)
 

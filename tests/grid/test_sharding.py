@@ -1,22 +1,11 @@
-"""Consistent-hash ring and bus-level shard routing."""
+"""Consistent-hash case assignment for the process-split driver."""
 
 import pytest
 
-from repro.grid.messages import Message, Performative
-from repro.grid.sharding import ShardRing, ShardRouter, stable_hash
+from repro.grid.sharding import ShardRing, stable_hash
+from repro.workloads import shard_assignment
 
 CASE_IDS = [f"case-{index}" for index in range(1000)]
-
-
-def _msg(receiver, content=None, conversation=""):
-    return Message(
-        sender="tester",
-        receiver=receiver,
-        performative=Performative.REQUEST,
-        action="execute-task",
-        content=content or {},
-        conversation=conversation,
-    )
 
 
 class TestStableHash:
@@ -38,100 +27,17 @@ class TestShardRing:
     def test_rejects_degenerate_construction(self):
         with pytest.raises(ValueError):
             ShardRing([])
-        with pytest.raises(ValueError):
-            ShardRing(["s0"], replicas=0)
-
-    def test_membership_errors(self):
-        ring = ShardRing(["s0", "s1"])
-        with pytest.raises(ValueError):
-            ring.add("s0")
-        with pytest.raises(ValueError):
-            ring.remove("s9")
-        ring.remove("s1")
-        with pytest.raises(ValueError):
-            ring.remove("s0")
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_uniform_spread_over_1k_cases(self, shards):
-        ring = ShardRing([f"s{k}" for k in range(shards)])
-        counts = ring.spread(CASE_IDS)
+        counts = {
+            label: len(indices)
+            for label, indices in shard_assignment(len(CASE_IDS), shards).items()
+        }
+        assert sorted(counts) == sorted(f"s{k}" for k in range(shards))
         assert sum(counts.values()) == len(CASE_IDS)
         expected = len(CASE_IDS) / shards
         # 64 virtual nodes per shard keep every shard within 2x of fair.
         for shard, count in counts.items():
             assert count > expected / 2, (shard, counts)
             assert count < expected * 2, (shard, counts)
-
-    def test_add_moves_only_keys_onto_new_shard(self):
-        ring = ShardRing(["s0", "s1", "s2"])
-        before = {key: ring.owner(key) for key in CASE_IDS}
-        ring.add("s3")
-        moved = [key for key in CASE_IDS if ring.owner(key) != before[key]]
-        # Every moved key lands on the new shard, nothing reshuffles
-        # between survivors...
-        assert moved and all(ring.owner(key) == "s3" for key in moved)
-        # ...and the movement is bounded around the fair share 1/N.
-        assert len(moved) < 2 * len(CASE_IDS) / 4
-
-    def test_remove_moves_only_the_removed_shards_keys(self):
-        ring = ShardRing(["s0", "s1", "s2", "s3"])
-        before = {key: ring.owner(key) for key in CASE_IDS}
-        ring.remove("s3")
-        for key in CASE_IDS:
-            if before[key] == "s3":
-                assert ring.owner(key) != "s3"
-            else:
-                # Survivors keep every key they already owned.
-                assert ring.owner(key) == before[key]
-
-    def test_add_then_remove_restores_ownership(self):
-        ring = ShardRing(["s0", "s1"])
-        before = {key: ring.owner(key) for key in CASE_IDS}
-        ring.add("s2")
-        ring.remove("s2")
-        assert {key: ring.owner(key) for key in CASE_IDS} == before
-
-
-class TestShardRouter:
-    def _router(self):
-        ring = ShardRing(["s0", "s1"])
-        return ring, ShardRouter(
-            ring,
-            targets={
-                "coordination": {
-                    "s0": "coordination@s0", "s1": "coordination@s1"
-                },
-                "brokerage": {"s0": "brokerage@s0", "s1": "brokerage@s1"},
-            },
-            keys={"brokerage": ("service",)},
-        )
-
-    def test_routes_case_traffic_by_task_id(self):
-        ring, router = self._router()
-        message = _msg("coordination", {"task": "case-7"})
-        assert router.resolve(message) == f"coordination@{ring.owner('case-7')}"
-
-    def test_case_field_beats_task_field(self):
-        ring, router = self._router()
-        message = _msg("coordination", {"case": "case-1", "task": "case-2"})
-        assert router.resolve(message) == f"coordination@{ring.owner('case-1')}"
-
-    def test_keyless_traffic_falls_back_to_conversation(self):
-        ring, router = self._router()
-        message = _msg("coordination", {}, conversation="conv-9")
-        assert router.resolve(message) == f"coordination@{ring.owner('conv-9')}"
-
-    def test_registry_traffic_keys_on_service_name(self):
-        ring, router = self._router()
-        message = _msg("brokerage", {"service": "ingest", "task": "case-3"})
-        assert router.resolve(message) == f"brokerage@{ring.owner('ingest')}"
-
-    def test_non_sharded_receiver_is_untouched(self):
-        _, router = self._router()
-        assert router.resolve(_msg("storage", {"task": "case-1"})) is None
-
-    def test_identity_map_at_one_shard(self):
-        ring = ShardRing(["s0"])
-        router = ShardRouter(ring, targets={"coordination": {"s0": "coordination"}})
-        message = _msg("coordination", {"task": "case-4"})
-        assert router.resolve(message) == "coordination"

@@ -6,8 +6,8 @@ provenance graph derived from it, plus the journal's exact accounting
 counters.  The scenarios span every event kind the recorder files:
 intake, plan (with its library source), compile, dispatch, execute,
 fetch/store/migrate transfers, activity completion and failure,
-replans, refusals, case completion and failure, on plain, sharded and
-secure grids.  A change to where or when a case fact is recorded moves
+replans, refusals, case completion and failure, on plain and secure
+grids.  A change to where or when a case fact is recorded moves
 a digest; preserved behaviour keeps it.  When a change alters the
 record on purpose, update the digest and say why in the change
 description.
@@ -25,14 +25,9 @@ from repro.obs.provenance import ProvenanceGraph
 from repro.planner import GPConfig
 from repro.process import WorkflowBuilder, parse_condition
 from repro.process.model import Activity
-from repro.services import sharded_environment, standard_environment
+from repro.services import standard_environment
 from repro.virolab import planning_problem, process_description
 from repro.workloads import run_many_cases, run_plan_mix
-from repro.workloads.many_cases import (
-    many_cases_initial_data,
-    many_cases_process,
-    many_cases_services,
-)
 from tests.services.conftest import drive, synthetic_services
 
 FIGURE10_INITIAL = {
@@ -83,32 +78,6 @@ def test_plan_mix_digest():
     assert event_count(env, cases) == 16304
     digest = journal_digest(env, cases, extra={"sources": result["sources"]})
     assert digest == "77629e8dbd7fd9709d8599d6a8cb7a83"
-
-
-def test_sharded_digest():
-    grid = sharded_environment(
-        many_cases_services(), shards=2, containers=3, journal=True, spans=True
-    )
-    process = many_cases_process(2)
-    outcomes = [None] * 6
-
-    def enact_case(index):
-        outcomes[index] = yield from _execute(
-            grid.services.coordination,
-            {
-                "process": process,
-                "initial_data": many_cases_initial_data(index),
-                "task": f"case-{index}",
-            },
-        )
-
-    for index in range(6):
-        grid.env.engine.spawn(enact_case(index), name=f"user-{index}")
-    grid.env.run(max_events=2_000_000)
-    assert all(o and o["status"] == "completed" for o in outcomes)
-    cases = [f"case-{i}" for i in range(6)]
-    assert event_count(grid.env, cases) == 144
-    assert journal_digest(grid.env, cases) == "146eccb20be74137641021fce09b7995"
 
 
 @pytest.mark.parametrize(

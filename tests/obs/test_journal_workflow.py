@@ -1,7 +1,7 @@
 """Integration: the case journal against live enactments.
 
 Covers the flight-recorder acceptance properties — on real workloads
-(standard, sharded, and failing grids) the provenance graph replayed
+(standard and failing grids) the provenance graph replayed
 from a case's storage blob equals the one built from the live journal,
 storage mirroring, and the byte-identity guarantee of the
 disabled/record-only modes.
@@ -13,7 +13,7 @@ from repro.errors import ObservabilityError, ServiceError
 from repro.obs.journal import JOURNAL_KEY_PREFIX, decode_events, journal_storage_key
 from repro.obs.provenance import ProvenanceGraph, journal_replay
 from repro.planner import GPConfig
-from repro.services import sharded_environment, standard_environment
+from repro.services import standard_environment
 from repro.virolab import planning_problem, process_description
 from repro.workloads.many_cases import (
     many_cases_initial_data,
@@ -94,35 +94,6 @@ class TestWorkloadJournal:
         result = run_many_cases(cases=2, containers=2, journal=True)
         with pytest.raises(ObservabilityError):
             journal_replay(result["services"].storage, "no-such-case")
-
-
-class TestShardedJournal:
-    def test_sharded_grid_journal_agrees_with_spans(self):
-        cases = 6
-        grid = sharded_environment(
-            many_cases_services(),
-            shards=2,
-            containers=3,
-            journal=True,
-            spans=True,
-        )
-        outcomes = _enact(grid.env, grid.services, cases)
-        assert all(
-            outcome and outcome["status"] == "completed"
-            for outcome in outcomes
-        )
-        journal = grid.env.journal
-        assert journal.stats()["cases"] == cases
-        for index in range(cases):
-            case_id = f"case-{index}"
-            events = journal.events(case_id)
-            assert events, f"no journal for {case_id}"
-            # shard routing recorded at intake
-            intake = events[0]
-            assert intake.kind == "case-intake"
-            # mirrored blob replays to the same events and graph
-            replay = assert_replay_matches(grid.services.storage, journal, case_id)
-            assert replay["events"] == len(events)
 
 
 class TestFailureJournal:

@@ -1,6 +1,9 @@
 """Brokerage: advertisements, performance DB, equivalence classes."""
 
 from repro.grid.messages import Message, Performative
+from repro.services import standard_environment
+from repro.services.brokerage import ContainerAd
+from repro.workloads.many_cases import many_cases_services
 from tests.services.conftest import drive
 
 
@@ -116,3 +119,68 @@ def test_container_info(grid):
         env, user, lambda: user.call("brokerage", "container-info", {"container": "zz"})
     )
     assert missing["known"] is False
+
+
+class TestRegistryPushDedupe:
+    def _subscribed_grid(self):
+        env, services, fleet = standard_environment(
+            many_cases_services(), containers=1
+        )
+        broker = services.brokerage
+        broker.subscribe_registry(services.matchmaking.name)
+        env.run()  # drain bootstrap traffic
+        return env, broker
+
+    def _ad(self, services, advertised_at):
+        return ContainerAd(
+            container="ac1",
+            site="siteA",
+            services=list(services),
+            speed=1.0,
+            advertised_at=advertised_at,
+            node="node1",
+        )
+
+    def test_same_tick_repeat_push_is_deduped(self):
+        env, broker = self._subscribed_grid()
+        sent_before = env.metrics.total("messages_sent", agent=broker.name)
+        # One container registering several services in one tick: the
+        # repeat advertisements are strict no-ops for every subscriber.
+        broker.advertise(self._ad(["ingest"], 0.0))
+        broker.advertise(self._ad(["ingest"], 0.0))
+        broker.advertise(self._ad(["ingest", "refine"], 0.0))
+        env.run()
+        assert env.metrics.total("registry_push_deduped", agent=broker.name) == 2
+        sent = env.metrics.total("messages_sent", agent=broker.name) - sent_before
+        assert sent == 1
+
+    def test_new_services_same_tick_still_push(self):
+        env, broker = self._subscribed_grid()
+        sent_before = env.metrics.total("messages_sent", agent=broker.name)
+        broker.advertise(self._ad(["ingest"], 0.0))
+        # A service nobody announced this tick must still go out.
+        broker.advertise(self._ad(["ingest", "extra-svc"], 0.0))
+        env.run()
+        assert env.metrics.total("registry_push_deduped", agent=broker.name) == 0
+        sent = env.metrics.total("messages_sent", agent=broker.name) - sent_before
+        assert sent == 2
+
+    def test_next_tick_pushes_again(self):
+        env, broker = self._subscribed_grid()
+        broker.advertise(self._ad(["ingest"], 0.0))
+        env.run()
+
+        def later():
+            yield 5.0
+            broker.advertise(self._ad(["ingest"], env.engine.now))
+
+        env.engine.spawn(later(), name="late-advertiser")
+        env.run()
+        assert env.metrics.total("registry_push_deduped", agent=broker.name) == 0
+
+    def test_version_still_bumps_when_deduped(self):
+        env, broker = self._subscribed_grid()
+        version = broker.registry_version
+        broker.advertise(self._ad(["ingest"], 0.0))
+        broker.advertise(self._ad(["ingest"], 0.0))
+        assert broker.registry_version == version + 2

@@ -12,7 +12,7 @@ from repro.planner.library import (
     problem_digest,
     storage_key,
 )
-from repro.services import sharded_environment, standard_environment
+from repro.services import standard_environment
 from repro.services.planning import PlanningService
 from repro.workloads.plan_mix import (
     plan_mix_kb,
@@ -260,38 +260,3 @@ def test_library_rpc_stats_list_purge():
         lambda: user.call("storage", "list-keys", {"prefix": "planlib/"}),
     )
     assert remaining["keys"] == []
-
-
-def test_sharded_grid_shares_one_library():
-    lib = PlanLibrary()
-    grid = sharded_environment(
-        plan_mix_services(),
-        shards=2,
-        containers=2,
-        planner_config=GPConfig(library="on", **CFG),
-        plan_library=lib,
-        knowledge_base=plan_mix_kb(),
-    )
-    env = grid.env
-    replies = {}
-
-    def ask(group, slot):
-        def run():
-            replies[slot] = yield from group.coordination.call(
-                group.coordination.planner_name,
-                "plan",
-                {"problem": plan_mix_problem(0)},
-            )
-
-        return run
-
-    env.engine.spawn(ask(grid.groups[0], "a")(), "driver-a")
-    env.run(max_events=5_000_000)
-    env.engine.spawn(ask(grid.groups[1], "b")(), "driver-b")
-    env.run(max_events=5_000_000)
-    assert replies["a"]["source"] == "miss"
-    # Planning is a shared singleton: the other shard's coordinator hits
-    # the same library.
-    assert replies["b"]["source"] == "hit"
-    assert replies["b"]["plan"] == replies["a"]["plan"]
-    assert len(lib) == 1

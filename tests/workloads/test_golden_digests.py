@@ -32,8 +32,7 @@ from repro.virolab import (
 )
 from repro.workloads import run_many_cases
 
-#: The default configuration; ``shards=1`` (the same standard grid) and
-#: the record-only journal must match it.
+#: The default configuration; the record-only journal must match it.
 DEFAULT_DIGEST = "260ff135674450a957ef6d5f32fb141e"
 
 
@@ -62,14 +61,13 @@ def trace_digest(result) -> str:
     ("knobs", "messages", "digest"),
     [
         ({}, 976, DEFAULT_DIGEST),
-        ({"shards": 1}, 976, DEFAULT_DIGEST),
         # The flight recorder only records: the trace is unchanged.
         ({"journal": "record"}, 976, DEFAULT_DIGEST),
         # The read-through cache of coordinator and scheduler at a
         # run-long TTL: 394 messages instead of 976.
         ({"cache_ttl": 120.0}, 394, "148ca05874949cbc0fd8fcfa37148701"),
     ],
-    ids=["default", "shards1", "journal_record", "cache_ttl120"],
+    ids=["default", "journal_record", "cache_ttl120"],
 )
 def test_trace_digest(knobs, messages, digest):
     result = run_many_cases(cases=8, containers=4, **knobs)
