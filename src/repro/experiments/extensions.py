@@ -207,7 +207,9 @@ def scalability_sweep(
         env.engine.spawn(run(), "user")
         env.run(max_events=3_000_000)
         assert outcome.get("status") == "completed"
-        table.add(count, env.engine.now, env.trace.total_recorded)
+        table.add(
+            count, env.engine.now, env.metrics.total("messages_delivered")
+        )
     return table
 
 

@@ -238,31 +238,20 @@ class ApplicationContainer(Agent):
 
         # The execute span opens once the request is admitted; it carries
         # the case trace, so the journal files its events under the case.
-        recorder = self.env.spans
-        span = (
-            recorder.start(
-                content.get("activity", service_name),
-                "execute",
-                agent=self.name,
-                trace_id=message.trace_id,
-                service=service_name,
-                node=self.node.name,
-                container=self.name,
-                inputs=sorted(content.get("inputs", {})),
-            )
-            if recorder.enabled
-            else None
-        )
-        try:
-            reply = yield from self._execute_activity(content, service, span)
-        except ServiceError:
-            recorder.end(span, status="error")
-            raise
-        recorder.end(span)
-        return reply
+        with self.env.spans.span(
+            content.get("activity", service_name),
+            "execute",
+            agent=self.name,
+            trace_id=message.trace_id,
+            service=service_name,
+            node=self.node.name,
+            container=self.name,
+            inputs=sorted(content.get("inputs", {})),
+        ) as span:
+            return (yield from self._execute_activity(content, service, span))
 
     def _execute_activity(self, content: dict, service: EndUserService, span):
-        recorder = self.env.spans
+        spans = self.env.spans
         service_name = content.get("service", "")
         activity = content.get("activity", service_name)
 
@@ -294,22 +283,13 @@ class ApplicationContainer(Agent):
         # Section 1); the resulting CPU time is spent here, on this node.
         payloads: dict[str, Any] = {}
         for data_name, key in content.get("payload_keys", {}).items():
-            fetch_span = (
-                recorder.start(
-                    data_name, "payload", agent=self.name, parent=span,
-                    key=key, direction="fetch", node=self.node.name,
-                )
-                if recorder.enabled
-                else None
-            )
-            try:
+            with spans.span(
+                data_name, "payload", agent=self.name, parent=span,
+                key=key, direction="fetch", node=self.node.name,
+            ):
                 result = yield from self.call(
                     self.env.storage_name, "retrieve", {"key": key}
                 )
-            except ServiceError:
-                recorder.end(fetch_span, status="error")
-                raise
-            recorder.end(fetch_span)
             fmt = (result.get("meta") or {}).get("format")
             if fmt:
                 spec = TransferSpec(
@@ -327,82 +307,65 @@ class ApplicationContainer(Agent):
                     metrics=self.metrics,
                     component=self.name,
                 )
-                migrate_span = (
-                    recorder.start(
-                        data_name, "transfer", agent=self.name,
-                        parent=span, key=key, direction="migrate",
-                        node=self.node.name,
-                        steps=[s.kind for s in plan.steps],
-                        wire_bytes=plan.wire_size,
-                    )
-                    if recorder.enabled
-                    else None
-                )
                 # With no destination-side work the migration costs 0 s:
                 # the span (and its journal event) still opens, and closes
                 # at once.
-                if dest_seconds > 0:
-                    yield dest_seconds
-                recorder.end(migrate_span)
+                with spans.span(
+                    data_name, "transfer", agent=self.name,
+                    parent=span, key=key, direction="migrate",
+                    node=self.node.name,
+                    steps=[s.kind for s in plan.steps],
+                    wire_bytes=plan.wire_size,
+                ):
+                    if dest_seconds > 0:
+                        yield dest_seconds
             payloads[rename_in.get(data_name, data_name)] = result["payload"]
 
         checkpoint_key = content.get("checkpoint_key")
         use_checkpoints = bool(service.checkpointable and checkpoint_key)
 
-        wait_span = (
-            recorder.start(
-                self.node.name, "slot-wait", agent=self.name, parent=span,
-                in_use=self.node.slots.in_use, queued=self.node.slots.queued,
-            )
-            if recorder.enabled
-            else None
-        )
-        grant = yield self.node.slots.acquire()
-        recorder.end(wait_span)
-        compute_span = (
-            recorder.start(
-                service_name, "compute", agent=self.name, parent=span,
-                work=service.work, checkpointed=use_checkpoints,
-            )
-            if recorder.enabled
-            else None
-        )
-        try:
-            if use_checkpoints:
-                yield from self._run_checkpointed(
-                    service, service_name, checkpoint_key
-                )
-            else:
-                yield self.node.duration(service.work)
-                if self.failures is not None and self.failures.should_fail(
-                    self.name, self.engine.now
-                ):
+        slots = self.node.slots
+        with spans.span(
+            self.node.name, "slot-wait", agent=self.name, parent=span,
+            in_use=slots.in_use, queued=slots.queued,
+        ):
+            grant = yield slots.acquire()
+        with spans.span(
+            service_name, "compute", agent=self.name, parent=span,
+            work=service.work, checkpointed=use_checkpoints,
+        ):
+            try:
+                if use_checkpoints:
+                    yield from self._run_checkpointed(
+                        service, service_name, checkpoint_key
+                    )
+                else:
+                    yield self.node.duration(service.work)
+                    if self.failures is not None and self.failures.should_fail(
+                        self.name, self.engine.now
+                    ):
+                        self.metrics.inc(
+                            "activities_failed", agent=self.name, action=service_name
+                        )
+                        raise ServiceError(
+                            f"service {service_name!r} on {self.name} failed"
+                        )
+                try:
+                    out_props, out_payloads = service.run(props, payloads)
+                except ServiceError:
+                    raise
+                except Exception as exc:
+                    # A fault in the service's own code fails this activity
+                    # alone; left to propagate it would abort the whole run.
                     self.metrics.inc(
                         "activities_failed", agent=self.name, action=service_name
                     )
                     raise ServiceError(
-                        f"service {service_name!r} on {self.name} failed"
-                    )
-            try:
-                out_props, out_payloads = service.run(props, payloads)
-            except ServiceError:
-                raise
-            except Exception as exc:
-                # A fault in the service's own code fails this activity
-                # alone; left to propagate it would abort the whole run.
-                self.metrics.inc(
-                    "activities_failed", agent=self.name, action=service_name
-                )
-                raise ServiceError(
-                    f"service {service_name!r} on {self.name} raised "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-        except ServiceError:
-            recorder.end(compute_span, status="error")
-            raise
-        finally:
-            self.node.slots.release(grant)
-        recorder.end(compute_span)
+                        f"service {service_name!r} on {self.name} raised "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+            finally:
+                slots.release(grant)
 
         if use_checkpoints:
             # The activity completed: retire its checkpoint record.
@@ -421,24 +384,15 @@ class ApplicationContainer(Agent):
         payload_keys: dict[str, str] = {}
         for data_name, payload in out_payloads.items():
             key = f"{self.name}/{activity}/{data_name}/{self.engine.now:.6f}"
-            store_span = (
-                recorder.start(
-                    data_name, "payload", agent=self.name, parent=span,
-                    key=key, direction="store", node=self.node.name,
-                )
-                if recorder.enabled
-                else None
-            )
-            try:
+            with spans.span(
+                data_name, "payload", agent=self.name, parent=span,
+                key=key, direction="store", node=self.node.name,
+            ):
                 yield from self.call(
                     self.env.storage_name,
                     "store",
                     {"key": key, "payload": payload},
                 )
-            except ServiceError:
-                recorder.end(store_span, status="error")
-                raise
-            recorder.end(store_span)
             payload_keys[data_name] = key
 
         self.metrics.inc(

@@ -51,10 +51,11 @@ class GridEnvironment:
         self.network = Network()
         self._agents: dict[str, Agent] = {}
         self._nodes: dict[str, GridNode] = {}
-        # Span recording is default-off: every instrumented layer guards
-        # on ``spans.enabled``, so the default configuration's event
-        # stream and protocol traces are byte-identical to an
-        # uninstrumented build (recording itself never schedules events).
+        # Span recording is default-off: a disabled recorder hands every
+        # instrumented site one shared no-op span handle, so the default
+        # configuration's event stream and protocol traces are
+        # byte-identical to an uninstrumented build (recording itself
+        # never schedules events).
         # The case flight recorder is filed from span boundaries, so
         # enabling it enables spans: journal="record" records in memory
         # only, journal=True additionally mirrors each completed case

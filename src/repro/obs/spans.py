@@ -14,10 +14,14 @@ trace by ``trace_id`` and the span's ``[start, end]`` window).
 The :class:`SpanRecorder` is the environment-wide sink.  Its contract
 mirrors the metrics registry's: **recording is synchronous arithmetic and
 never schedules a simulation event**, so instrumentation cannot perturb
-message ordering — and it is **disabled by default**: every instrumented
-site guards on :attr:`SpanRecorder.enabled`, which costs one attribute
-load and a branch, keeping the default configuration's protocol traces
-byte-identical to an uninstrumented build.
+message ordering — and it is **disabled by default**.  Instrumented
+sites own no lifecycle logic: they open spans with
+:meth:`SpanRecorder.span`, a context manager that closes the span ``ok``
+when its block exits normally and ``error`` when an exception leaves it,
+and record zero-length spans with :meth:`SpanRecorder.instant`.  A
+disabled recorder hands out one shared no-op handle, so no site reads
+:attr:`SpanRecorder.enabled`, and the default configuration's protocol
+traces stay byte-identical to an uninstrumented build.
 
 Closed spans live in a bounded ring (like the message trace) with exact
 ``total_closed`` / ``evicted`` accounting; open spans are tracked by id so
@@ -49,7 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.journal import CaseJournal
     from repro.sim.engine import Engine
 
-__all__ = ["Span", "SpanRecorder", "WatchRule", "Alert", "DEFAULT_SPAN_CAPACITY"]
+__all__ = [
+    "Span", "SpanRecorder", "WatchRule", "Alert", "DEFAULT_SPAN_CAPACITY",
+    "NO_SPAN",
+]
 
 #: Default resident bound for closed spans — same order as the message
 #: trace: complete for every experiment in the repo, bounded for soaks.
@@ -57,11 +64,15 @@ DEFAULT_SPAN_CAPACITY = 100_000
 
 
 class Span:
-    """One named interval of simulated time, nested under a parent span."""
+    """One named interval of simulated time, nested under a parent span.
+
+    A span opened by :meth:`SpanRecorder.span` is its own ``with``
+    handle: the block's exit closes it through the recorder.
+    """
 
     __slots__ = (
         "span_id", "name", "kind", "agent", "trace_id", "parent_id",
-        "start", "end", "status", "attrs",
+        "start", "end", "status", "attrs", "_recorder",
     )
 
     def __init__(
@@ -73,6 +84,7 @@ class Span:
         trace_id: str | None,
         parent_id: int | None,
         start: float,
+        recorder: SpanRecorder,
     ) -> None:
         self.span_id = span_id
         self.name = name
@@ -84,6 +96,26 @@ class Span:
         self.end: float | None = None
         self.status = "ok"
         self.attrs: dict[str, Any] = {}
+        self._recorder = recorder
+
+    def set(self, **attrs: Any) -> None:
+        """Record attributes known only after the span opened."""
+        self.attrs.update(attrs)
+
+    def rename(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> Span:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # Only an Exception is a failure of the work.  A GeneratorExit (a
+        # parked process closed at teardown) leaves the span open: the
+        # work never ended.
+        if exc_type is None:
+            self._recorder.end(self)
+        elif issubclass(exc_type, Exception):
+            self._recorder.end(self, status="error")
 
     @property
     def closed(self) -> bool:
@@ -112,6 +144,32 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"closed dur={self.duration:.4f}" if self.closed else "open"
         return f"Span(#{self.span_id} {self.kind}:{self.name!r} {state})"
+
+
+class _NoSpan:
+    """The handle a disabled recorder hands out for every span: entering,
+    leaving, setting attributes and renaming all do nothing.  Used as a
+    parent it reads as no parent."""
+
+    __slots__ = ()
+    span_id = None
+    trace_id = None
+
+    def set(self, **attrs: Any) -> None:
+        pass
+
+    def rename(self, name: str) -> None:
+        pass
+
+    def __enter__(self) -> _NoSpan:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+
+#: The one shared no-op handle (see :class:`_NoSpan`).
+NO_SPAN = _NoSpan()
 
 
 @dataclass(frozen=True)
@@ -191,11 +249,14 @@ class Alert:
 class SpanRecorder:
     """Bounded, environment-wide sink for workflow spans.
 
-    ``enabled`` gates every instrumented site: when False (the default),
-    :meth:`start` returns None and :meth:`end` ignores None, so the whole
-    subsystem reduces to a branch per site.  Enable at construction
-    (``GridEnvironment(spans=True)``) or flip :attr:`enabled` before the
-    run — spans opened while enabled close normally after disabling.
+    Sites open spans with :meth:`span` and record zero-length ones with
+    :meth:`instant`; :meth:`start` and :meth:`end` are the primitives
+    both build on.  When :attr:`enabled` is False (the default),
+    :meth:`span` returns the shared no-op handle, :meth:`instant` returns
+    at once, :meth:`start` returns None and :meth:`end` ignores None.
+    Enable at construction (``GridEnvironment(spans=True)``) or flip
+    :attr:`enabled` before the run — spans opened while enabled close
+    normally after disabling.
     """
 
     def __init__(
@@ -225,13 +286,47 @@ class SpanRecorder:
         self.journal: CaseJournal | None = None
 
     # -- lifecycle ----------------------------------------------------------- #
+    def span(
+        self,
+        name: str,
+        kind: str,
+        agent: str = "",
+        trace_id: str | None = None,
+        parent: Span | _NoSpan | None = None,
+        **attrs: Any,
+    ) -> Span | _NoSpan:
+        """Open a span for a ``with`` block.
+
+        The span closes ``ok`` when the block exits normally and
+        ``error`` when an exception leaves it; the exception propagates.
+        An error close sets only the status: a site that records a
+        failure's details sets them on the handle before re-raising.
+        A disabled recorder returns :data:`NO_SPAN`.
+        """
+        if not self.enabled:
+            return NO_SPAN
+        return self.start(name, kind, agent, trace_id, parent, **attrs)
+
+    def instant(
+        self,
+        name: str,
+        kind: str,
+        agent: str = "",
+        trace_id: str | None = None,
+        parent: Span | _NoSpan | None = None,
+        **attrs: Any,
+    ) -> None:
+        """Record a zero-length span: opened and closed ``ok`` now."""
+        if self.enabled:
+            self.end(self.start(name, kind, agent, trace_id, parent, **attrs))
+
     def start(
         self,
         name: str,
         kind: str,
         agent: str = "",
         trace_id: str | None = None,
-        parent: Span | None = None,
+        parent: Span | _NoSpan | None = None,
         **attrs: Any,
     ) -> Span | None:
         """Open a span at the current simulated time (None when disabled).
@@ -248,6 +343,7 @@ class SpanRecorder:
             self._ids, name, kind, agent, trace_id,
             parent.span_id if parent is not None else None,
             self.engine.now,
+            self,
         )
         if attrs:
             span.attrs.update(attrs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from typing import Any
 
 from repro.analysis import Severity, analyze_process
@@ -34,7 +34,7 @@ from repro.errors import ConversionError, EnactmentError, ServiceError
 from repro.grid.environment import GridEnvironment
 from repro.grid.messages import Message, Performative
 from repro.obs.journal import JOURNAL_SCHEMA_VERSION, encode_events, journal_storage_key
-from repro.obs.spans import Span
+from repro.obs.spans import NO_SPAN, Span
 from repro.planner.problem import PlanningProblem
 from repro.process.ast_nodes import (
     ActivityNode,
@@ -167,15 +167,16 @@ class CoordinationService(CoreService):
         #: the program cache's size and LRU policy.
         self._analysis_cache: OrderedDict[Any, list] = OrderedDict()
 
-    def _candidates_for(self, service: str, span: Span | None):
+    def _candidates_for(self, service: str, span: Span):
         """Ranked candidate containers for *service* (generator): the
         matchmaker RPC, behind the read-through cache (key
         ``("match", service)``)."""
 
         def fetch(_):  # asked only for [service]
-            match = yield from self._timed_call(
-                "match", span, self.matchmaker_name, "match", {"service": service},
-            )
+            with self.env.spans.span("match", "match", agent=self.name, parent=span):
+                match = yield from self.call(
+                    self.matchmaker_name, "match", {"service": service}
+                )
             return {service: [c["container"] for c in match["candidates"]]}
 
         found = yield from self.cached(
@@ -244,37 +245,6 @@ class CoordinationService(CoreService):
             self._programs.popitem(last=False)
         return program
 
-    def _timed_call(
-        self,
-        kind: str,
-        parent: Span | None,
-        to: str,
-        action: str,
-        content: dict[str, Any],
-        policy: CallPolicy | None = None,
-        on_reply: Callable[[dict[str, Any]], dict[str, Any]] | None = None,
-        **attrs: Any,
-    ) -> Generator[Any, Any, dict[str, Any]]:
-        """RPC wrapped in a child span of *parent* (plain ``call`` when
-        recording is off — the wrapper itself adds no engine events, so
-        the message stream is identical either way).  *on_reply* maps
-        the reply to attributes the span closes with."""
-        recorder = self.env.spans
-        span = (
-            recorder.start(action, kind, agent=self.name, parent=parent, **attrs)
-            if recorder.enabled
-            else None
-        )
-        try:
-            reply = yield from self.call(to, action, content, policy=policy)
-        except ServiceError:
-            recorder.end(span, status="error")
-            raise
-        if span is not None and on_reply is not None:
-            span.attrs.update(on_reply(reply))
-        recorder.end(span)
-        return reply
-
     def _ensure_ticket(self):
         """Obtain (and cache) an authentication ticket for dispatching to
         secured containers.  Generator; returns the token or None when the
@@ -313,31 +283,31 @@ class CoordinationService(CoreService):
         enactment record (events, counts, replans).
         """
         content = message.content
-        recorder = self.env.spans
-        case_span = None
-        if recorder.enabled:
-            # The case span's start files the journal's case-intake and
-            # binds the case trace, so every downstream span (containers
-            # and transfers only see the trace id) lands in this case.
-            process = content.get("process")
-            case_span = recorder.start(
+        case_id = self._journal_case_id(content, message.trace_id)
+        process = content.get("process")
+        # The case span's start files the journal's case-intake and binds
+        # the case trace, so every downstream span (containers and
+        # transfers only see the trace id) lands in this case.  It closes
+        # before the journal is mirrored, so the mirror holds the case's
+        # complete or fail event.
+        try:
+            with self.env.spans.span(
                 content.get("task", ""), "case",
                 agent=self.name, trace_id=message.trace_id,
-                case=self._journal_case_id(content, message.trace_id),
+                case=case_id,
                 process=process.name if process is not None else None,
                 initial=sorted(content.get("initial_data") or ()),
                 payload_keys=sorted(content.get("payload_keys") or ()),
-            )
-        try:
-            result = yield from self._execute_task(content, case_span)
-        except ServiceError as exc:
-            if case_span is not None:
-                recorder.end(case_span, status="error", error=str(exc))
-                yield from self._journal_flush(case_span.attrs["case"])
+            ) as case_span:
+                try:
+                    result = yield from self._execute_task(content, case_span)
+                except ServiceError as exc:
+                    case_span.set(error=str(exc))
+                    raise
+        except ServiceError:
+            yield from self._journal_flush(case_id)
             raise
-        if case_span is not None:
-            recorder.end(case_span)
-            yield from self._journal_flush(case_span.attrs["case"])
+        yield from self._journal_flush(case_id)
         return result
 
     @staticmethod
@@ -384,9 +354,9 @@ class CoordinationService(CoreService):
     def _execute_task(
         self,
         content: dict[str, Any],
-        case_span: Span | None,
+        case_span: Span,
     ) -> Generator[Any, Any, dict[str, Any]]:
-        recorder = self.env.spans
+        spans = self.env.spans
         process: ProcessDescription | None = content.get("process")
         findings = []
         if process is not None:
@@ -407,15 +377,12 @@ class CoordinationService(CoreService):
             ]
             if refused:
                 self.metrics.inc("cases_refused", agent=self.name)
-                if case_span is not None:
-                    # Instant span: the refusal is zero sim-time.
-                    recorder.end(
-                        recorder.start(
-                            process.name, "refusal", agent=self.name,
-                            parent=case_span, reason="semantic-analysis",
-                            findings=[str(f) for f in refused],
-                        )
-                    )
+                # Instant span: the refusal is zero sim-time.
+                spans.instant(
+                    process.name, "refusal", agent=self.name,
+                    parent=case_span, reason="semantic-analysis",
+                    findings=[str(f) for f in refused],
+                )
                 raise ServiceError(
                     f"case {content.get('task', process.name)!r} refused: "
                     f"process {process.name!r} failed semantic analysis: "
@@ -427,16 +394,18 @@ class CoordinationService(CoreService):
             # flag): obtain one from the planning service first — the
             # Figure-2 exchange.
             problem_for_plan: PlanningProblem = content["problem"]
-            reply = yield from self._timed_call(
-                "plan", case_span,
-                self.planner_name, "plan", {"problem": problem_for_plan},
-                on_reply=lambda reply: {
-                    "source": reply.get("source") or "gp",
-                    "process": reply["process"].name,
-                    "solved": reply.get("solved"),
-                    "fitness": reply.get("fitness"),
-                },
-            )
+            with spans.span(
+                "plan", "plan", agent=self.name, parent=case_span
+            ) as plan_span:
+                reply = yield from self.call(
+                    self.planner_name, "plan", {"problem": problem_for_plan}
+                )
+                plan_span.set(
+                    source=reply.get("source") or "gp",
+                    process=reply["process"].name,
+                    solved=reply.get("solved"),
+                    fitness=reply.get("fitness"),
+                )
             process = reply["process"]
             plan_source = reply.get("source")
             if plan_source in ("hit", "repair") and not reply.get("verified"):
@@ -444,14 +413,11 @@ class CoordinationService(CoreService):
                 # service re-verified it against the current registry in
                 # *this* exchange — a stale plan is never enacted blind.
                 self.metrics.inc("cases_refused", agent=self.name)
-                if case_span is not None:
-                    recorder.end(
-                        recorder.start(
-                            process.name, "refusal", agent=self.name,
-                            parent=case_span, reason="unverified-library-plan",
-                            source=plan_source, process=process.name,
-                        )
-                    )
+                spans.instant(
+                    process.name, "refusal", agent=self.name,
+                    parent=case_span, reason="unverified-library-plan",
+                    source=plan_source, process=process.name,
+                )
                 raise ServiceError(
                     f"case {content.get('task', process.name)!r} refused: "
                     f"library {plan_source} for {process.name!r} was not "
@@ -461,12 +427,10 @@ class CoordinationService(CoreService):
         case.payload_keys.update(content.get("payload_keys", {}))
         problem: PlanningProblem | None = content.get("problem")
         record = EnactmentRecord(task=content.get("task", process.name))
-        if case_span is not None:
-            case_span.name = record.task
-            if plan_source is not None:
-                case_span.attrs["plan_source"] = plan_source
+        case_span.rename(record.task)
         self.records.append(record)
         if plan_source is not None:
+            case_span.set(plan_source=plan_source)
             record.log(self.engine.now, "plan-source", plan_source)
         for finding in findings:
             record.log(self.engine.now, "lint", str(finding))
@@ -475,39 +439,35 @@ class CoordinationService(CoreService):
         failed_activities: list[str] = []
         current = process
         while True:
-            compile_span = (
-                recorder.start(current.name, "compile", agent=self.name, parent=case_span)
-                if recorder.enabled
-                else None
-            )
-            try:
-                program = self._program_for(current)
-            except ConversionError as exc:
-                if compile_span is not None:
-                    recorder.end(compile_span, status="error", error=str(exc))
-                raise ServiceError(
-                    f"process {current.name!r} is not well-structured: {exc}"
-                ) from exc
-            if compile_span is not None:
-                recorder.end(compile_span, **program.stats())
+            with spans.span(
+                current.name, "compile", agent=self.name, parent=case_span
+            ) as compile_span:
+                try:
+                    program = self._program_for(current)
+                except ConversionError as exc:
+                    compile_span.set(error=str(exc))
+                    raise ServiceError(
+                        f"process {current.name!r} is not well-structured: {exc}"
+                    ) from exc
+                compile_span.set(**program.stats())
             record.log(self.engine.now, "enact", f"process {current.name}")
-            enact_span = (
-                recorder.start(current.name, "enact", agent=self.name, parent=case_span)
-                if recorder.enabled
-                else None
-            )
             try:
-                yield from self._enact(
-                    program.ast, program, case, record, work, enact_span
-                )
-                recorder.end(enact_span)
+                with spans.span(
+                    current.name, "enact", agent=self.name, parent=case_span
+                ) as enact_span:
+                    try:
+                        yield from self._enact(
+                            program.ast, program, case, record, work, enact_span
+                        )
+                    except _ActivityFailed as failure:
+                        enact_span.set(failed=failure.activity)
+                        raise
                 record.completed = True
                 self.metrics.inc(
                     "enactments_completed", agent=self.name, action=record.task
                 )
                 break
             except _ActivityFailed as failure:
-                recorder.end(enact_span, status="error", failed=failure.activity)
                 record.activities_failed += 1
                 record.log(
                     self.engine.now, "activity-failed",
@@ -529,27 +489,25 @@ class CoordinationService(CoreService):
                 self.metrics.inc("replans", agent=self.name, action=record.task)
                 excluded = sorted(set(failed_activities))
                 record.log(self.engine.now, "replan", f"excluding {excluded}")
-                reply = yield from self._timed_call(
-                    "replan", case_span,
-                    self.planner_name,
-                    "replan",
-                    {
-                        "problem": problem,
-                        "data": case.snapshot(),
-                        "failed_activities": excluded,
-                    },
-                    round=record.replans,
-                    excluded=excluded,
+                with spans.span(
+                    "replan", "replan", agent=self.name, parent=case_span,
+                    round=record.replans, excluded=excluded,
                     aborted=failure.activity,
-                )
+                ):
+                    reply = yield from self.call(
+                        self.planner_name,
+                        "replan",
+                        {
+                            "problem": problem,
+                            "data": case.snapshot(),
+                            "failed_activities": excluded,
+                        },
+                    )
                 current = reply["process"]
 
         record.log(self.engine.now, "completed", record.task)
         record.result = case.snapshot()
-        if case_span is not None:
-            case_span.attrs.update(
-                activities_run=record.activities_run, replans=record.replans
-            )
+        case_span.set(activities_run=record.activities_run, replans=record.replans)
         reply = {
             "status": "completed",
             "data": case.snapshot(),
@@ -592,9 +550,8 @@ class CoordinationService(CoreService):
         case: _CaseData,
         record: EnactmentRecord,
         work: dict[str, float],
-        span: Span | None = None,
+        span: Span = NO_SPAN,
     ) -> Generator[Any, Any, None]:
-        recorder = self.env.spans
         if isinstance(node, ActivityNode):
             yield from self._run_activity(
                 program.step(node.name), case, record, work, span
@@ -612,32 +569,28 @@ class CoordinationService(CoreService):
             yield from self._enact(branch, program, case, record, work, span)
             return
         if isinstance(node, IterativeNode):
-            loop_span = (
-                recorder.start("iterative", "loop", agent=self.name, parent=span)
-                if recorder.enabled
-                else None
-            )
-            holds = program.check(node)
-            iterations = 0
-            try:
-                while True:
-                    yield from self._enact(
-                        node.body, program, case, record, work, loop_span
-                    )
-                    iterations += 1
-                    if not holds(case):
-                        break
-                    if iterations >= self.max_loop_iterations:
-                        record.log(
-                            self.engine.now, "loop-bound",
-                            f"iterative stopped after {iterations} iterations",
+            with self.env.spans.span(
+                "iterative", "loop", agent=self.name, parent=span
+            ) as loop_span:
+                holds = program.check(node)
+                iterations = 0
+                try:
+                    while True:
+                        yield from self._enact(
+                            node.body, program, case, record, work, loop_span
                         )
-                        break
-            except _ActivityFailed:
-                recorder.end(loop_span, status="error", iterations=iterations)
-                raise
-            record.log(self.engine.now, "loop-done", f"{iterations} iterations")
-            recorder.end(loop_span, iterations=iterations)
+                        iterations += 1
+                        if not holds(case):
+                            break
+                        if iterations >= self.max_loop_iterations:
+                            record.log(
+                                self.engine.now, "loop-bound",
+                                f"iterative stopped after {iterations} iterations",
+                            )
+                            break
+                finally:
+                    loop_span.set(iterations=iterations)
+                record.log(self.engine.now, "loop-done", f"{iterations} iterations")
             return
         raise EnactmentError(f"unknown AST node {type(node).__name__}")
 
@@ -647,33 +600,28 @@ class CoordinationService(CoreService):
         program: EnactmentProgram,
         case: _CaseData,
         record: EnactmentRecord,
-        span: Span | None = None,
+        span: Span = NO_SPAN,
     ) -> Node:
         """First branch whose condition holds (Section 3.1's Choice)."""
-        recorder = self.env.spans
+        spans = self.env.spans
         for index, (holds, condition, branch) in enumerate(program.branches(node)):
             if holds(case):
-                record.log(self.engine.now, "choice", str(condition))
-                if recorder.enabled:
-                    # Instant span: condition evaluation is zero sim-time.
-                    recorder.end(
-                        recorder.start(
-                            "choice", "choice", agent=self.name, parent=span,
-                            branch=index, condition=str(condition),
-                        )
-                    )
+                text = str(condition)
+                record.log(self.engine.now, "choice", text)
+                # Instant span: condition evaluation is zero sim-time.
+                spans.instant(
+                    "choice", "choice", agent=self.name, parent=span,
+                    branch=index, condition=text,
+                )
                 return branch
         # No condition holds: the paper leaves this undefined; taking the
         # last branch (conventionally the default/else arm) keeps the
         # machine live and is logged for the experimenter.
         record.log(self.engine.now, "choice-default", "no condition held")
-        if recorder.enabled:
-            recorder.end(
-                recorder.start(
-                    "choice", "choice", agent=self.name, parent=span,
-                    branch=len(node.branches) - 1, condition="default",
-                )
-            )
+        spans.instant(
+            "choice", "choice", agent=self.name, parent=span,
+            branch=len(node.branches) - 1, condition="default",
+        )
         return node.branches[-1][1]
 
     def _run_fork(
@@ -683,42 +631,42 @@ class CoordinationService(CoreService):
         case: _CaseData,
         record: EnactmentRecord,
         work: dict[str, float],
-        span: Span | None = None,
+        span: Span = NO_SPAN,
     ) -> Generator[Any, Any, None]:
-        recorder = self.env.spans
-        fork_span = (
-            recorder.start(
-                "fork", "fork", agent=self.name, parent=span,
-                branches=len(node.branches),
-            )
-            if recorder.enabled
-            else None
-        )
+        with self.env.spans.span(
+            "fork", "fork", agent=self.name, parent=span,
+            branches=len(node.branches),
+        ) as fork_span:
 
-        def wrap(branch: Node):
-            try:
-                yield from self._enact(branch, program, case, record, work, fork_span)
-                return ("ok", None)
-            except _ActivityFailed as exc:
-                return ("failed", exc)
+            def wrap(branch: Node):
+                # A branch hands its failure to the join rather than
+                # raising it: an exception escaping a spawned process
+                # would abort the whole run, not just this case.
+                try:
+                    yield from self._enact(
+                        branch, program, case, record, work, fork_span
+                    )
+                except ServiceError as exc:
+                    return exc
+                return None
 
-        # spawn_scoped (not engine.spawn) so every branch stays inside the
-        # requesting message's causal trace — the fork's concurrent calls
-        # reconstruct as siblings under the execute-task request.
-        handles = [
-            self.spawn_scoped(wrap(branch), name=f"{self.name}.branch{i}")
-            for i, branch in enumerate(node.branches)
-        ]
-        failures = []
-        for handle in handles:
-            status, exc = yield handle
-            if status == "failed":
-                failures.append(exc)
-        record.log(self.engine.now, "join", f"{len(handles)} branches")
-        if failures:
-            recorder.end(fork_span, status="error")
-            raise failures[0]
-        recorder.end(fork_span)
+            # spawn_scoped (not engine.spawn) so every branch stays inside
+            # the requesting message's causal trace — the fork's concurrent
+            # calls reconstruct as siblings under the execute-task request.
+            handles = [
+                self.spawn_scoped(wrap(branch), name=f"{self.name}.branch{i}")
+                for i, branch in enumerate(node.branches)
+            ]
+            failures = []
+            for handle in handles:
+                failure = yield handle
+                if failure is not None:
+                    failures.append(failure)
+            record.log(self.engine.now, "join", f"{len(handles)} branches")
+            if failures:
+                # The first failure in branch order: an activity failure
+                # still triggers re-planning, any other error fails the case.
+                raise failures[0]
 
     def _run_activity(
         self,
@@ -726,106 +674,98 @@ class CoordinationService(CoreService):
         case: _CaseData,
         record: EnactmentRecord,
         work: dict[str, float],
-        parent: Span | None = None,
+        parent: Span = NO_SPAN,
     ) -> Generator[Any, Any, None]:
         name = step.name
         service = step.service
-        recorder = self.env.spans
-        activity_span = (
-            recorder.start(
-                name, "activity", agent=self.name, parent=parent, service=service
-            )
-            if recorder.enabled
-            else None
-        )
-        inputs = {
-            d: dict(case.props[d]) for d in step.inputs if d in case.props
-        }
-        payload_keys = {
-            d: case.payload_keys[d]
-            for d in step.inputs
-            if d in case.payload_keys
-        }
-        ticket = yield from self._ensure_ticket()
-        last_error = "no candidates"
-        for attempt in range(self.retry_limit + 1):
-            container: str | None = None
-            try:
-                candidates = yield from self._candidates_for(
-                    service, activity_span
-                )
-                if not candidates:
-                    raise ServiceError(f"no container offers service {service!r}")
-                schedule = yield from self._timed_call(
-                    "schedule", activity_span,
-                    self.scheduler_name,
-                    "schedule",
-                    {
-                        "service": service,
-                        "candidates": candidates,
-                        "work": work.get(service, 10.0),
-                    },
-                )
-                container = schedule["container"]
-                started = self.engine.now
-                result = yield from self._timed_call(
-                    "dispatch", activity_span,
-                    container,
-                    "execute-activity",
-                    {
-                        "activity": name,
-                        "service": service,
-                        "inputs": inputs,
-                        "payload_keys": payload_keys,
-                        "input_order": step.input_order,
-                        "output_order": step.output_order,
-                        # Checkpointable services resume from here on retry
-                        # (Section 1: long-lasting tasks need checkpointing).
-                        "checkpoint_key": f"ckpt/{record.task}/{name}",
-                        **({"ticket": ticket} if ticket else {}),
-                    },
-                    policy=CallPolicy(timeout=self.activity_timeout),
-                    container=container,
-                    **(
-                        {
-                            "activity": name,
-                            "service": service,
-                            "inputs": sorted(inputs),
-                            "attempt": attempt,
-                        }
-                        if activity_span is not None
-                        else {}
-                    ),
-                )
-                self._report_performance(
-                    service, container, self.engine.now - started, True
-                )
-                case.merge(result.get("outputs", {}), result.get("payload_keys", {}))
-                record.activities_run += 1
-                record.log(
-                    self.engine.now, "activity",
-                    f"{name} ({service}) on {container}",
-                )
-                if activity_span is not None:
-                    recorder.end(
-                        activity_span, container=container, retries=attempt,
+        spans = self.env.spans
+        with spans.span(
+            name, "activity", agent=self.name, parent=parent, service=service
+        ) as activity_span:
+            inputs = {
+                d: dict(case.props[d]) for d in step.inputs if d in case.props
+            }
+            payload_keys = {
+                d: case.payload_keys[d]
+                for d in step.inputs
+                if d in case.payload_keys
+            }
+            ticket = yield from self._ensure_ticket()
+            last_error = "no candidates"
+            for attempt in range(self.retry_limit + 1):
+                container: str | None = None
+                try:
+                    candidates = yield from self._candidates_for(
+                        service, activity_span
+                    )
+                    if not candidates:
+                        raise ServiceError(f"no container offers service {service!r}")
+                    with spans.span(
+                        "schedule", "schedule", agent=self.name,
+                        parent=activity_span,
+                    ):
+                        schedule = yield from self.call(
+                            self.scheduler_name,
+                            "schedule",
+                            {
+                                "service": service,
+                                "candidates": candidates,
+                                "work": work.get(service, 10.0),
+                            },
+                        )
+                    container = schedule["container"]
+                    started = self.engine.now
+                    with spans.span(
+                        "execute-activity", "dispatch", agent=self.name,
+                        parent=activity_span, container=container,
+                        activity=name, service=service,
+                        inputs=sorted(inputs), attempt=attempt,
+                    ):
+                        result = yield from self.call(
+                            container,
+                            "execute-activity",
+                            {
+                                "activity": name,
+                                "service": service,
+                                "inputs": inputs,
+                                "payload_keys": payload_keys,
+                                "input_order": step.input_order,
+                                "output_order": step.output_order,
+                                # Checkpointable services resume from here on
+                                # retry (Section 1: long-lasting tasks need
+                                # checkpointing).
+                                "checkpoint_key": f"ckpt/{record.task}/{name}",
+                                **({"ticket": ticket} if ticket else {}),
+                            },
+                            policy=CallPolicy(timeout=self.activity_timeout),
+                        )
+                    self._report_performance(
+                        service, container, self.engine.now - started, True
+                    )
+                    case.merge(
+                        result.get("outputs", {}), result.get("payload_keys", {})
+                    )
+                    record.activities_run += 1
+                    record.log(
+                        self.engine.now, "activity",
+                        f"{name} ({service}) on {container}",
+                    )
+                    activity_span.set(
+                        container=container, retries=attempt,
                         outputs=sorted(result.get("outputs", {})),
                         payload_keys=dict(result.get("payload_keys", {})),
                     )
-                return
-            except ServiceError as exc:
-                last_error = str(exc)
-                record.log(
-                    self.engine.now, "retry",
-                    f"{name} attempt {attempt + 1} failed: {last_error}",
-                )
-                if container is not None:
-                    self._report_performance(service, container, 0.0, False)
-        recorder.end(
-            activity_span, status="error", retries=self.retry_limit,
-            reason=last_error,
-        )
-        raise _ActivityFailed(name, last_error)
+                    return
+                except ServiceError as exc:
+                    last_error = str(exc)
+                    record.log(
+                        self.engine.now, "retry",
+                        f"{name} attempt {attempt + 1} failed: {last_error}",
+                    )
+                    if container is not None:
+                        self._report_performance(service, container, 0.0, False)
+            activity_span.set(retries=self.retry_limit, reason=last_error)
+            raise _ActivityFailed(name, last_error)
 
     @staticmethod
     def _planner_activity_name(process: ProcessDescription, name: str) -> str:

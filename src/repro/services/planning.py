@@ -148,38 +148,31 @@ class PlanningService(CoreService):
         # The GP run is synchronous (zero simulated time); the span records
         # it as an instant with *wall-clock* cost in its attributes — the
         # one place real time is the interesting number.
-        recorder = self.env.spans
-        span = (
-            recorder.start(
-                problem.name, "gp", agent=self.name, trace_id=trace_id
+        with self.env.spans.span(
+            problem.name, "gp", agent=self.name, trace_id=trace_id
+        ) as span:
+            wall_started = time.perf_counter()
+            result = GPPlanner(config, rng=self.rng).plan(problem, seeds=seeds)
+            if result.analysis_rejected:
+                self.metrics.inc(
+                    "analysis_rejected",
+                    agent=self.name,
+                    amount=result.analysis_rejected,
+                )
+            plan = result.best_plan
+            fitness = result.best_fitness
+            repaired_away: tuple[str, ...] = ()
+            if self.repair_plans:
+                repaired = repair_plan(plan, problem)
+                plan, fitness = repaired.plan, repaired.fitness
+                repaired_away = repaired.removed
+            process = tree_to_process(
+                plan,
+                name=f"plan-{problem.name}",
+                library=self._activity_library(problem),
+                condition_provider=self._condition_provider(problem),
             )
-            if recorder.enabled
-            else None
-        )
-        wall_started = time.perf_counter() if span is not None else 0.0
-        result = GPPlanner(config, rng=self.rng).plan(problem, seeds=seeds)
-        if result.analysis_rejected:
-            self.metrics.inc(
-                "analysis_rejected",
-                agent=self.name,
-                amount=result.analysis_rejected,
-            )
-        plan = result.best_plan
-        fitness = result.best_fitness
-        repaired_away: tuple[str, ...] = ()
-        if self.repair_plans:
-            repaired = repair_plan(plan, problem)
-            plan, fitness = repaired.plan, repaired.fitness
-            repaired_away = repaired.removed
-        process = tree_to_process(
-            plan,
-            name=f"plan-{problem.name}",
-            library=self._activity_library(problem),
-            condition_provider=self._condition_provider(problem),
-        )
-        if span is not None:
-            recorder.end(
-                span,
+            span.set(
                 wall_s=time.perf_counter() - wall_started,
                 generations=result.generations_run,
                 fitness=fitness.overall,
@@ -352,69 +345,61 @@ class PlanningService(CoreService):
         digest = problem_digest(problem)
         goal_sig = goal_signature(problem.goals)
         goal_texts = tuple(str(goal) for goal in problem.goals)
-        recorder = self.env.spans
-        span = (
-            recorder.start(
-                problem.name, "library", agent=self.name, trace_id=trace_id
-            )
-            if recorder.enabled
-            else None
-        )
-        yield from self._library_sync(digest)
-        entry = lib.get(digest, goal_sig)
-        source = "miss"
-        reply: dict[str, Any] | None = None
-        if entry is not None:
-            clean, findings = self._verify_entry(entry)
-            if clean:
-                source = "hit"
-                reply = self._entry_reply(entry, verified=True)
-            else:
-                repaired = self._repair_entry(entry, problem, findings)
-                if repaired is not None:
-                    fixed, swapped = repaired
-                    yield from self._library_store(fixed)
-                    source = "repair"
-                    reply = self._entry_reply(fixed, verified=True)
-                    reply["swapped"] = [list(pair) for pair in swapped]
+        with self.env.spans.span(
+            problem.name, "library", agent=self.name, trace_id=trace_id
+        ) as span:
+            yield from self._library_sync(digest)
+            entry = lib.get(digest, goal_sig)
+            source = "miss"
+            reply: dict[str, Any] | None = None
+            if entry is not None:
+                clean, findings = self._verify_entry(entry)
+                if clean:
+                    source = "hit"
+                    reply = self._entry_reply(entry, verified=True)
                 else:
-                    # Stale and irreparable: drop it so the fresh plan
-                    # stored below replaces it, and fall through to GP
-                    # with the stale plan as a seed at most.
-                    lib.remove(digest, goal_sig)
-                    lib.count("reject")
-                    self.metrics.inc("planlib_reject", agent=self.name)
-        if reply is None:
-            seeds = [near.plan for near in lib.related(digest, goal_texts)]
-            if entry is not None and self.knowledge_base is None:
-                # Unverifiable exact hit: warm-start from it, don't enact it.
-                seeds.insert(0, entry.plan)
-            if seeds:
-                source = "seed"
-            reply = self._run_planner(
-                problem, config, trace_id=trace_id, seeds=tuple(seeds)
-            )
-            reply["verified"] = False
-            fresh = PlanEntry(
-                digest=digest,
-                goal_sig=goal_sig,
-                plan=reply["plan"],
-                process=reply["process"],
-                fitness=reply["fitness"],
-                goals=goal_texts,
-                validity=reply["validity"],
-                goal=reply["goal"],
-                problem_name=problem.name,
-                stored_at=self.engine.now,
-            )
-            yield from self._library_store(fresh)
-        lib.count(source)
-        self.metrics.inc(f"planlib_{source}", agent=self.name)
-        reply["source"] = source
-        if span is not None:
-            recorder.end(
-                span, source=source, digest=digest[:8], entries=len(lib)
-            )
+                    repaired = self._repair_entry(entry, problem, findings)
+                    if repaired is not None:
+                        fixed, swapped = repaired
+                        yield from self._library_store(fixed)
+                        source = "repair"
+                        reply = self._entry_reply(fixed, verified=True)
+                        reply["swapped"] = [list(pair) for pair in swapped]
+                    else:
+                        # Stale and irreparable: drop it so the fresh plan
+                        # stored below replaces it, and fall through to GP
+                        # with the stale plan as a seed at most.
+                        lib.remove(digest, goal_sig)
+                        lib.count("reject")
+                        self.metrics.inc("planlib_reject", agent=self.name)
+            if reply is None:
+                seeds = [near.plan for near in lib.related(digest, goal_texts)]
+                if entry is not None and self.knowledge_base is None:
+                    # Unverifiable exact hit: warm-start from it, don't enact it.
+                    seeds.insert(0, entry.plan)
+                if seeds:
+                    source = "seed"
+                reply = self._run_planner(
+                    problem, config, trace_id=trace_id, seeds=tuple(seeds)
+                )
+                reply["verified"] = False
+                fresh = PlanEntry(
+                    digest=digest,
+                    goal_sig=goal_sig,
+                    plan=reply["plan"],
+                    process=reply["process"],
+                    fitness=reply["fitness"],
+                    goals=goal_texts,
+                    validity=reply["validity"],
+                    goal=reply["goal"],
+                    problem_name=problem.name,
+                    stored_at=self.engine.now,
+                )
+                yield from self._library_store(fresh)
+            lib.count(source)
+            self.metrics.inc(f"planlib_{source}", agent=self.name)
+            reply["source"] = source
+            span.set(source=source, digest=digest[:8], entries=len(lib))
         return reply
 
     # -- message API ----------------------------------------------------------------- #
@@ -505,64 +490,56 @@ class PlanningService(CoreService):
         probe: bool = bool(content.get("probe", True))
 
         unexecutable = set(failed)
-        recorder = self.env.spans
         if probe:
-            probe_span = (
-                recorder.start(
-                    problem.name, "probe", agent=self.name,
-                    trace_id=message.trace_id,
+            with self.env.spans.span(
+                problem.name, "probe", agent=self.name,
+                trace_id=message.trace_id,
+            ) as probe_span:
+                # Steps 2-3: locate a brokerage service through information.
+                # Several replicas may be registered; we keep them all and fail
+                # over if the primary is down (core services are replicated).
+                lookup = yield from self.call(
+                    self.information_name, "lookup", {"type": "brokerage"}
                 )
-                if recorder.enabled
-                else None
-            )
-            # Steps 2-3: locate a brokerage service through information.
-            # Several replicas may be registered; we keep them all and fail
-            # over if the primary is down (core services are replicated).
-            lookup = yield from self.call(
-                self.information_name, "lookup", {"type": "brokerage"}
-            )
-            brokers = [p["provider"] for p in lookup["providers"]]
-            if not brokers:
-                recorder.end(probe_span, status="error")
-                raise ServiceError("no brokerage service available for re-planning")
+                brokers = [p["provider"] for p in lookup["providers"]]
+                if not brokers:
+                    raise ServiceError("no brokerage service available for re-planning")
 
-            # Steps 4-7: per activity, find candidate containers and probe them.
-            probe_cache: dict[tuple[str, str], bool] = {}
-            for name, spec in problem.activities.items():
-                if name in unexecutable:
-                    continue
-                found = yield from self.call_any(
-                    brokers,
-                    "find-containers",
-                    {"service": spec.service},
-                    policy=self.broker_policy,
+                # Steps 4-7: per activity, find candidate containers and probe them.
+                probe_cache: dict[tuple[str, str], bool] = {}
+                for name, spec in problem.activities.items():
+                    if name in unexecutable:
+                        continue
+                    found = yield from self.call_any(
+                        brokers,
+                        "find-containers",
+                        {"service": spec.service},
+                        policy=self.broker_policy,
+                    )
+                    executable = False
+                    for container in found["containers"]:
+                        key = (container, spec.service or name)
+                        verdict = probe_cache.get(key)
+                        if verdict is None:
+                            try:
+                                answer = yield from self.call(
+                                    container,
+                                    "can-execute",
+                                    {"service": spec.service},
+                                    policy=self.probe_policy,
+                                )
+                                verdict = bool(answer.get("executable"))
+                            except ServiceError:
+                                verdict = False
+                            probe_cache[key] = verdict
+                        if verdict:
+                            executable = True
+                            break
+                    if not executable:
+                        unexecutable.add(name)
+                probe_span.set(
+                    probed=len(probe_cache), unexecutable=len(unexecutable)
                 )
-                executable = False
-                for container in found["containers"]:
-                    key = (container, spec.service or name)
-                    verdict = probe_cache.get(key)
-                    if verdict is None:
-                        try:
-                            answer = yield from self.call(
-                                container,
-                                "can-execute",
-                                {"service": spec.service},
-                                policy=self.probe_policy,
-                            )
-                            verdict = bool(answer.get("executable"))
-                        except ServiceError:
-                            verdict = False
-                        probe_cache[key] = verdict
-                    if verdict:
-                        executable = True
-                        break
-                if not executable:
-                    unexecutable.add(name)
-            recorder.end(
-                probe_span,
-                probed=len(probe_cache),
-                unexecutable=len(unexecutable),
-            )
 
         surviving = {
             name: spec

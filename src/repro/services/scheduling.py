@@ -68,24 +68,13 @@ class SchedulingService(CoreService):
         ``cost``, ``alternatives`` (ranked remainder).
         """
         content = message.content
-        recorder = self.env.spans
-        span = (
-            recorder.start(
-                content.get("service", ""), "schedule-eval",
-                agent=self.name, trace_id=message.trace_id,
-                candidates=len(content.get("candidates", ())),
-            )
-            if recorder.enabled
-            else None
-        )
-        try:
+        with self.env.spans.span(
+            content.get("service", ""), "schedule-eval",
+            agent=self.name, trace_id=message.trace_id,
+            candidates=len(content.get("candidates", ())),
+        ) as span:
             reply = yield from self._schedule(content)
-        except ServiceError:
-            recorder.end(span, status="error")
-            raise
-        recorder.end(
-            span, container=reply["container"], estimate=reply["estimate"]
-        )
+            span.set(container=reply["container"], estimate=reply["estimate"])
         return reply
 
     def _schedule(self, content: dict):
@@ -209,36 +198,25 @@ class SchedulingService(CoreService):
         """Book one slot: ``container``, ``start`` (absolute simulated
         time), ``duration``; reply carries the token and the cost."""
         content = message.content
-        recorder = self.env.spans
-        span = (
-            recorder.start(
-                content.get("container", ""), "reserve",
-                agent=self.name, trace_id=message.trace_id,
-            )
-            if recorder.enabled
-            else None
-        )
-        try:
+        with self.env.spans.span(
+            content.get("container", ""), "reserve",
+            agent=self.name, trace_id=message.trace_id,
+        ) as span:
             node = yield from self._reservable_node(content["container"])
-        except ServiceError:
-            recorder.end(span, status="error")
-            raise
-        if node is None:
-            recorder.end(span, status="error")
-            raise ServiceError(
-                f"container {content['container']!r} does not support "
-                f"advance reservations"
-            )
-        try:
-            reservation = node.reservations.book(
-                holder=message.sender,
-                start=float(content["start"]),
-                duration=float(content["duration"]),
-            )
-        except SchedulingError as exc:
-            recorder.end(span, status="error")
-            raise ServiceError(str(exc)) from exc
-        recorder.end(span, cost=reservation.cost, start=reservation.start)
+            if node is None:
+                raise ServiceError(
+                    f"container {content['container']!r} does not support "
+                    f"advance reservations"
+                )
+            try:
+                reservation = node.reservations.book(
+                    holder=message.sender,
+                    start=float(content["start"]),
+                    duration=float(content["duration"]),
+                )
+            except SchedulingError as exc:
+                raise ServiceError(str(exc)) from exc
+            span.set(cost=reservation.cost, start=reservation.start)
         return {
             "token": reservation.token,
             "start": reservation.start,

@@ -61,31 +61,23 @@ class PersistentStorageService(CoreService):
         self.metrics.observe(
             "storage_payload_bytes", message.size, agent=self.name, action="store"
         )
-        recorder = self.env.spans
-        if recorder.enabled:
-            # Instant span: the handler itself takes zero simulated time
-            # (wire time is the network layer's), but the storage-side
-            # record joins payload traffic to the case via trace_id.
-            recorder.end(
-                recorder.start(
-                    key, "storage", agent=self.name,
-                    trace_id=message.trace_id, op="store", bytes=message.size,
-                )
-            )
+        # Instant span: the handler itself takes zero simulated time (wire
+        # time is the network layer's), but the storage-side record joins
+        # payload traffic to the case via trace_id.
+        self.env.spans.instant(
+            key, "storage", agent=self.name,
+            trace_id=message.trace_id, op="store", bytes=message.size,
+        )
         return {"key": key}
 
     def handle_retrieve(self, message: Message):
         key = message.content["key"]
         if key not in self._objects:
             raise StorageError(f"no stored object under key {key!r}")
-        recorder = self.env.spans
-        if recorder.enabled:
-            recorder.end(
-                recorder.start(
-                    key, "storage", agent=self.name,
-                    trace_id=message.trace_id, op="retrieve",
-                )
-            )
+        self.env.spans.instant(
+            key, "storage", agent=self.name,
+            trace_id=message.trace_id, op="retrieve",
+        )
         return {"key": key, "payload": self._objects[key], "meta": self._meta[key]}
 
     def handle_delete(self, message: Message):

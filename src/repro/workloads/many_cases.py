@@ -218,7 +218,7 @@ def run_many_cases(
         "cases": cases,
         "completed": completed,
         "activities_run": sum(o["activities_run"] for o in outcomes),
-        "messages": env.trace.total_recorded,
+        "messages": registry.total("messages_delivered"),
         "makespan": env.engine.now,
         "engine_events": env.engine.events_processed,
         "spans": {

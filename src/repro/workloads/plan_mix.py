@@ -313,6 +313,6 @@ def run_plan_mix(
         "counts": counts,
         "killed": killed[0],
         "library_entries": len(plan_library) if plan_library is not None else 0,
-        "messages": env.trace.total_recorded,
+        "messages": registry.total("messages_delivered"),
         "makespan": env.engine.now,
     }

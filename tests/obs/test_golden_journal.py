@@ -11,6 +11,13 @@ grids.  A change to where or when a case fact is recorded moves
 a digest; preserved behaviour keeps it.  When a change alters the
 record on purpose, update the digest and say why in the change
 description.
+
+Next to each journal digest sits a digest of every closed span (ids,
+trace, kind, name, agent, times, status and attributes, in close order)
+plus the recorder's lifecycle accounting.  The journal files only the
+span kinds ``SPAN_EVENTS`` names; the span digests also pin the rest
+(schedule, match, loop, fork, choice, storage, ...) and every span's
+status, so a change to how a span opens or closes moves one.
 """
 
 import json
@@ -53,6 +60,28 @@ def journal_digest(env, cases, extra=None):
     return blake2b(b"\n".join(parts), digest_size=16).hexdigest()
 
 
+def span_digest(env):
+    """blake2b-16 over every closed span in close order, then the
+    recorder's (total_started, total_closed, open_count).  ``wall_s`` is
+    left out: the ``gp`` span records wall-clock time in it."""
+    rows = [
+        (
+            span.span_id, span.parent_id, span.trace_id, span.kind,
+            span.name, span.agent, span.start, span.end, span.status,
+            json.dumps(
+                {k: v for k, v in span.attrs.items() if k != "wall_s"},
+                sort_keys=True, default=str,
+            ),
+        )
+        for span in env.spans.closed
+    ]
+    recorder = env.spans
+    rows.append(
+        (recorder.total_started, recorder.total_closed, recorder.open_count)
+    )
+    return blake2b(repr(rows).encode(), digest_size=16).hexdigest()
+
+
 def event_count(env, cases):
     return sum(len(env.journal.events(case)) for case in cases)
 
@@ -67,6 +96,7 @@ def test_many_cases_digest():
     env = result["env"]
     assert event_count(env, cases) == 216
     assert journal_digest(env, cases) == "e2468431260bb4b46cb9106c67fd4b62"
+    assert span_digest(env) == "b4337a6dd1a4087a8c9af3eccfb94774"
 
 
 def test_plan_mix_digest():
@@ -78,17 +108,24 @@ def test_plan_mix_digest():
     assert event_count(env, cases) == 16304
     digest = journal_digest(env, cases, extra={"sources": result["sources"]})
     assert digest == "77629e8dbd7fd9709d8599d6a8cb7a83"
+    assert span_digest(env) == "40f951f4e69d11521ee8b5d894a1c388"
 
 
 @pytest.mark.parametrize(
-    ("seed", "replans", "events", "digest"),
+    ("seed", "replans", "events", "digest", "spans"),
     [
-        (0, 1, 54, "c15026bc7a24f1116f41cd81ccee638d"),
-        (1, 0, 72, "1339196471abff82ab536dcfe0e3bba8"),
+        (
+            0, 1, 54, "c15026bc7a24f1116f41cd81ccee638d",
+            "d5792aa8cf1439bd21f170ef5c08141b",
+        ),
+        (
+            1, 0, 72, "1339196471abff82ab536dcfe0e3bba8",
+            "3bd42330a2e7e8dec5a85471348602b6",
+        ),
     ],
     ids=["seed0_replan", "seed1_retries"],
 )
-def test_replan_digest(seed, replans, events, digest):
+def test_replan_digest(seed, replans, events, digest, spans):
     env, services, _ = standard_environment(
         synthetic_services(),
         containers=3,
@@ -116,6 +153,7 @@ def test_replan_digest(seed, replans, events, digest):
     assert ("activity-fail" in kinds) == (replans > 0)
     assert event_count(env, ["case"]) == events
     assert journal_digest(env, ["case"]) == digest
+    assert span_digest(env) == spans
 
 
 def test_secure_digest():
@@ -148,6 +186,7 @@ def test_secure_digest():
     cases = ["secure-a", "secure-b", "secure-c"]
     assert event_count(env, cases) == 102
     assert journal_digest(env, cases) == "9bd80c79b6cfe24bcfac7f0182b8fdc0"
+    assert span_digest(env) == "45f7e5bcf14c99369e301400e2bd078f"
 
 
 def test_refusal_digest():
@@ -179,6 +218,7 @@ def test_refusal_digest():
         )
     assert event_count(env, ["bad"]) == 3
     assert journal_digest(env, ["bad"]) == "19a114c0e40383e23b73cf2d42f0e29a"
+    assert span_digest(env) == "efd19f5ef9c7a30a311104a2a5517fe5"
 
 
 def test_racy_fork_digest():
@@ -214,6 +254,7 @@ def test_racy_fork_digest():
     assert event_count(env, ["racy-0"]) == 9
     digest = journal_digest(env, ["racy-0"], extra=extra)
     assert digest == "e5315c0c733106c24f764b5003977b2b"
+    assert span_digest(env) == "019952f8406081ad6ca2e66fbcf2eb7c"
 
 
 def test_migrate_digest():
@@ -265,3 +306,4 @@ def test_migrate_digest():
         for e in transfers
     )
     assert journal_digest(env, cases) == "378d445a49031d37b725e621ba9111be"
+    assert span_digest(env) == "a4c14c18f1525673cf8099c04371ffc6"

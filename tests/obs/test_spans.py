@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.spans import Alert, SpanRecorder, WatchRule
+from repro.obs.spans import NO_SPAN, Alert, SpanRecorder, WatchRule
 from repro.sim.engine import Engine
 
 
@@ -117,6 +117,63 @@ class TestLifecycle:
         assert recorder.start("y", "case") is None
         recorder.end(span)  # opened while enabled: closes normally
         assert recorder.total_closed == 1
+
+
+class TestScopedSpans:
+    def test_block_exit_closes_ok(self, engine, recorder):
+        with recorder.span("a", "activity", service="POD") as span:
+            assert recorder.open_count == 1
+            engine.now = 2.0
+            span.set(retries=0)
+            span.rename("A")
+        assert (span.status, span.end, span.name) == ("ok", 2.0, "A")
+        assert span.attrs == {"service": "POD", "retries": 0}
+        assert recorder.open_count == 0
+
+    def test_exception_closes_error_and_propagates(self, recorder):
+        with pytest.raises(ValueError, match="boom"), recorder.span("a", "activity") as span:
+            span.set(reason="boom")
+            raise ValueError("boom")
+        assert span.status == "error"
+        assert span.attrs == {"reason": "boom"}
+        assert recorder.open_count == 0
+
+    def test_generator_exit_leaves_the_span_open(self, recorder):
+        def parked():
+            with recorder.span("a", "activity"):
+                yield
+
+        process = parked()
+        next(process)
+        process.close()
+        assert recorder.open_count == 1
+        assert recorder.total_closed == 0
+
+    def test_instant_is_zero_length_and_ok(self, engine, recorder):
+        engine.now = 3.0
+        root = recorder.start("case-0", "case", trace_id="t1")
+        recorder.instant("choice", "choice", parent=root, branch=1)
+        (span,) = recorder.spans(kind="choice")
+        assert (span.start, span.end, span.status) == (3.0, 3.0, "ok")
+        assert span.parent_id == root.span_id and span.trace_id == "t1"
+        assert span.attrs == {"branch": 1}
+
+    def test_disabled_recorder_hands_out_one_no_op_handle(self, engine):
+        recorder = SpanRecorder(engine, enabled=False)
+        first = recorder.span("a", "activity")
+        with first as handle, recorder.span("b", "dispatch", parent=handle) as inner:
+            handle.set(retries=1)
+            handle.rename("A")
+        assert first is inner is NO_SPAN
+        with pytest.raises(ValueError), recorder.span("c", "compute"):
+            raise ValueError("still propagates")
+        recorder.instant("x", "refusal")
+        assert recorder.total_started == recorder.total_closed == 0
+
+    def test_no_span_parent_reads_as_no_parent(self, recorder):
+        with recorder.span("a", "activity", parent=NO_SPAN) as span:
+            pass
+        assert span.parent_id is None and span.trace_id is None
 
 
 class TestWatchRules:

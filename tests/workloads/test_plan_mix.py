@@ -87,6 +87,12 @@ def test_wired_disabled_library_is_bit_identical_to_unwired():
     assert wired["makespan"] == plain["makespan"]
 
 
+def test_messages_counted_with_tracing_off():
+    traced = run_plan_mix(requests=2, **FAST)
+    fast = run_plan_mix(requests=2, tracing=False, **FAST)
+    assert fast["messages"] == traced["messages"] == 10
+
+
 def test_goal_variants_cycle_and_share_digest():
     assert plan_mix_goals(0) == plan_mix_goals(4)
     from repro.planner.library import problem_digest
