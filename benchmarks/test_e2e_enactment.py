@@ -21,6 +21,7 @@ from benchmarks.conftest import run_once
 
 def _enact():
     env, core, fleet = virolab_grid(containers=3)
+    env.spans.enabled = True  # the loop span counts the Cons1 iterations
     case = setup_virolab_case(core.storage, size=24, count=40, seed=0)
     outcome = {}
 
@@ -51,10 +52,8 @@ def test_e2e_enactment(benchmark, show):
     env, core, case, outcome = run_once(benchmark, _enact)
     assert "error" not in outcome, outcome.get("error")
 
-    record = core.coordination.records[0]
-    loop_iterations = next(
-        int(d.split()[0]) for t, k, d in record.events if k == "loop-done"
-    )
+    (loop,) = env.spans.spans(kind="loop")
+    loop_iterations = loop.attrs["iterations"]
     model = core.storage.get(outcome["payload_keys"]["D9"])
     truth_corr = float(
         np.corrcoef(model.ravel(), case["phantom"].ravel())[0, 1]

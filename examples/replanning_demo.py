@@ -39,6 +39,17 @@ def synthetic_services():
     return list(out.values())
 
 
+#: Journal event kinds the demo prints, with the attributes it shows.  A
+#: dispatch with attempt > 0 is a retry.
+JOURNAL_DETAIL = {
+    "compile": ("process",),
+    "dispatch": ("activity", "container", "attempt"),
+    "activity-fail": ("activity", "reason"),
+    "replan": ("round", "excluded"),
+    "case-complete": ("activities_run", "replans"),
+}
+
+
 def main() -> None:
     for seed in range(10):
         env, core, fleet = standard_environment(
@@ -48,6 +59,7 @@ def main() -> None:
             failure_seed=seed,
             planner_config=GPConfig(population_size=40, generations=6),
             planner_seed=seed,
+            journal="record",
         )
         outcome = {}
 
@@ -81,11 +93,13 @@ def main() -> None:
         if outcome.get("replans", 0) > 0 and "error" not in outcome:
             print(f"seed {seed}: completed after "
                   f"{outcome['replans']} re-planning round(s)\n")
-            print("coordination event log (failures and repairs):")
-            for time, kind, detail in outcome["events"]:
-                if kind in ("retry", "activity-failed", "replan",
-                            "enact", "completed"):
-                    print(f"  t={time:8.2f}s  {kind:16s} {detail}")
+            print("case journal (retries, failures and repairs):")
+            for event in env.journal.events(f"failure-case-{seed}"):
+                keys = JOURNAL_DETAIL.get(event.kind)
+                if keys is None or event.attrs.get("attempt") == 0:
+                    continue
+                detail = " ".join(f"{key}={event.attrs[key]}" for key in keys)
+                print(f"  t={event.time:8.2f}s  {event.kind:14s} {detail}")
             replan_messages = [
                 (t[0], t[1], t[3])
                 for t in env.trace.actions()

@@ -24,6 +24,7 @@ from repro.virolab import (
 
 def main() -> None:
     env, core, fleet = virolab_grid(containers=3)
+    env.spans.enabled = True  # the enactment log below reads the spans
     case = setup_virolab_case(core.storage, size=24, count=40, seed=0)
     print("staged case: 40 synthetic micrographs of a hidden phantom, "
           "initial model, program parameter files (D1..D7)")
@@ -53,10 +54,19 @@ def main() -> None:
     env.engine.spawn(submit(), "user")
     env.run(max_events=5_000_000)
 
-    print("enactment log:")
-    for time, kind, detail in outcome["events"]:
-        if kind in ("activity", "choice", "loop-done", "completed"):
-            print(f"  t={time:8.2f}s  {kind:10s} {detail}")
+    print("enactment log (closed spans):")
+    for span in env.spans.spans():
+        if span.kind == "activity":
+            detail = f"{span.name} ({span.attrs['service']}) on {span.attrs['container']}"
+        elif span.kind == "choice":
+            detail = span.attrs["condition"]
+        elif span.kind == "loop":
+            detail = f"{span.attrs['iterations']} iterations"
+        elif span.kind == "case":
+            detail = f"{span.name} {span.status}"
+        else:
+            continue
+        print(f"  t={span.end:8.2f}s  {span.kind:10s} {detail}")
 
     d12 = outcome["data"]["D12"]
     print(f"\nfinal resolution: {d12['Value']:.2f} A "

@@ -145,8 +145,9 @@ class MetricsRegistry:
 
     def total(self, name: str, agent: str | None = None) -> int:
         """Sum of a counter across actions (and agents when None): one
-        scan of the counter table, which holds about 630 series after a
-        500-case run."""
+        scan of the counter table, which holds 133 series after a
+        500-case ``many_cases`` run (no series is per case, so the table
+        does not grow with the population)."""
         return sum(
             count
             for (metric, who, _), count in self._counters.items()

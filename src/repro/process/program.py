@@ -17,7 +17,7 @@ everything about a process description that is case-independent:
   :func:`repro.process.conditions.compile_condition` into a flat closure,
   keyed by AST node identity (the program owns its AST, so ids are
   stable), with the original :class:`Condition` objects retained so
-  enactment records log exactly the same ``str(condition)`` text.
+  ``choice`` spans record exactly the same ``str(condition)`` text.
 
 Programs are immutable once built and safe to share across concurrent
 cases; :func:`process_fingerprint` provides the structural cache key the

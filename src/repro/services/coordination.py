@@ -24,7 +24,7 @@ converted on receipt — which doubles as a well-structuredness check):
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Generator
 from typing import Any
 
@@ -62,7 +62,6 @@ class _ActivityFailed(ServiceError):
     def __init__(self, activity: str, reason: str) -> None:
         super().__init__(f"activity {activity!r} failed: {reason}")
         self.activity = activity
-        self.reason = reason
 
 
 class _CaseData:
@@ -97,22 +96,18 @@ class _CaseData:
 
 @dataclass
 class EnactmentRecord:
-    """Telemetry for one enactment (exposed in the reply and kept by the
-    coordinator for experiment assertions)."""
+    """One enactment as ``task-status`` serves it.  A recorded case ends
+    ``completed`` or ``failed``; its history lives in the case's spans,
+    journal and message trace, not here."""
 
     task: str
-    events: list[tuple[float, str, str]] = field(default_factory=list)
     activities_run: int = 0
-    activities_failed: int = 0
     replans: int = 0
     completed: bool = False
     failed: bool = False
     #: Final case data, set on completion — kept so intermittently
     #: connected users can poll for results after reconnecting.
     result: dict[str, dict] | None = None
-
-    def log(self, time: float, kind: str, detail: str) -> None:
-        self.events.append((time, kind, detail))
 
 
 class CoordinationService(CoreService):
@@ -138,7 +133,7 @@ class CoordinationService(CoreService):
     #: Error codes tolerated at intake: E202 (overlapping Choice guards)
     #: is an error for a process *author* — branch uniqueness is broken —
     #: but this machine resolves it deterministically by first-match, so
-    #: enactment proceeds (the finding is still attached to the record).
+    #: enactment proceeds (the finding still rides in the reply).
     #: E612 (a guard-coverage gap inside a fork branch) likewise: this
     #: coordinator falls through to the last arm when no guard holds, so
     #: the join cannot actually starve here.
@@ -279,8 +274,10 @@ class CoordinationService(CoreService):
         * optional ``task`` — display name;
         * optional ``work`` — service name -> work units (scheduling hint).
 
-        Reply: final ``data`` properties, ``payload_keys``, and the
-        enactment record (events, counts, replans).
+        Reply: ``status``, the final ``data`` properties,
+        ``payload_keys``, ``activities_run`` and ``replans``, plus the
+        intake ``findings`` when there are any.  What happened along the
+        way is in the case's spans, journal and message trace.
         """
         content = message.content
         case_id = self._journal_case_id(content, message.trace_id)
@@ -431,81 +428,72 @@ class CoordinationService(CoreService):
         self.records.append(record)
         if plan_source is not None:
             case_span.set(plan_source=plan_source)
-            record.log(self.engine.now, "plan-source", plan_source)
-        for finding in findings:
-            record.log(self.engine.now, "lint", str(finding))
         work: dict[str, float] = dict(content.get("work", {}))
 
         failed_activities: list[str] = []
         current = process
-        while True:
-            with spans.span(
-                current.name, "compile", agent=self.name, parent=case_span
-            ) as compile_span:
-                try:
-                    program = self._program_for(current)
-                except ConversionError as exc:
-                    compile_span.set(error=str(exc))
-                    raise ServiceError(
-                        f"process {current.name!r} is not well-structured: {exc}"
-                    ) from exc
-                compile_span.set(**program.stats())
-            record.log(self.engine.now, "enact", f"process {current.name}")
-            try:
+        try:
+            while True:
                 with spans.span(
-                    current.name, "enact", agent=self.name, parent=case_span
-                ) as enact_span:
+                    current.name, "compile", agent=self.name, parent=case_span
+                ) as compile_span:
                     try:
-                        yield from self._enact(
-                            program.ast, program, case, record, work, enact_span
+                        program = self._program_for(current)
+                    except ConversionError as exc:
+                        compile_span.set(error=str(exc))
+                        raise ServiceError(
+                            f"process {current.name!r} is not well-structured: {exc}"
+                        ) from exc
+                    compile_span.set(**program.stats())
+                try:
+                    with spans.span(
+                        current.name, "enact", agent=self.name, parent=case_span
+                    ) as enact_span:
+                        try:
+                            yield from self._enact(
+                                program.ast, program, case, record, work, enact_span
+                            )
+                        except _ActivityFailed as failure:
+                            enact_span.set(failed=failure.activity)
+                            raise
+                    break
+                except _ActivityFailed as failure:
+                    if problem is None or record.replans >= self.max_replans:
+                        raise ServiceError(
+                            f"enactment of {record.task!r} failed at activity "
+                            f"{failure.activity!r} and cannot re-plan"
+                        ) from failure
+                    failed_activities.append(
+                        self._planner_activity_name(current, failure.activity)
+                    )
+                    record.replans += 1
+                    self.metrics.inc("replans", agent=self.name)
+                    excluded = sorted(set(failed_activities))
+                    with spans.span(
+                        "replan", "replan", agent=self.name, parent=case_span,
+                        round=record.replans, excluded=excluded,
+                        aborted=failure.activity,
+                    ):
+                        reply = yield from self.call(
+                            self.planner_name,
+                            "replan",
+                            {
+                                "problem": problem,
+                                "data": case.snapshot(),
+                                "failed_activities": excluded,
+                            },
                         )
-                    except _ActivityFailed as failure:
-                        enact_span.set(failed=failure.activity)
-                        raise
-                record.completed = True
-                self.metrics.inc(
-                    "enactments_completed", agent=self.name, action=record.task
-                )
-                break
-            except _ActivityFailed as failure:
-                record.activities_failed += 1
-                record.log(
-                    self.engine.now, "activity-failed",
-                    f"{failure.activity}: {failure.reason}",
-                )
-                if problem is None or record.replans >= self.max_replans:
-                    record.failed = True
-                    self.metrics.inc(
-                        "enactments_failed", agent=self.name, action=record.task
-                    )
-                    raise ServiceError(
-                        f"enactment of {record.task!r} failed at activity "
-                        f"{failure.activity!r} and cannot re-plan"
-                    ) from failure
-                failed_activities.append(
-                    self._planner_activity_name(current, failure.activity)
-                )
-                record.replans += 1
-                self.metrics.inc("replans", agent=self.name, action=record.task)
-                excluded = sorted(set(failed_activities))
-                record.log(self.engine.now, "replan", f"excluding {excluded}")
-                with spans.span(
-                    "replan", "replan", agent=self.name, parent=case_span,
-                    round=record.replans, excluded=excluded,
-                    aborted=failure.activity,
-                ):
-                    reply = yield from self.call(
-                        self.planner_name,
-                        "replan",
-                        {
-                            "problem": problem,
-                            "data": case.snapshot(),
-                            "failed_activities": excluded,
-                        },
-                    )
-                current = reply["process"]
-
-        record.log(self.engine.now, "completed", record.task)
+                    current = reply["process"]
+        except ServiceError:
+            # The one place a recorded case fails, whatever ended it: no
+            # re-plan left, a refused ticket, a Fork-branch error, a
+            # failed replan RPC or a replanned process that is not
+            # well-structured.  task-status then answers failed.
+            record.failed = True
+            self.metrics.inc("enactments_failed", agent=self.name)
+            raise
+        record.completed = True
+        self.metrics.inc("enactments_completed", agent=self.name)
         record.result = case.snapshot()
         case_span.set(activities_run=record.activities_run, replans=record.replans)
         reply = {
@@ -514,7 +502,6 @@ class CoordinationService(CoreService):
             "payload_keys": dict(case.payload_keys),
             "activities_run": record.activities_run,
             "replans": record.replans,
-            "events": list(record.events),
         }
         if findings:
             reply["findings"] = [f.to_dict() for f in findings]
@@ -565,7 +552,7 @@ class CoordinationService(CoreService):
             yield from self._run_fork(node, program, case, record, work, span)
             return
         if isinstance(node, ChoiceNode):
-            branch = self._choose(node, program, case, record, span)
+            branch = self._choose(node, program, case, span)
             yield from self._enact(branch, program, case, record, work, span)
             return
         if isinstance(node, IterativeNode):
@@ -583,14 +570,10 @@ class CoordinationService(CoreService):
                         if not holds(case):
                             break
                         if iterations >= self.max_loop_iterations:
-                            record.log(
-                                self.engine.now, "loop-bound",
-                                f"iterative stopped after {iterations} iterations",
-                            )
+                            loop_span.set(bounded=True)
                             break
                 finally:
                     loop_span.set(iterations=iterations)
-                record.log(self.engine.now, "loop-done", f"{iterations} iterations")
             return
         raise EnactmentError(f"unknown AST node {type(node).__name__}")
 
@@ -599,25 +582,21 @@ class CoordinationService(CoreService):
         node: ChoiceNode,
         program: EnactmentProgram,
         case: _CaseData,
-        record: EnactmentRecord,
         span: Span = NO_SPAN,
     ) -> Node:
         """First branch whose condition holds (Section 3.1's Choice)."""
         spans = self.env.spans
         for index, (holds, condition, branch) in enumerate(program.branches(node)):
             if holds(case):
-                text = str(condition)
-                record.log(self.engine.now, "choice", text)
                 # Instant span: condition evaluation is zero sim-time.
                 spans.instant(
                     "choice", "choice", agent=self.name, parent=span,
-                    branch=index, condition=text,
+                    branch=index, condition=str(condition),
                 )
                 return branch
         # No condition holds: the paper leaves this undefined; taking the
         # last branch (conventionally the default/else arm) keeps the
-        # machine live and is logged for the experimenter.
-        record.log(self.engine.now, "choice-default", "no condition held")
+        # machine live and is recorded on the choice span.
         spans.instant(
             "choice", "choice", agent=self.name, parent=span,
             branch=len(node.branches) - 1, condition="default",
@@ -662,7 +641,6 @@ class CoordinationService(CoreService):
                 failure = yield handle
                 if failure is not None:
                     failures.append(failure)
-            record.log(self.engine.now, "join", f"{len(handles)} branches")
             if failures:
                 # The first failure in branch order: an activity failure
                 # still triggers re-planning, any other error fails the case.
@@ -690,7 +668,11 @@ class CoordinationService(CoreService):
                 for d in step.inputs
                 if d in case.payload_keys
             }
-            ticket = yield from self._ensure_ticket()
+            try:
+                ticket = yield from self._ensure_ticket()
+            except ServiceError as exc:
+                activity_span.set(reason=str(exc))
+                raise
             last_error = "no candidates"
             for attempt in range(self.retry_limit + 1):
                 container: str | None = None
@@ -746,10 +728,6 @@ class CoordinationService(CoreService):
                         result.get("outputs", {}), result.get("payload_keys", {})
                     )
                     record.activities_run += 1
-                    record.log(
-                        self.engine.now, "activity",
-                        f"{name} ({service}) on {container}",
-                    )
                     activity_span.set(
                         container=container, retries=attempt,
                         outputs=sorted(result.get("outputs", {})),
@@ -758,10 +736,6 @@ class CoordinationService(CoreService):
                     return
                 except ServiceError as exc:
                     last_error = str(exc)
-                    record.log(
-                        self.engine.now, "retry",
-                        f"{name} attempt {attempt + 1} failed: {last_error}",
-                    )
                     if container is not None:
                         self._report_performance(service, container, 0.0, False)
             activity_span.set(retries=self.retry_limit, reason=last_error)

@@ -65,7 +65,7 @@ class TestMetricsOverRpc:
         env, services, user = enacted
         dump = drive(env, user, lambda: user.call("monitoring", "metrics", {}))
         counters = dump["counters"]
-        assert counters["enactments_completed"]["coordination|observed-task"] == 1
+        assert counters["enactments_completed"]["coordination|"] == 1
         assert sum(counters["rpc_ok"].values()) > 10
         assert sum(counters["requests_handled"].values()) > 10
         assert sum(counters["activities_completed"].values()) >= 1

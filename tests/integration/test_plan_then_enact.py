@@ -3,6 +3,7 @@
 import pytest
 
 from repro.grid import EndUserService
+from repro.grid.messages import Performative
 from repro.planner import GPConfig
 from repro.services import standard_environment
 from repro.workloads import chain_problem, diamond_problem
@@ -72,8 +73,11 @@ def test_planned_enactment_repairs_invalid_occurrences():
         max_events=5_000_000,
     )
     assert result["status"] == "completed"
-    retries = [e for e in result["events"] if e[1] == "retry"]
+    # A failed attempt's error rides in the container's FAILURE reply.
     input_condition_failures = [
-        e for e in retries if "input condition" in e[2]
+        event.message.content["error"]
+        for event in env.trace.events()
+        if event.message.performative is Performative.FAILURE
+        and "input condition" in event.message.content["error"]
     ]
     assert input_condition_failures == []

@@ -108,7 +108,12 @@ def test_plan_mix_digest():
     assert event_count(env, cases) == 16304
     digest = journal_digest(env, cases, extra={"sources": result["sources"]})
     assert digest == "77629e8dbd7fd9709d8599d6a8cb7a83"
-    assert span_digest(env) == "40f951f4e69d11521ee8b5d894a1c388"
+    assert span_digest(env) == "2c8534c70650ef1eed79822905427467"
+    # Most of the mix's loops are cut off at max_loop_iterations (25).
+    loops = env.spans.spans(kind="loop")
+    bounded = [span for span in loops if span.attrs.get("bounded")]
+    assert (len(loops), len(bounded)) == (116, 108)
+    assert all(span.attrs["iterations"] == 25 for span in bounded)
 
 
 @pytest.mark.parametrize(

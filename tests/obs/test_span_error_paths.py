@@ -3,7 +3,9 @@
 Each scenario fails a case (or an RPC) with an error raised somewhere
 other than an activity's retry loop, then checks that every span the
 failure unwound through closed with status ``error``, that no span is
-left open and that the engine's queue drained.
+left open and that the engine's queue drained.  A failed case is also
+recorded failed: ``task-status`` answers ``failed`` and the coordinator
+counts it once.
 """
 
 from repro.errors import ServiceError
@@ -54,6 +56,15 @@ def _statuses(env, kind):
     return [span.status for span in env.spans.spans(kind=kind)]
 
 
+def _assert_recorded_failed(env, coordinator, task):
+    status = _call(env, coordinator, "coordination", "task-status", {"task": task})
+    assert status["reply"] == {
+        "known": True, "completed": False, "failed": True,
+        "activities_run": 0, "replans": 0,
+    }
+    assert env.metrics.total("enactments_failed") == 1
+
+
 def test_refused_ticket_closes_case_enact_and_activity():
     env, core = _refusing_secure_grid(many_cases_services(), journal="record")
     outcome = _enact(
@@ -76,6 +87,10 @@ def test_refused_ticket_closes_case_enact_and_activity():
         "case-intake", "compile", "activity-fail", "case-fail",
     ]
     assert events[2].attrs["activity"] == "ingest"
+    assert events[2].attrs["reason"] == (
+        "authentication!authenticate failed: bad credentials for 'coordination'"
+    )
+    _assert_recorded_failed(env, core.coordination, "case-0")
 
 
 def test_replan_probe_closes_when_the_broker_times_out():
@@ -131,3 +146,4 @@ def test_fork_branch_error_fails_the_case_not_the_run():
     assert _statuses(env, "activity") == ["error", "error"]
     assert _statuses(env, "fork") == ["error"]
     assert _statuses(env, "case") == ["error"]
+    _assert_recorded_failed(env, core.coordination, "forked")

@@ -19,6 +19,7 @@ INITIAL = {
 
 def execute(grid, **overrides):
     env, services, fleet = grid
+    env.spans.enabled = True
     user = services.coordination
     request = {
         "process": process_description(),
@@ -43,17 +44,16 @@ def test_full_enactment_completes(grid):
 
 def test_loop_terminates_by_cons1(grid):
     result, env, services = execute(grid)
-    record = services.coordination.records[0]
-    loop_events = [d for t, k, d in record.events if k == "loop-done"]
-    assert loop_events == ["3 iterations"]
+    (loop,) = env.spans.spans(kind="loop")
+    assert loop.attrs == {"iterations": 3}  # not bounded
 
 
 def test_fork_branches_run_concurrently(grid):
     result, env, services = execute(grid)
-    record = services.coordination.records[0]
     p3dr_times = [
-        t for t, k, d in record.events
-        if k == "activity" and d.startswith(("P3DR2", "P3DR3", "P3DR4"))
+        span.end
+        for span in env.spans.spans(kind="activity")
+        if span.name in ("P3DR2", "P3DR3", "P3DR4")
     ]
     # In each loop pass the three stream reconstructions finish together
     # (same work, concurrent execution on 4-slot nodes).
@@ -71,11 +71,8 @@ def test_data_flow_reaches_outputs(grid):
 
 def test_scheduler_prefers_fast_container(grid):
     result, env, services = execute(grid)
-    record = services.coordination.records[0]
     containers = {
-        d.rsplit(" on ", 1)[1]
-        for t, k, d in record.events
-        if k == "activity"
+        span.attrs["container"] for span in env.spans.spans(kind="activity")
     }
     # ac3 (speed 4) should get essentially everything while idle.
     assert "ac3" in containers
@@ -166,15 +163,6 @@ def test_unstructured_process_rejected(grid):
         )
 
 
-def test_events_logged_in_order(grid):
-    result, env, services = execute(grid)
-    times = [t for t, k, d in result["events"]]
-    assert times == sorted(times)
-    kinds = [k for t, k, d in result["events"]]
-    assert kinds[0] == "enact"
-    assert kinds[-1] == "completed"
-
-
 def test_loop_bound_guards_nonterminating_conditions(grid):
     """An always-true iterative condition is cut off at max_loop_iterations."""
     env, services, fleet = grid
@@ -186,6 +174,7 @@ def test_loop_bound_guards_nonterminating_conditions(grid):
         .build()
     )
     services.coordination.max_loop_iterations = 4
+    env.spans.enabled = True
     user = services.coordination
     result = drive(
         env,
@@ -198,8 +187,8 @@ def test_loop_bound_guards_nonterminating_conditions(grid):
     )
     assert result["status"] == "completed"
     assert result["activities_run"] == 4
-    bounds = [e for e in result["events"] if e[1] == "loop-bound"]
-    assert len(bounds) == 1
+    (loop,) = env.spans.spans(kind="loop")
+    assert loop.attrs == {"iterations": 4, "bounded": True}
 
 
 def test_choice_default_branch_when_no_condition_holds(grid):
@@ -216,6 +205,7 @@ def test_choice_default_branch_when_no_condition_holds(grid):
         )
         .build()
     )
+    env.spans.enabled = True
     user = services.coordination
     result = drive(
         env,
@@ -227,13 +217,11 @@ def test_choice_default_branch_when_no_condition_holds(grid):
         ),
     )
     assert result["status"] == "completed"
-    record = services.coordination.records[-1]
-    defaults = [e for e in record.events if e[1] == "choice-default"]
-    assert len(defaults) == 1
+    choices = [span.attrs for span in env.spans.spans(kind="choice")]
+    assert choices == [{"branch": 1, "condition": "default"}]
     # The default (last) branch ran POD, not POR.
-    activities = [e[2] for e in record.events if e[1] == "activity"]
-    assert any(a.startswith("POD") for a in activities)
-    assert not any(a.startswith("POR") for a in activities)
+    activities = [span.name for span in env.spans.spans(kind="activity")]
+    assert activities == ["POD"]
 
 
 def test_intake_refuses_semantically_broken_process(grid):
@@ -269,7 +257,7 @@ def test_intake_refuses_semantically_broken_process(grid):
 
 def test_intake_tolerates_overlapping_guards_but_reports_them(grid):
     """E202 is tolerated (first-match resolves it) yet still surfaced in
-    the reply and the enactment record."""
+    the reply."""
     env, services, fleet = grid
     from repro.process import WorkflowBuilder, parse_condition
 
@@ -294,9 +282,6 @@ def test_intake_tolerates_overlapping_guards_but_reports_them(grid):
     )
     assert result["status"] == "completed"
     assert [f["code"] for f in result["findings"]] == ["E202"]
-    record = services.coordination.records[-1]
-    lint_events = [d for t, k, d in record.events if k == "lint"]
-    assert len(lint_events) == 1 and lint_events[0].startswith("E202")
 
 
 def test_intake_clean_case_reply_has_no_findings_key(grid):

@@ -33,7 +33,7 @@ from repro.virolab import (
 from repro.workloads import run_many_cases
 
 #: The default configuration; the record-only journal must match it.
-DEFAULT_DIGEST = "260ff135674450a957ef6d5f32fb141e"
+DEFAULT_DIGEST = "0e991397f4134f3f2f1ac6c3404a995b"
 
 
 def trace_digest(result) -> str:
@@ -65,7 +65,7 @@ def trace_digest(result) -> str:
         ({"journal": "record"}, 976, DEFAULT_DIGEST),
         # The read-through cache of coordinator and scheduler at a
         # run-long TTL: 394 messages instead of 976.
-        ({"cache_ttl": 120.0}, 394, "148ca05874949cbc0fd8fcfa37148701"),
+        ({"cache_ttl": 120.0}, 394, "0fc7c5914b6d4f5bbc0cc845f8227d13"),
     ],
     ids=["default", "journal_record", "cache_ttl120"],
 )
@@ -94,7 +94,7 @@ def test_process_split_digest():
         )
     )
     digest = blake2b(text.encode(), digest_size=16).hexdigest()
-    assert digest == "c259831adbd37388eca65063b0f34762"
+    assert digest == "dc548c7a3ce61f973eade23e2d1493f9"
 
 
 def _figure_run(target: str, action: str, content: dict, **grid):
@@ -168,4 +168,4 @@ def test_fig10_enactment_digest():
     )
     assert result["outcomes"][0]["status"] == "completed"
     assert len(result["env"].trace) == 107
-    assert trace_digest(result) == "8b796b7c54ec0ec0986b1dd0be053471"
+    assert trace_digest(result) == "2e483630adb75c243aa182cc19653b9d"
