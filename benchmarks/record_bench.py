@@ -1,17 +1,17 @@
-"""Record performance numbers (planner, bus, enactment, obs, analysis).
+"""Record performance numbers: eight suites, one BENCH_*.json each.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/record_bench.py \\
-        [--suite all|planner|bus|enact|obs|analysis]
+        [--suite all|planner|bus|enact|shard|obs|analysis|planlib|prov]
 
 The **planner** suite (BENCH_planner.json) measures, on the Section-5
 case-study problem:
 
 * ``evaluate_many`` on a population-60 batch;
 * the same batch with only 12 unique structures (in-batch dedup);
-* a seeded GP run with the shared fitness cache vs. the identical run
-  with caching disabled (unique-simulation counts);
+* one seeded GP run's evaluator calls against the unique structures it
+  scored (the fitness cache's effect);
 * one full Table-1-budget GP generation sequence at population 60;
 * the warm-table gate: a seeded GP run on a fresh problem must equal the
   same run on a problem whose transition table is already filled (fails
@@ -123,7 +123,7 @@ from bench_util import (
     write_record as _write,
 )
 from repro.plan import random_tree
-from repro.planner import EvaluationEngine, GPConfig, GPPlanner, PlanEvaluator
+from repro.planner import EvaluationEngine, GPConfig, GPPlanner
 from repro.virolab import planning_problem
 
 
@@ -159,22 +159,15 @@ def bench_evaluate_many(rounds):
 
 
 def bench_cache_effect():
-    """The same seeded GP run with and without the shared fitness cache,
-    each on its own fresh problem."""
+    """One seeded GP run on a fresh problem: its evaluator calls against
+    the unique structures it scored."""
     cfg = GPConfig(population_size=60, generations=10)
-    cached = GPPlanner(cfg, rng=0).plan(planning_problem())
-    problem = planning_problem()
-    uncached = GPPlanner(cfg, rng=0).plan(
-        problem, evaluator=PlanEvaluator(problem, cache_size=0)
-    )
-    assert cached.best_fitness == uncached.best_fitness
+    run = GPPlanner(cfg, rng=0).plan(planning_problem())
     return {
-        "evaluator_calls": uncached.cache_hits + uncached.cache_misses,
-        "simulations_in_batch_dedup_only": uncached.evaluations,
-        "simulations_with_shared_cache": cached.evaluations,
-        "cache_hit_rate": cached.cache_hit_rate,
-        "eval_time_cached_s": cached.eval_time,
-        "eval_time_uncached_s": uncached.eval_time,
+        "evaluator_calls": run.cache_hits + run.cache_misses,
+        "simulations_with_shared_cache": run.evaluations,
+        "cache_hit_rate": run.cache_hit_rate,
+        "eval_time_cached_s": run.eval_time,
     }
 
 

@@ -8,7 +8,7 @@ generations, the DES engine and the reconstruction kernels.
 import numpy as np
 
 from repro.plan import process_to_tree, random_tree, tree_to_process
-from repro.planner import EvaluationEngine, GPConfig, GPPlanner, PlanEvaluator
+from repro.planner import EvaluationEngine, GPConfig, GPPlanner
 from repro.process import parse_process, unparse
 from repro.sim import Engine
 from repro.virolab import (
@@ -45,15 +45,17 @@ def test_bench_tree_elaboration(benchmark):
     assert len(pd.transitions) == 15
 
 
+def _fresh_engine():
+    """Round setup: an engine on a fresh problem (cold table and cache)."""
+    return (EvaluationEngine(planning_problem()),), {}
+
+
 def test_bench_plan_simulation(benchmark):
     """One Figure-11 evaluation on a fresh problem per round, so every
     round derives its states into a cold transition table."""
     tree = plan_tree()
 
-    def fresh():
-        return (PlanEvaluator(planning_problem()),), {}
-
-    fitness = benchmark.pedantic(lambda evaluator: evaluator(tree), setup=fresh, rounds=20)
+    fitness = benchmark.pedantic(lambda engine: engine(tree), setup=_fresh_engine, rounds=20)
     assert fitness.validity == 1.0
 
 
@@ -66,14 +68,9 @@ def _bench_population(count=60, seed=0):
     ]
 
 
-def _fresh_engine():
-    """Round setup: an engine on a fresh problem (cold table and cache)."""
-    return (EvaluationEngine(planning_problem()),), {}
-
-
 def test_bench_evaluate_many_serial(benchmark):
-    """Population-60 batch through the engine's in-process backend, on a
-    fresh problem per round so every round simulates into a cold table."""
+    """Population-60 batch through the engine, on a fresh problem per
+    round so every round simulates into a cold table."""
     trees = _bench_population()
     fits = benchmark.pedantic(
         lambda engine: engine.evaluate_many(trees), setup=_fresh_engine, rounds=5

@@ -11,9 +11,9 @@ Run: ``python examples/planner_comparison.py``
 import numpy as np
 
 from repro.planner import (
+    EvaluationEngine,
     GPConfig,
     GPPlanner,
-    PlanEvaluator,
     forward_search,
     hill_climb,
     random_search,
@@ -50,7 +50,7 @@ def main() -> None:
         for label, runner in (("random search", random_search),
                               ("hill climbing", hill_climb)):
             runs = [
-                runner(problem, PlanEvaluator(problem, CFG.weights, CFG.smax),
+                runner(problem, EvaluationEngine(problem, CFG.weights, CFG.smax),
                        budget, rng=s)
                 for s in SEEDS
             ]
@@ -63,7 +63,7 @@ def main() -> None:
                     budget,
                 )
             )
-        fwd = forward_search(problem, PlanEvaluator(problem, CFG.weights, CFG.smax))
+        fwd = forward_search(problem, EvaluationEngine(problem, CFG.weights, CFG.smax))
         rows.append(
             ("forward search", float(fwd.solved), fwd.best_fitness.overall,
              fwd.best_plan.size, fwd.evaluations)

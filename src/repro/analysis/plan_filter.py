@@ -46,7 +46,7 @@ from __future__ import annotations
 from repro.analysis.sat import possibly_true
 from repro.plan.metrics import representation_efficiency
 from repro.plan.tree import Controller, ControllerKind, PlanNode, Terminal
-from repro.planner.fitness import Fitness, FitnessWeights
+from repro.planner.fitness import Fitness, FitnessWeights, weighted_fitness
 from repro.planner.problem import PlanningProblem
 from repro.planner.simulate import SimulationOptions, simulate_plan
 from repro.planner.state import WorldState
@@ -231,16 +231,15 @@ class PlanStaticFilter:
         if self.racy(tree):
             self.race_rejected += 1
             fr = representation_efficiency(tree, self.smax)
-            return Fitness(0.0, 0.0, fr, self.weights.efficiency * fr, False)
+            return weighted_fitness(self.weights, 0.0, 0.0, fr)
         if not self.doomed(tree):
             return None
         fr = representation_efficiency(tree, self.smax)
         report = simulate_plan(tree, self._stub, self.options)
-        fv = report.validity_fitness()
-        fg = report.goal_fitness(self.problem)
-        overall = (
-            self.weights.validity * fv
-            + self.weights.goal * fg
-            + self.weights.efficiency * fr
+        return weighted_fitness(
+            self.weights,
+            report.validity_fitness(),
+            report.goal_fitness(self.problem),
+            fr,
+            report.truncated,
         )
-        return Fitness(fv, fg, fr, overall, report.truncated)

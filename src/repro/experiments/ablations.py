@@ -23,7 +23,8 @@ from repro.experiments.harness import Table, run_seeds
 from repro.grid.container import EndUserService
 from repro.planner.baselines import forward_search, hill_climb, random_search
 from repro.planner.config import GPConfig
-from repro.planner.fitness import FitnessWeights, PlanEvaluator
+from repro.planner.engine import EvaluationEngine
+from repro.planner.fitness import FitnessWeights
 from repro.planner.problem import PlanningProblem
 from repro.services.bootstrap import standard_environment
 from repro.virolab.workflow import activity_specs, planning_problem, process_description
@@ -181,7 +182,7 @@ def baseline_comparison(
         ):
             runs = []
             for seed in seeds:
-                evaluator = PlanEvaluator(
+                evaluator = EvaluationEngine(
                     problem, cfg.weights, cfg.smax, cfg.simulation
                 )
                 runs.append(runner(problem, evaluator, budget, rng=seed))
@@ -193,7 +194,7 @@ def baseline_comparison(
                 float(budget),
             )
         try:
-            evaluator = PlanEvaluator(problem, cfg.weights, cfg.smax, cfg.simulation)
+            evaluator = EvaluationEngine(problem, cfg.weights, cfg.smax, cfg.simulation)
             result = forward_search(problem, evaluator)
             table.add(
                 problem.name,

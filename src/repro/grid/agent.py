@@ -143,63 +143,51 @@ class Agent:
         """
         if policy is None:
             policy = DEFAULT_POLICY
-        last_error: ServiceError | None = None
+        engine = self.engine
+        metrics = self.metrics
+        timeout = policy.timeout
         for attempt in range(policy.attempts):
             if attempt:
-                self.metrics.inc("rpc_retry", agent=to, action=action)
+                metrics.inc("rpc_retry", agent=to, action=action)
                 pause = policy.backoff_before(attempt)
                 if pause > 0:
                     yield pause
-            try:
-                result = yield from self._call_once(to, action, content, policy)
-                return result
-            except ServiceError as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
+            message = self.request(to, action, content, policy.size)
+            conversation = message.conversation
+            # The conversation id is already unique — naming the signal
+            # with it directly skips an f-string per RPC.
+            signal = Signal(engine, conversation)
+            self._reply_waiters[conversation] = signal
+            timer = None
+            if timeout is not None:
+                timer = engine.schedule(
+                    timeout, self._expire_call, conversation, signal
+                )
+            started = engine.now
+            reply = yield signal
+            if timer is not None:
+                timer.cancelled = True
+            if reply is _TIMEOUT:
+                metrics.inc("rpc_timeout", agent=to, action=action)
+                error = ServiceError(f"{to}!{action} timed out after {timeout}s")
+                continue
+            metrics.observe("rpc_latency", engine.now - started, agent=to, action=action)
+            if reply.is_error:
+                metrics.inc("rpc_error", agent=to, action=action)
+                error = ServiceError(
+                    f"{to}!{action} failed: {reply.content.get('error', 'unknown error')}"
+                )
+                continue
+            metrics.inc("rpc_ok", agent=to, action=action)
+            return reply.content
+        raise error
 
-    def _call_once(
-        self,
-        to: str,
-        action: str,
-        content: dict[str, Any] | None,
-        policy: CallPolicy,
-    ) -> Generator[Any, Any, dict[str, Any]]:
-        """One request/reply round trip under *policy*'s timeout."""
-        message = self.request(to, action, content, policy.size)
-        conversation = message.conversation
-        # The conversation id is already unique — naming the signal with it
-        # directly skips an f-string per RPC.
-        signal = Signal(self.engine, conversation)
-        self._reply_waiters[conversation] = signal
-        timer = None
-        timeout = policy.timeout
-        if timeout is not None:
-            def _expire() -> None:
-                if not signal.fired:
-                    self._reply_waiters.pop(conversation, None)
-                    signal.fire(_TIMEOUT)
-
-            timer = self.engine.schedule(timeout, _expire)
-        started = self.engine.now
-        reply = yield signal
-        if timer is not None:
-            timer.cancelled = True
-        metrics = self.metrics
-        if reply is _TIMEOUT:
-            metrics.inc("rpc_timeout", agent=to, action=action)
-            raise ServiceError(f"{to}!{action} timed out after {timeout}s")
-        assert isinstance(reply, Message)
-        metrics.observe(
-            "rpc_latency", self.engine.now - started, agent=to, action=action
-        )
-        if reply.is_error:
-            metrics.inc("rpc_error", agent=to, action=action)
-            raise ServiceError(
-                f"{to}!{action} failed: {reply.content.get('error', 'unknown error')}"
-            )
-        metrics.inc("rpc_ok", agent=to, action=action)
-        return reply.content
+    def _expire_call(self, conversation: str, signal: Signal) -> None:
+        """Timeout of one RPC attempt: wake its caller with the sentinel
+        unless the reply came first."""
+        if not signal.fired:
+            self._reply_waiters.pop(conversation, None)
+            signal.fire(_TIMEOUT)
 
     def call_any(
         self,

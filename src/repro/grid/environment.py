@@ -47,6 +47,10 @@ class GridEnvironment:
         spans: bool = False,
         journal: bool | str = False,
     ) -> None:
+        if not (journal is False or journal is True or journal == "record"):
+            raise ValueError(
+                f"journal must be False, 'record' or True, got {journal!r}"
+            )
         self.engine = Engine()
         self.network = Network()
         self._agents: dict[str, Agent] = {}
@@ -64,7 +68,7 @@ class GridEnvironment:
         self.journal = CaseJournal(
             self.engine,
             enabled=bool(journal),
-            mirror=journal is True or journal == "mirror",
+            mirror=journal is True,
         )
         self.spans.journal = self.journal
         #: The attached gauge sampler (None until :meth:`attach_gauges`).

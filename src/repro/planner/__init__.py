@@ -3,14 +3,14 @@
 Public surface: :class:`~repro.planner.problem.PlanningProblem` /
 :class:`~repro.planner.problem.ActivitySpec` define ``P = {Sinit, G, T}``;
 :class:`~repro.planner.gp.GPPlanner` runs the Section-3.4 loop;
-:class:`~repro.planner.fitness.PlanEvaluator` scores plans by Eqs. 1-4;
+:class:`~repro.planner.engine.EvaluationEngine` scores plans by Eqs. 1-4;
 :mod:`repro.planner.baselines` holds comparison planners.
 """
 
 from repro.planner.baselines import forward_search, hill_climb, random_search
 from repro.planner.config import GPConfig, table1_config
 from repro.planner.engine import EvaluationEngine
-from repro.planner.fitness import Fitness, FitnessWeights, PlanEvaluator, evaluate_tree
+from repro.planner.fitness import Fitness, FitnessWeights, evaluate_tree
 from repro.planner.gp import GenerationStats, GPPlanner, PlanningResult
 from repro.planner.library import (
     PlanEntry,
@@ -59,7 +59,6 @@ __all__ = [
     "substitution_map",
     "FitnessWeights",
     "Fitness",
-    "PlanEvaluator",
     "EvaluationEngine",
     "evaluate_tree",
     "crossover",

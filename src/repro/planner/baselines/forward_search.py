@@ -22,7 +22,6 @@ from typing import Any
 from repro.errors import PlanningError
 from repro.plan.tree import PlanNode, Terminal, sequential
 from repro.planner.engine import EvaluationEngine
-from repro.planner.fitness import PlanEvaluator
 from repro.planner.gp import PlanningResult
 from repro.planner.problem import PlanningProblem
 from repro.planner.state import WorldState
@@ -42,7 +41,7 @@ def _fingerprint(state: WorldState) -> tuple:
 
 def forward_search(
     problem: PlanningProblem,
-    evaluator: PlanEvaluator | EvaluationEngine | None = None,
+    evaluator: EvaluationEngine | None = None,
     max_states: int = 100_000,
 ) -> PlanningResult:
     """BFS to a goal state; raises :class:`PlanningError` when the goal is
@@ -75,14 +74,11 @@ def forward_search(
             nxt_path = path + (name,)
             if satisfied(nxt):
                 tree = _as_tree(nxt_path)
-                fitness = (
-                    evaluator(tree)
-                    if evaluator is not None
-                    else _trivial_fitness(tree, problem)
-                )
+                if evaluator is None:
+                    evaluator = EvaluationEngine(problem)
                 return PlanningResult(
                     best_plan=tree,
-                    best_fitness=fitness,
+                    best_fitness=evaluator(tree),
                     evaluations=expansions,
                     generations_run=0,
                 )
@@ -97,9 +93,3 @@ def _as_tree(path: tuple[str, ...]) -> PlanNode:
     if len(path) == 1:
         return Terminal(path[0])
     return sequential(*path)
-
-
-def _trivial_fitness(tree: PlanNode, problem: PlanningProblem):
-    from repro.planner.fitness import PlanEvaluator
-
-    return PlanEvaluator(problem)(tree)

@@ -20,7 +20,6 @@ from repro._util import as_rng
 from repro.plan.randgen import random_tree
 from repro.plan.tree import replace_at
 from repro.planner.engine import EvaluationEngine
-from repro.planner.fitness import PlanEvaluator
 from repro.planner.gp import PlanningResult
 from repro.planner.operators import random_node_path
 from repro.planner.problem import PlanningProblem
@@ -30,7 +29,7 @@ __all__ = ["hill_climb"]
 
 def hill_climb(
     problem: PlanningProblem,
-    evaluator: PlanEvaluator | EvaluationEngine,
+    evaluator: EvaluationEngine,
     budget: int,
     rng: int | np.random.Generator | None = None,
     stall_limit: int = 50,

@@ -13,7 +13,6 @@ import numpy as np
 from repro._util import as_rng
 from repro.plan.randgen import random_tree
 from repro.planner.engine import EvaluationEngine
-from repro.planner.fitness import PlanEvaluator
 from repro.planner.gp import PlanningResult
 from repro.planner.problem import PlanningProblem
 
@@ -22,7 +21,7 @@ __all__ = ["random_search"]
 
 def random_search(
     problem: PlanningProblem,
-    evaluator: PlanEvaluator | EvaluationEngine,
+    evaluator: EvaluationEngine,
     budget: int,
     rng: int | np.random.Generator | None = None,
     max_branch: int = 4,

@@ -1,18 +1,18 @@
-"""Batched, cache-sharing plan evaluation.
+"""The plan evaluator: Eq. 4 fitness behind one bounded cache.
 
-The GP loop scores a whole population per generation; scoring each tree
-independently wastes work along two axes that this engine recovers:
+Every planner scores plans through an :class:`EvaluationEngine`.  The GP
+loop scores a whole population per generation; scoring each tree
+independently would waste work that the engine recovers:
 
 1. **Structural interning** — trees are keyed by their cached canonical
    :meth:`~repro.plan.tree.PlanNode.struct_key`, so tournament-selection
-   copies, unchanged survivors, and identical trees across runs/seeds all
-   resolve to one entry in a shared, bounded-LRU fitness cache (owned by
-   the wrapped :class:`~repro.planner.fitness.PlanEvaluator`).
-2. **In-batch dedup** — each structurally unique tree in a batch is
-   simulated at most once, however many population slots it occupies.
+   copies, unchanged survivors and identical trees all resolve to one
+   entry in a bounded-LRU fitness cache.
+2. **In-batch dedup** — a structure repeated within a batch is scored
+   once; its other population slots are cache hits.
 
-Telemetry (cumulative evaluation wall-time, cache hit/miss counts,
-batches) feeds ``GenerationStats`` / ``PlanningResult``.
+Telemetry (cumulative evaluation wall-time, cache hit/miss counts) feeds
+``GenerationStats`` / ``PlanningResult``.
 """
 
 from __future__ import annotations
@@ -22,43 +22,45 @@ from collections.abc import Sequence
 
 from repro.errors import PlanningError
 from repro.plan.tree import PlanNode
-from repro.planner.fitness import (
-    Fitness,
-    FitnessWeights,
-    PlanEvaluator,
-    evaluate_tree,
-)
+from repro.planner.fitness import Fitness, FitnessWeights, evaluate_tree
 from repro.planner.problem import PlanningProblem
 from repro.planner.simulate import SimulationOptions
 
-__all__ = ["EvaluationEngine"]
+__all__ = ["EvaluationEngine", "CACHE_SIZE"]
+
+#: LRU bound of each engine's fitness cache: roughly 25 Table-1 runs'
+#: worth of unique trees.
+CACHE_SIZE = 100_000
 
 
 class EvaluationEngine:
-    """Batched plan evaluation with a shared cache.
+    """Callable plan evaluator binding a problem, weights, Smax and
+    simulation options, with a bounded LRU fitness cache.
 
-    Quacks like a :class:`PlanEvaluator` (callable, ``evaluations``,
-    ``smax``, ...) so baselines and existing call sites take either.
+    ``cache_hits`` / ``cache_misses`` count lookups; ``evaluations``
+    counts *unique structures scored* (the misses), not calls — the
+    number a matched-budget baseline comparison should use.  With
+    *static_filter* ``"exact"`` or ``"race"``, a miss first asks the
+    :class:`~repro.analysis.plan_filter.PlanStaticFilter` for the tree's
+    fitness and simulates only when the filter has none.
     """
 
     def __init__(
         self,
-        problem: PlanningProblem | None = None,
+        problem: PlanningProblem,
         weights: FitnessWeights | None = None,
         smax: int = 40,
         options: SimulationOptions | None = None,
         *,
-        cache_size: int | None = None,
-        evaluator: PlanEvaluator | None = None,
         static_filter: str = "off",
     ) -> None:
-        if evaluator is None:
-            if problem is None:
-                raise PlanningError("engine needs a problem or an evaluator")
-            evaluator = PlanEvaluator(
-                problem, weights, smax, options, cache_size=cache_size
-            )
-        self.evaluator = evaluator
+        if smax < 1:
+            raise PlanningError(f"Smax must be >= 1, got {smax}")
+        self.problem = problem
+        self.weights = weights or FitnessWeights()
+        self.smax = smax
+        self.options = options or SimulationOptions()
+        self._cache: dict[tuple, Fitness] = {}
         self._filter = None
         if static_filter != "off":
             # Lazy import: keeps repro.analysis (ontology, parser, ...) out
@@ -66,56 +68,22 @@ class EvaluationEngine:
             from repro.analysis.plan_filter import PlanStaticFilter
 
             self._filter = PlanStaticFilter(
-                evaluator.problem,
-                evaluator.weights,
-                evaluator.smax,
-                evaluator.options,
-                mode=static_filter,
+                problem, self.weights, smax, self.options, mode=static_filter
             )
-        # -- telemetry -- #
-        self.batches = 0
-        self.eval_time = 0.0  # cumulative wall-time inside evaluate_many
-        self.last_batch_time = 0.0
+        self.cache_hits = 0
+        self.cache_misses = 0
         self.analysis_rejected = 0
         """Unique trees scored by the static pre-filter instead of full
         simulation.  Filtered trees still count as evaluations / cache
         misses (their structure was scored exactly once, like any other);
         this counter records how many of those scores skipped the
         simulator."""
-
-    # -- PlanEvaluator-compatible surface ------------------------------------- #
-    @property
-    def problem(self) -> PlanningProblem:
-        return self.evaluator.problem
-
-    @property
-    def weights(self) -> FitnessWeights:
-        return self.evaluator.weights
-
-    @property
-    def smax(self) -> int:
-        return self.evaluator.smax
-
-    @property
-    def options(self) -> SimulationOptions:
-        return self.evaluator.options
+        self.eval_time = 0.0  # cumulative wall-time inside evaluate_many
 
     @property
     def evaluations(self) -> int:
-        """Unique simulations run (cache misses), as on PlanEvaluator."""
-        return self.evaluator.evaluations
-
-    @property
-    def cache_hits(self) -> int:
-        return self.evaluator.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.evaluator.cache_misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.evaluator.cache_hit_rate
+        """Unique structures scored: the cache misses."""
+        return self.cache_misses
 
     @property
     def race_rejected(self) -> int:
@@ -124,90 +92,33 @@ class EvaluationEngine:
         return self._filter.race_rejected if self._filter is not None else 0
 
     def __call__(self, tree: PlanNode) -> Fitness:
-        """Single-tree evaluation through the shared cache (serial path —
-        sequential callers like the hill climber can't batch)."""
+        """One tree's fitness through the cache: the one lookup and miss
+        path, which :meth:`evaluate_many` runs per tree."""
+        key = tree.struct_key()
+        cache = self._cache
+        fitness = cache.pop(key, None)
+        if fitness is not None:
+            cache[key] = fitness  # reinsert: most-recently-used
+            self.cache_hits += 1
+            return fitness
+        self.cache_misses += 1
         if self._filter is not None:
-            evaluator = self.evaluator
-            key = tree.struct_key()
-            cached = evaluator.cache_lookup(key)
-            if cached is not None:
-                evaluator.cache_hits += 1
-                return cached
-            static = self._filter.fitness_for(tree)
-            if static is not None:
-                evaluator.cache_misses += 1
-                evaluator.evaluations += 1
+            fitness = self._filter.fitness_for(tree)
+            if fitness is not None:
                 self.analysis_rejected += 1
-                evaluator.cache_store(key, static)
-                return static
-        return self.evaluator(tree)
-
-    # -- batched evaluation ---------------------------------------------------- #
-    def evaluate_many(self, trees: Sequence[PlanNode]) -> list[Fitness]:
-        """Fitness for every tree, in order; each unique tree simulated at
-        most once, cache hits simulated zero times."""
-        t0 = time.perf_counter()
-        evaluator = self.evaluator
-        results: list[Fitness | None] = [None] * len(trees)
-        pending: dict[tuple, list[int]] = {}
-        pending_trees: list[PlanNode] = []
-        for i, tree in enumerate(trees):
-            key = tree.struct_key()
-            cached = evaluator.cache_lookup(key)
-            if cached is not None:
-                results[i] = cached
-                continue
-            slots = pending.get(key)
-            if slots is None:
-                pending[key] = [i]
-                pending_trees.append(tree)
-            else:
-                slots.append(i)
-
-        if self._filter is not None and pending_trees:
-            # Partition: statically-doomed trees get their exact fitness
-            # (racy ones, in race mode, the floor) without simulation;
-            # the rest dispatch as usual.  Order within `pending` is
-            # preserved either way.
-            fitnesses: list[Fitness | None] = [None] * len(pending_trees)
-            to_simulate: list[tuple[int, PlanNode]] = []
-            for j, tree in enumerate(pending_trees):
-                static = self._filter.fitness_for(tree)
-                if static is None:
-                    to_simulate.append((j, tree))
-                else:
-                    fitnesses[j] = static
-            self.analysis_rejected += len(pending_trees) - len(to_simulate)
-            simulated = self._dispatch([tree for _, tree in to_simulate])
-            for (j, _), fitness in zip(to_simulate, simulated):
-                fitnesses[j] = fitness
-        else:
-            fitnesses = self._dispatch(pending_trees)
-        for (key, slots), fitness in zip(pending.items(), fitnesses):
-            evaluator.cache_store(key, fitness)
-            for i in slots:
-                results[i] = fitness
-        # Counter semantics match the serial evaluator: a call is a miss
-        # only if it caused the one simulation of its structure.
-        evaluator.evaluations += len(pending_trees)
-        evaluator.cache_misses += len(pending_trees)
-        evaluator.cache_hits += len(trees) - len(pending_trees)
-
-        self.batches += 1
-        self.last_batch_time = time.perf_counter() - t0
-        self.eval_time += self.last_batch_time
-        return results  # type: ignore[return-value]
-
-    def _dispatch(self, trees: list[PlanNode]) -> list[Fitness]:
-        """Simulate *trees* (already unique)."""
-        evaluator = self.evaluator
-        return [
-            evaluate_tree(
-                tree,
-                evaluator.problem,
-                evaluator.weights,
-                evaluator.smax,
-                evaluator.options,
+        if fitness is None:
+            fitness = evaluate_tree(
+                tree, self.problem, self.weights, self.smax, self.options
             )
-            for tree in trees
-        ]
+        cache[key] = fitness
+        if len(cache) > CACHE_SIZE:
+            cache.pop(next(iter(cache)))  # evict least-recently-used
+        return fitness
+
+    def evaluate_many(self, trees: Sequence[PlanNode]) -> list[Fitness]:
+        """Fitness for every tree, in order, timed as one batch; a
+        structure repeated in the batch is scored once."""
+        t0 = time.perf_counter()
+        results = [self(tree) for tree in trees]
+        self.eval_time += time.perf_counter() - t0
+        return results

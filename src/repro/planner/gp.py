@@ -28,7 +28,7 @@ from repro.plan.randgen import random_tree
 from repro.plan.tree import PlanNode
 from repro.planner.config import GPConfig
 from repro.planner.engine import EvaluationEngine
-from repro.planner.fitness import Fitness, PlanEvaluator
+from repro.planner.fitness import Fitness
 from repro.planner.operators import crossover, mutate
 from repro.planner.problem import PlanningProblem
 from repro.planner.selection import tournament_select
@@ -181,14 +181,12 @@ class GPPlanner:
     def plan(
         self,
         problem: PlanningProblem,
-        evaluator: PlanEvaluator | None = None,
         seeds: Sequence[PlanNode] = (),
     ) -> PlanningResult:
         """Run the GP loop.
 
-        Population scoring goes through an :class:`EvaluationEngine`
-        (batched, deduped, cached).  Passing *evaluator* shares its
-        fitness cache with the engine.  *seeds* are library-retrieved
+        Population scoring goes through a fresh :class:`EvaluationEngine`
+        (batched, deduped, cached) per run.  *seeds* are library-retrieved
         plans folded into generation 0 (see :meth:`initial_population`);
         they are ignored — RNG stream untouched — unless
         ``config.library`` enables warm starts.
@@ -199,7 +197,6 @@ class GPPlanner:
             cfg.weights,
             cfg.smax,
             cfg.simulation,
-            evaluator=evaluator,
             static_filter=cfg.static_filter,
         )
         activities = list(problem.activity_names)
@@ -260,8 +257,8 @@ class GPPlanner:
             generations_run=generations_run,
             cache_hits=engine.cache_hits,
             cache_misses=engine.cache_misses,
-            analysis_rejected=getattr(engine, "analysis_rejected", 0),
-            race_rejected=getattr(engine, "race_rejected", 0),
+            analysis_rejected=engine.analysis_rejected,
+            race_rejected=engine.race_rejected,
             eval_time=engine.eval_time,
         )
 
@@ -270,12 +267,13 @@ class GPPlanner:
     ) -> list[Fitness]:
         """Score a population, remembering the per-batch telemetry deltas."""
         hits0, misses0 = engine.cache_hits, engine.cache_misses
+        time0 = engine.eval_time
         fitnesses = engine.evaluate_many(population)
         calls = (engine.cache_hits - hits0) + (engine.cache_misses - misses0)
         self._gen_hit_rate = (
             (engine.cache_hits - hits0) / calls if calls else 0.0
         )
-        self._gen_eval_time = engine.last_batch_time
+        self._gen_eval_time = engine.eval_time - time0
         return fitnesses
 
     def _stats(

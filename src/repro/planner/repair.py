@@ -31,7 +31,8 @@ from repro.plan.tree import (
     iter_nodes,
     replace_at,
 )
-from repro.planner.fitness import Fitness, PlanEvaluator
+from repro.planner.engine import EvaluationEngine
+from repro.planner.fitness import Fitness
 from repro.planner.problem import PlanningProblem
 from repro.planner.simulate import SimulationOptions, simulate_with_attribution
 
@@ -121,7 +122,7 @@ def swap_terminals(
 def repair_plan(
     tree: PlanNode,
     problem: PlanningProblem,
-    evaluator: PlanEvaluator | None = None,
+    evaluator: EvaluationEngine | None = None,
     max_rounds: int = 50,
 ) -> RepairResult:
     """Remove never-valid terminals until none remain.
@@ -131,7 +132,8 @@ def repair_plan(
     which the counterfactual test already guarantees but is re-checked for
     safety.
     """
-    evaluator = evaluator or PlanEvaluator(problem)
+    if evaluator is None:
+        evaluator = EvaluationEngine(problem)
     current = normalize(tree)
     removed: list[str] = []
     for _ in range(max_rounds):

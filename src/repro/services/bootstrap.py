@@ -124,25 +124,48 @@ def build_core_services(
 SITES = ("siteA", "siteB", "siteC")
 
 
-def _add_fleet(
-    env: GridEnvironment,
-    information: InformationService,
-    broker: BrokerageService,
+def standard_environment(
     end_user_services: Sequence[EndUserService],
-    *,
-    containers: int,
-    speeds: Sequence[float],
-    cost_rates: Sequence[float],
-    slots: int,
-    reservable: bool,
-    secure: bool,
-    failure_probability: float,
-    failure_seed: int,
-) -> list[ApplicationContainer]:
-    """*containers* application containers, each on its own node (cycling
-    through :data:`SITES`, *speeds* and *cost_rates*) and each hosting
-    every end-user service, advertised to *information* and *broker*.
+    containers: int = 3,
+    speeds: Sequence[float] = (1.0, 2.0, 4.0),
+    cost_rates: Sequence[float] = (1.0, 2.5, 6.0),
+    slots: int = 4,
+    reservable: bool = False,
+    secure: bool = False,
+    failure_probability: float = 0.0,
+    failure_seed: int = 7,
+    planner_config: GPConfig | None = None,
+    planner_seed: int = 0,
+    tracing: bool = True,
+    spans: bool = False,
+    journal: bool | str = False,
+    plan_library: PlanLibrary | None = None,
+    knowledge_base: KnowledgeBase | None = None,
+) -> tuple[GridEnvironment, CoreServices, list[ApplicationContainer]]:
+    """One-call Figure-1 grid: core services + *containers* application
+    containers (each on its own node, cycling through :data:`SITES` and
+    *speeds*, all hosting every end-user service), fully advertised.
+
+    With ``failure_probability > 0`` every container invocation can fail,
+    which is what the re-planning experiments dial up.  ``tracing=False``
+    selects the router fast path (no per-delivery TraceEvents) for
+    throughput runs; id streams are unaffected.  ``spans=True`` turns on
+    the workflow span recorder (see :mod:`repro.obs.spans`); ``journal``
+    does too, since the case journal is filed from span boundaries.
     """
+    env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
+    credentials = ("coordination", "grid-secret") if secure else None
+    services = build_core_services(
+        env,
+        planner_config=planner_config,
+        planner_seed=planner_seed,
+        coordination_credentials=credentials,
+        plan_library=plan_library,
+        knowledge_base=knowledge_base,
+    )
+    if secure:
+        services.authentication.add_principal(*credentials)
+    information, broker = services.information, services.brokerage
     failures = (
         BernoulliFailures(failure_probability, rng=failure_seed)
         if failure_probability > 0
@@ -190,54 +213,4 @@ def _add_fleet(
             information.register_offering(
                 f"{svc.name}@{container.name}", "end-user", site, container.name
             )
-    return fleet
-
-
-def standard_environment(
-    end_user_services: Sequence[EndUserService],
-    containers: int = 3,
-    speeds: Sequence[float] = (1.0, 2.0, 4.0),
-    cost_rates: Sequence[float] = (1.0, 2.5, 6.0),
-    slots: int = 4,
-    reservable: bool = False,
-    secure: bool = False,
-    failure_probability: float = 0.0,
-    failure_seed: int = 7,
-    planner_config: GPConfig | None = None,
-    planner_seed: int = 0,
-    tracing: bool = True,
-    spans: bool = False,
-    journal: bool | str = False,
-    plan_library: PlanLibrary | None = None,
-    knowledge_base: KnowledgeBase | None = None,
-) -> tuple[GridEnvironment, CoreServices, list[ApplicationContainer]]:
-    """One-call Figure-1 grid: core services + *containers* application
-    containers (each on its own node, cycling through :data:`SITES` and
-    *speeds*, all hosting every end-user service), fully advertised.
-
-    With ``failure_probability > 0`` every container invocation can fail,
-    which is what the re-planning experiments dial up.  ``tracing=False``
-    selects the router fast path (no per-delivery TraceEvents) for
-    throughput runs; id streams are unaffected.  ``spans=True`` turns on
-    the workflow span recorder (see :mod:`repro.obs.spans`); ``journal``
-    does too, since the case journal is filed from span boundaries.
-    """
-    env = GridEnvironment(tracing=tracing, spans=spans, journal=journal)
-    credentials = ("coordination", "grid-secret") if secure else None
-    services = build_core_services(
-        env,
-        planner_config=planner_config,
-        planner_seed=planner_seed,
-        coordination_credentials=credentials,
-        plan_library=plan_library,
-        knowledge_base=knowledge_base,
-    )
-    if secure:
-        services.authentication.add_principal(*credentials)
-    fleet = _add_fleet(
-        env, services.information, services.brokerage, end_user_services,
-        containers=containers, speeds=speeds, cost_rates=cost_rates, slots=slots,
-        reservable=reservable, secure=secure,
-        failure_probability=failure_probability, failure_seed=failure_seed,
-    )
     return env, services, fleet

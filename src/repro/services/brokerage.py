@@ -74,13 +74,6 @@ class BrokerageService(CoreService):
         self._service_lists: dict[str, list[str]] = {}
         #: key_paths -> (kb version, reply classes) for equivalence queries.
         self._eqc_cache: dict[tuple[str, ...], tuple[int, list[dict]]] = {}
-        #: Same-tick push log: (engine time, container -> services already
-        #: announced to the current subscriber set).  A container that
-        #: registers several services in one tick (e.g. a partitioned
-        #: advertisement split per service) used to push one
-        #: ``registry-changed`` per registration to every subscriber;
-        #: redundant pushes are now deduped (see :meth:`_registry_changed`).
-        self._push_log: tuple[float, dict[str, set[str]]] | None = None
 
     # -- direct (bootstrap) API --------------------------------------------------- #
     def advertise(self, ad: ContainerAd) -> None:
@@ -110,9 +103,6 @@ class BrokerageService(CoreService):
         """INFORM *agent* (action ``registry-changed``) after every
         container (de)registration — cache-invalidation push."""
         self._subscribers.add(agent)
-        # A new subscriber has seen none of this tick's pushes, so the
-        # dedupe log no longer describes the full audience.
-        self._push_log = None
 
     def _registry_changed(
         self, container: str | None = None, services: set[str] | None = None
@@ -121,25 +111,6 @@ class BrokerageService(CoreService):
         self._service_lists.clear()
         if not self._subscribers:
             return
-        if container is not None:
-            # Dedupe redundant same-tick fan-out: when one container
-            # registers several services in a single tick, only the first
-            # push (and pushes naming not-yet-announced services) go out.
-            # An identical repeat push would be a strict no-op for every
-            # subscriber — both land at the same simulated time and
-            # invalidation is idempotent — but each one used to cost a
-            # delivery per subscriber and polluted the invalidation
-            # metrics.
-            now = self.engine.now
-            log = self._push_log
-            if log is None or log[0] != now:
-                self._push_log = log = (now, {})
-            announced = log[1].get(container)
-            wanted = set(services or ())
-            if announced is not None and not (wanted - announced):
-                self.metrics.inc("registry_push_deduped", agent=self.name)
-                return
-            log[1][container] = (announced or set()) | wanted
         # The push names the affected container and services so subscribers
         # can invalidate only the matching cache entries (a mid-run service
         # deployment used to flush every cached fact in the deployment's

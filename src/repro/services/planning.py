@@ -44,7 +44,7 @@ from repro.ontology.query import Op, Query
 from repro.plan.convert import tree_to_process
 from repro.plan.tree import Controller, ControllerKind, PlanNode
 from repro.planner.config import GPConfig
-from repro.planner.fitness import PlanEvaluator
+from repro.planner.engine import EvaluationEngine
 from repro.planner.gp import GPPlanner
 from repro.planner.library import (
     PlanEntry,
@@ -65,6 +65,12 @@ __all__ = ["PlanningService"]
 #: ``X_2`` → ``X``: undo tree_to_process's repeated-activity renaming when
 #: mapping process-level finding loci back to plan terminal names.
 _RENAME_SUFFIX = re.compile(r"^(?P<base>.+)_(?P<n>[0-9]+)$")
+
+
+def _scorer(problem: PlanningProblem, config: GPConfig) -> EvaluationEngine:
+    """An evaluator scoring plans as the request's GP run does (its
+    weights, Smax and simulation options; no static filter)."""
+    return EvaluationEngine(problem, config.weights, config.smax, config.simulation)
 
 
 class PlanningService(CoreService):
@@ -163,7 +169,7 @@ class PlanningService(CoreService):
             fitness = result.best_fitness
             repaired_away: tuple[str, ...] = ()
             if self.repair_plans:
-                repaired = repair_plan(plan, problem)
+                repaired = repair_plan(plan, problem, _scorer(problem, config))
                 plan, fitness = repaired.plan, repaired.fitness
                 repaired_away = repaired.removed
             process = tree_to_process(
@@ -230,7 +236,11 @@ class PlanningService(CoreService):
         return clean, findings
 
     def _repair_entry(
-        self, entry: PlanEntry, problem: PlanningProblem, findings: list
+        self,
+        entry: PlanEntry,
+        problem: PlanningProblem,
+        config: GPConfig,
+        findings: list,
     ) -> tuple[PlanEntry, tuple[tuple[str, str], ...]] | None:
         """Swap exactly the E501-flagged terminals for resolvable
         substitutes; None when any flagged activity has no viable swap."""
@@ -256,7 +266,7 @@ class PlanningService(CoreService):
         after = verify_reusable(process, self.knowledge_base)
         if any(f.severity is Severity.ERROR for f in after):
             return None
-        fitness = PlanEvaluator(problem)(plan)
+        fitness = _scorer(problem, config)(plan)
         repaired = PlanEntry(
             digest=entry.digest,
             goal_sig=entry.goal_sig,
@@ -358,7 +368,7 @@ class PlanningService(CoreService):
                     source = "hit"
                     reply = self._entry_reply(entry, verified=True)
                 else:
-                    repaired = self._repair_entry(entry, problem, findings)
+                    repaired = self._repair_entry(entry, problem, config, findings)
                     if repaired is not None:
                         fixed, swapped = repaired
                         yield from self._library_store(fixed)

@@ -127,20 +127,21 @@ class TestDefaultPolicy:
     def test_call_without_policy_shares_the_default(self, monkeypatch):
         # No policy means the one module-level DEFAULT_POLICY, not a fresh
         # CallPolicy built per RPC.
-        seen = []
-        call_once = Agent._call_once
+        built = []
+        post_init = CallPolicy.__post_init__
 
-        def spy(self, to, action, content, policy):
-            seen.append(policy)
-            return (yield from call_once(self, to, action, content, policy))
+        def counting_post_init(policy):
+            built.append(policy)
+            post_init(policy)
 
-        monkeypatch.setattr(Agent, "_call_once", spy)
+        monkeypatch.setattr(CallPolicy, "__post_init__", counting_post_init)
         env = GridEnvironment()
         Flaky(env, "srv", "s1")
         user = Agent(env, "user", "s2")
         out = drive(env, lambda: user.call("srv", "work"))
         assert out["result"] == {"worker": "srv"}
-        assert len(seen) == 1 and seen[0] is DEFAULT_POLICY
+        assert built == []
+        assert DEFAULT_POLICY.attempts == 1 and DEFAULT_POLICY.timeout is None
 
 
 class TestRetries:

@@ -81,3 +81,19 @@ def test_intra_site_fast():
     env.engine.spawn(main(), "m")
     env.run()
     assert env.engine.now < 0.1
+
+
+@pytest.mark.parametrize(
+    ("journal", "enabled", "mirror"),
+    [(False, False, False), ("record", True, False), (True, True, True)],
+)
+def test_journal_modes(journal, enabled, mirror):
+    env = GridEnvironment(journal=journal)
+    assert (env.journal.enabled, env.journal.mirror) == (enabled, mirror)
+    assert env.spans.enabled == enabled
+
+
+@pytest.mark.parametrize("journal", ["mirror", "mirorr", "", None, 0, 1])
+def test_journal_rejects_other_values(journal):
+    with pytest.raises(ValueError, match="journal must be"):
+        GridEnvironment(journal=journal)

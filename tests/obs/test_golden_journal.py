@@ -107,8 +107,10 @@ def test_plan_mix_digest():
     env = result["env"]
     assert event_count(env, cases) == 16304
     digest = journal_digest(env, cases, extra={"sources": result["sources"]})
-    assert digest == "77629e8dbd7fd9709d8599d6a8cb7a83"
-    assert span_digest(env) == "2c8534c70650ef1eed79822905427467"
+    # Each GP reply's plan is scored under the request's GPConfig (Smax
+    # 12), so the plan events and gp spans carry that fitness.
+    assert digest == "0e3ca2543a12862867f5597b3d7e4676"
+    assert span_digest(env) == "29fb4bd41eaadaa26bfbb8b5e8e273c6"
     # Most of the mix's loops are cut off at max_loop_iterations (25).
     loops = env.spans.spans(kind="loop")
     bounded = [span for span in loops if span.attrs.get("bounded")]

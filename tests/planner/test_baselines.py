@@ -5,8 +5,8 @@ import pytest
 from repro.errors import PlanningError
 from repro.plan import Terminal
 from repro.planner import (
+    EvaluationEngine,
     GPConfig,
-    PlanEvaluator,
     PlanningProblem,
     WorldState,
     forward_search,
@@ -18,7 +18,7 @@ from repro.workloads import chain_problem, choice_problem, distractor_problem
 
 @pytest.fixture
 def evaluator(case_problem):
-    return PlanEvaluator(case_problem)
+    return EvaluationEngine(case_problem)
 
 
 class TestRandomSearch:
@@ -30,13 +30,13 @@ class TestRandomSearch:
     def test_deterministic(self, case_problem):
         results = []
         for _ in range(2):
-            ev = PlanEvaluator(case_problem)
+            ev = EvaluationEngine(case_problem)
             results.append(random_search(case_problem, ev, budget=30, rng=4))
         assert results[0].best_plan == results[1].best_plan
 
     def test_improves_with_budget(self, case_problem):
-        small = random_search(case_problem, PlanEvaluator(case_problem), 10, rng=1)
-        large = random_search(case_problem, PlanEvaluator(case_problem), 500, rng=1)
+        small = random_search(case_problem, EvaluationEngine(case_problem), 10, rng=1)
+        large = random_search(case_problem, EvaluationEngine(case_problem), 500, rng=1)
         assert large.best_fitness.overall >= small.best_fitness.overall
 
 
@@ -115,6 +115,6 @@ class TestComparative:
 
         problem = chain_problem(6)
         gp = GPPlanner(small_gp_config, rng=0).plan(problem)
-        ev = PlanEvaluator(problem)
+        ev = EvaluationEngine(problem)
         rnd = random_search(problem, ev, budget=max(gp.evaluations, 1), rng=0)
         assert gp.best_fitness.overall >= rnd.best_fitness.overall

@@ -1,19 +1,12 @@
-"""The batched evaluation engine: dedup and the shared cache."""
+"""The plan evaluator: dedup and the bounded fitness cache."""
 
 import pickle
 
 import numpy as np
-import pytest
 
-from repro.errors import PlanningError
 from repro.plan import random_tree, sequential, terminal
-from repro.planner import (
-    EvaluationEngine,
-    GPConfig,
-    GPPlanner,
-    PlanEvaluator,
-    evaluate_tree,
-)
+from repro.planner import EvaluationEngine, GPConfig, GPPlanner, evaluate_tree
+from repro.planner import engine as engine_module
 
 
 def _random_trees(problem, count, seed=0):
@@ -50,7 +43,7 @@ class TestEvaluateMany:
         trees = _random_trees(case_problem, 30)
         engine = EvaluationEngine(case_problem)
         batched = engine.evaluate_many(trees)
-        reference = PlanEvaluator(case_problem)
+        reference = EvaluationEngine(case_problem)
         assert batched == [reference(tree) for tree in trees]
 
     def test_in_batch_dedup_simulates_once(self, case_problem):
@@ -79,75 +72,63 @@ class TestEvaluateMany:
         first = engine.evaluate_many(trees)
         again = engine.evaluate_many(trees)  # all cache hits
         assert again == first
-        evaluator = PlanEvaluator(case_problem)
         for tree, cached in zip(trees, first):
             assert cached == evaluate_tree(
                 tree,
                 case_problem,
-                evaluator.weights,
-                evaluator.smax,
-                evaluator.options,
+                engine.weights,
+                engine.smax,
+                engine.options,
             )
-
-    def test_shares_cache_with_wrapped_evaluator(self, case_problem):
-        evaluator = PlanEvaluator(case_problem)
-        tree = sequential("POD", "PSF")
-        evaluator(tree)
-        engine = EvaluationEngine(evaluator=evaluator)
-        engine.evaluate_many([tree])
-        assert evaluator.evaluations == 1
-
-    def test_requires_problem_or_evaluator(self):
-        with pytest.raises(PlanningError):
-            EvaluationEngine()
 
 
 class TestCacheEffect:
-    def test_gp_run_simulates_fewer_than_no_cache(self, case_problem):
-        """The shared cache + dedup must strictly cut unique simulations
-        vs. the same seeded run with caching disabled."""
+    def test_gp_run_simulates_fewer_than_no_cache(self, case_problem, monkeypatch):
+        """The cache must strictly cut unique simulations vs. the same
+        seeded run with caching disabled (a bound of 0 keeps nothing)."""
         cfg = GPConfig(population_size=20, generations=4)
         cached = GPPlanner(cfg, rng=2).plan(case_problem)
-        uncached_evaluator = PlanEvaluator(case_problem, cache_size=0)
-        uncached = GPPlanner(cfg, rng=2).plan(
-            case_problem, evaluator=uncached_evaluator
-        )
+        monkeypatch.setattr(engine_module, "CACHE_SIZE", 0)
+        uncached = GPPlanner(cfg, rng=2).plan(case_problem)
         assert cached.best_fitness == uncached.best_fitness
         assert cached.evaluations < uncached.evaluations
         # no-cache count == every single evaluator call
         assert uncached.evaluations == uncached.cache_misses
+        assert uncached.cache_hits == 0
 
-    def test_lru_bound_is_enforced(self, case_problem):
-        evaluator = PlanEvaluator(case_problem, cache_size=4)
+    def test_lru_bound_is_enforced(self, case_problem, monkeypatch):
+        monkeypatch.setattr(engine_module, "CACHE_SIZE", 4)
+        engine = EvaluationEngine(case_problem)
         trees = _random_trees(case_problem, 10, seed=9)
-        for tree in trees:
-            evaluator(tree)
-        assert len(evaluator) <= 4
-        assert evaluator.evaluations >= 10 - 4
+        assert len({tree.struct_key() for tree in trees}) == 10
+        engine.evaluate_many(trees)
+        # Only the four most recent structures are still cached.
+        engine.evaluate_many(trees[-4:])
+        assert (engine.evaluations, engine.cache_hits) == (10, 4)
+        engine(trees[0])
+        assert engine.evaluations == 11
 
-    def test_lru_evicts_least_recently_used(self, case_problem):
-        evaluator = PlanEvaluator(case_problem, cache_size=2)
+    def test_lru_evicts_least_recently_used(self, case_problem, monkeypatch):
+        monkeypatch.setattr(engine_module, "CACHE_SIZE", 2)
+        engine = EvaluationEngine(case_problem)
         a, b, c = (terminal(n) for n in ("POD", "PSF", "POR"))
-        evaluator(a)
-        evaluator(b)
-        evaluator(a)  # refresh a: b is now LRU
-        evaluator(c)  # evicts b
-        hits = evaluator.cache_hits
-        evaluator(a)
-        assert evaluator.cache_hits == hits + 1  # a survived
-        evaluator(b)
-        assert evaluator.evaluations == 4  # b was re-simulated
+        engine(a)
+        engine(b)
+        engine(a)  # refresh a: b is now LRU
+        engine(c)  # evicts b
+        hits = engine.cache_hits
+        engine(a)
+        assert engine.cache_hits == hits + 1  # a survived
+        engine(b)
+        assert engine.evaluations == 4  # b was re-simulated
 
-    def test_cache_size_zero_disables_caching(self, case_problem):
-        evaluator = PlanEvaluator(case_problem, cache_size=0)
+    def test_cache_size_zero_disables_caching(self, case_problem, monkeypatch):
+        monkeypatch.setattr(engine_module, "CACHE_SIZE", 0)
+        engine = EvaluationEngine(case_problem)
         tree = sequential("POD", "PSF")
-        assert evaluator(tree) == evaluator(tree)
-        assert evaluator.evaluations == 2
-        assert evaluator.cache_hits == 0
-
-    def test_negative_cache_size_rejected(self, case_problem):
-        with pytest.raises(PlanningError):
-            PlanEvaluator(case_problem, cache_size=-1)
+        assert engine(tree) == engine(tree)
+        assert engine.evaluations == 2
+        assert engine.cache_hits == 0
 
 
 class TestPoolPlumbing:
@@ -156,8 +137,8 @@ class TestPoolPlumbing:
     def test_problem_pickle_roundtrip_still_evaluates(self, case_problem):
         clone = pickle.loads(pickle.dumps(case_problem))
         tree = sequential("POD", "PSF")
-        original = PlanEvaluator(case_problem)(tree)
-        assert PlanEvaluator(clone)(tree) == original
+        original = EvaluationEngine(case_problem)(tree)
+        assert EvaluationEngine(clone)(tree) == original
 
 
 class TestTelemetry:

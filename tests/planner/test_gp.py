@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlanningError
-from repro.planner import GPConfig, GPPlanner, PlanEvaluator, table1_config
+from repro.planner import GPConfig, GPPlanner, table1_config
 from repro.workloads import chain_problem
 
 
@@ -86,20 +86,6 @@ class TestPlanner:
         b = GPPlanner(small_gp_config, rng=11).plan(case_problem)
         assert a.best_plan == b.best_plan
         assert a.best_fitness.overall == b.best_fitness.overall
-
-    def test_external_evaluator_reused(self, case_problem, small_gp_config):
-        evaluator = PlanEvaluator(
-            case_problem,
-            small_gp_config.weights,
-            small_gp_config.smax,
-            small_gp_config.simulation,
-        )
-        GPPlanner(small_gp_config, rng=0).plan(case_problem, evaluator)
-        first = evaluator.evaluations
-        # An identically-seeded run regenerates identical trees, so the
-        # shared cache absorbs every evaluation.
-        GPPlanner(small_gp_config, rng=0).plan(case_problem, evaluator)
-        assert evaluator.evaluations == first
 
     def test_solved_property(self, case_problem, small_gp_config):
         result = GPPlanner(small_gp_config, rng=3).plan(case_problem)

@@ -265,11 +265,11 @@ def test_seeding_respects_smax():
 def test_seeds_warm_start_beats_or_matches_seed_fitness():
     problem = plan_mix_problem(0)
     cfg = GPConfig(population_size=20, generations=3, smax=12, library="on")
-    from repro.planner import PlanEvaluator
+    from repro.planner import EvaluationEngine
 
     # Score the seed exactly as the GP engine will (same Smax, same
     # simulation options): the seeded run can never finish below it.
-    seed_fitness = PlanEvaluator(
+    seed_fitness = EvaluationEngine(
         problem, smax=cfg.smax, options=cfg.simulation
     )(_seed_plan()).overall
     result = GPPlanner(cfg, rng=5).plan(problem, seeds=(_seed_plan(),))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.plan import normalize, selective, sequential, terminal
-from repro.planner import GPConfig, GPPlanner, PlanEvaluator
+from repro.planner import EvaluationEngine, GPConfig, GPPlanner
 from repro.planner.repair import (
     never_valid_terminals,
     repair_plan,
@@ -28,7 +28,7 @@ def test_never_valid_terminal_detected(case_problem):
 
 def test_repair_removes_ghost_and_improves(case_problem):
     tree = sequential("ghost", "POD", "P3DR2", "P3DR3", "PSF")
-    evaluator = PlanEvaluator(case_problem)
+    evaluator = EvaluationEngine(case_problem)
     before = evaluator(tree)
     result = repair_plan(tree, case_problem, evaluator)
     assert result.removed == ("ghost",)

@@ -122,6 +122,9 @@ def test_container_info(grid):
 
 
 class TestRegistryPushDedupe:
+    """The broker dedupes no push: every (de)registration is one
+    ``registry-changed`` INFORM per subscriber."""
+
     def _subscribed_grid(self):
         env, services, fleet = standard_environment(
             many_cases_services(), containers=1
@@ -141,34 +144,23 @@ class TestRegistryPushDedupe:
             node="node1",
         )
 
-    def test_same_tick_repeat_push_is_deduped(self):
-        env, broker = self._subscribed_grid()
-        sent_before = env.metrics.total("messages_sent", agent=broker.name)
-        # One container registering several services in one tick: the
-        # repeat advertisements are strict no-ops for every subscriber.
-        broker.advertise(self._ad(["ingest"], 0.0))
-        broker.advertise(self._ad(["ingest"], 0.0))
-        broker.advertise(self._ad(["ingest", "refine"], 0.0))
-        env.run()
-        assert env.metrics.total("registry_push_deduped", agent=broker.name) == 2
-        sent = env.metrics.total("messages_sent", agent=broker.name) - sent_before
-        assert sent == 1
-
     def test_new_services_same_tick_still_push(self):
         env, broker = self._subscribed_grid()
         sent_before = env.metrics.total("messages_sent", agent=broker.name)
+        # Every advertisement pushes, a same-tick repeat of one included:
+        # invalidation is idempotent, so subscribers see no difference.
         broker.advertise(self._ad(["ingest"], 0.0))
-        # A service nobody announced this tick must still go out.
+        broker.advertise(self._ad(["ingest"], 0.0))
         broker.advertise(self._ad(["ingest", "extra-svc"], 0.0))
         env.run()
-        assert env.metrics.total("registry_push_deduped", agent=broker.name) == 0
         sent = env.metrics.total("messages_sent", agent=broker.name) - sent_before
-        assert sent == 2
+        assert sent == 3
 
     def test_next_tick_pushes_again(self):
         env, broker = self._subscribed_grid()
         broker.advertise(self._ad(["ingest"], 0.0))
         env.run()
+        sent_before = env.metrics.total("messages_sent", agent=broker.name)
 
         def later():
             yield 5.0
@@ -176,11 +168,5 @@ class TestRegistryPushDedupe:
 
         env.engine.spawn(later(), name="late-advertiser")
         env.run()
-        assert env.metrics.total("registry_push_deduped", agent=broker.name) == 0
-
-    def test_version_still_bumps_when_deduped(self):
-        env, broker = self._subscribed_grid()
-        version = broker.registry_version
-        broker.advertise(self._ad(["ingest"], 0.0))
-        broker.advertise(self._ad(["ingest"], 0.0))
-        assert broker.registry_version == version + 2
+        sent = env.metrics.total("messages_sent", agent=broker.name) - sent_before
+        assert sent == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.planner import EvaluationEngine
 from repro.workloads import run_plan_mix
 from repro.workloads.plan_mix import plan_mix_goals, plan_mix_problem
 
@@ -123,3 +124,12 @@ def test_enact_mode_records_journaled_cases():
     assert result["sources"][0] == "miss"  # cold library, first variant
     # repeats of a variant are verified hits
     assert set(result["sources"][2:]) <= {"hit", "repair", "seed"}
+
+
+def test_replies_score_plans_under_the_request_config():
+    # A reply's fitness is its plan's score under the request's own
+    # GPConfig (Smax 12 here), not under the Table-1 default Smax of 40.
+    result = run_plan_mix(requests=2, distinct=2)
+    for variant, reply in zip(result["schedule"], result["replies"]):
+        engine = EvaluationEngine(plan_mix_problem(variant), smax=12)
+        assert reply["fitness"] == engine(reply["plan"]).overall
