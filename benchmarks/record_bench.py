@@ -1,130 +1,118 @@
-"""Record performance numbers: eight suites, one BENCH_*.json each.
+"""Record performance numbers: eight suites, one ``BENCH_<suite>.json`` each.
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/record_bench.py \\
-        [--suite all|planner|bus|enact|shard|obs|analysis|planlib|prov]
+    PYTHONPATH=src python benchmarks/record_bench.py [--suite NAME]
+        [--rounds N] [--shard-cases N] [--out-dir DIR]
 
-The **planner** suite (BENCH_planner.json) measures, on the Section-5
-case-study problem:
+Each suite is one row of :data:`SUITES`: its title, the function that
+builds its record and its gates.  The recorder runs the chosen suites in
+table order, writes each record to ``<out-dir>/BENCH_<suite>.json`` (the
+default ``.`` is the repo root, home of the committed records), checks
+the suite's gates and exits 1 when one fails.
 
-* ``evaluate_many`` on a population-60 batch;
-* the same batch with only 12 unique structures (in-batch dedup);
-* one seeded GP run's evaluator calls against the unique structures it
-  scored (the fitness cache's effect);
-* one full Table-1-budget GP generation sequence at population 60;
-* the warm-table gate: a seeded GP run on a fresh problem must equal the
-  same run on a problem whose transition table is already filled (fails
-  the run otherwise).
+* **planner** — ``evaluate_many`` on a population-60 case-study batch and
+  on 12 unique structures (in-batch dedup), one seeded GP run's evaluator
+  calls against its simulations (the fitness cache's effect), a full
+  population-60 GP run, and the warm-table check: a seeded GP run on a
+  fresh problem equals the run on a problem whose transition table
+  another run filled.  Every timed round and GP run gets a fresh problem,
+  built outside the timing.
+* **bus** — one-way routing at the default and at a tiny bounded trace
+  capacity, and sequential RPC round trips through ``Agent.call``.
+* **enact** — ``many_cases`` enactment throughput by default, with each
+  fast-path knob alone and with both (``FAST_PATH_KNOBS``), a 1k-case
+  stress row, and the counters of a fast-path and of a default run.
+* **shard** — the process-split driver at 1/2/4/8 shards on a
+  ``--shard-cases`` population, and the scaling against one shard.
+* **analysis** — analyzer and concurrency-verifier throughput on the
+  Figure-10 process (asserted finding-free), seeded GP runs with the
+  static pre-filter off vs ``exact`` (asserted identical) and ``exact``
+  vs ``race``, and the race witness's precision on a racy fork.
+* **obs** — spans off (against the pre-obs baseline), on, and on with
+  gauges, plus one instrumented run's span accounting and profile.
+* **planlib** — cold vs warm ``plan_mix`` latency percentiles, the
+  hit/repair/seed/miss ladder counts, and a mid-run service kill that
+  exercises repair.
+* **prov** — the three journal modes (off against the pre-prov
+  baseline), a 1k-case append stress row, and the enacted ``plan_mix``
+  cases replayed from storage alone.
 
-Every timed round and every GP run gets a fresh problem, built outside
-the timing, so no row runs on a transition table an earlier round warmed.
+A gate is a key path into the record, an operator (``>=``, ``<=`` or
+``==``) and a bound.  A wall-time gate also names the reference host its
+bound was measured on and skips on any other host (one with a different
+``cpu_count`` or ``platform``): cross-host medians say nothing about
+regression.  Every other gate reads a deterministic value and runs on
+every host.
 
-The **bus** suite (BENCH_bus.json) measures message-fabric throughput:
-
-* one-way fire-and-forget routing (router + mailbox + trace + metrics),
-  at the default trace capacity and at a tiny bounded capacity (eviction
-  on the hot path);
-* sequential RPC round trips through ``Agent.call`` (request, handler
-  dispatch, reply, latency histogram).
-
-The **enact** suite (BENCH_enact.json) measures end-to-end enactment
-throughput on the ``many_cases`` workload (K concurrent cases of one
-workflow through the full matchmaking -> scheduling -> container path):
-
-* the default configuration (tracing on, no read-through cache);
-* one row per surviving throughput knob, so each knob's price is on
-  record: ``tracing=False`` and ``cache_ttl=120`` (the coordinator and
-  scheduler read-through cache);
-* both fast-path knobs together (``FAST_PATH_KNOBS``), plus the
-  cache-hit counters of the same configuration;
-* a 1k-case serial stress row (the ``--min-stress-cases-per-s`` floor
-  gate watches it, host-fingerprint-matched like the obs gate).
-
-The **shard** suite (BENCH_shard.json) measures the process-split
-driver on a 10k-case ``many_cases`` population:
-
-* one row per shard count in {1, 2, 4, 8} — fast-path knobs, cases
-  assigned to shards by consistent hash of the case id, one process per
-  shard (``run_many_cases(shards=N)``);
-* the scaling table relative to the single-shard row (the
-  ``--min-shard-scaling`` floor gate watches the 8-shard entry,
-  host-fingerprint-matched like the other gates).
-
-The **obs** suite (BENCH_obs.json) measures the span-telemetry layer's
-cost on the same workload:
-
-* the default spans-off configuration against the committed pre-obs
-  baseline — the ``--max-disabled-overhead`` gate fails the run when the
-  regression exceeds the given percentage (host-fingerprint-matched
-  only, since cross-host medians are not comparable);
-* spans-on and spans-on-plus-gauges configurations (the honest price of
-  full recording);
-* one instrumented run's span accounting, case-0 profile coverage, and
-  gauge summaries.
-
-The **analysis** suite (BENCH_analysis.json) measures the semantic
-workflow verifier:
-
-* full-pass analyzer throughput (structure + conditions + dataflow +
-  resolvability) on the Figure-10 case-study process against the
-  case-study knowledge base — and asserts it stays finding-free;
-* a seeded GP run with the static pre-filter off vs. on (the ``exact``
-  default): best fitness, plan and per-generation history must be
-  identical, while ``analysis_rejected`` records how many candidate
-  simulations the filter made unnecessary.
-
-The **planlib** suite (BENCH_planlib.json) measures the persistent plan
-library's warm-start path on the repeated-goal ``plan_mix`` workload:
-
-* cold (``library="off"``) vs warm (``library="on"``) per-request
-  planning-latency percentiles (p50/p95), plus the warm-hit-path
-  percentiles and the p50 speedup (the ``--min-warm-speedup`` floor
-  gate, host-fingerprint-matched like the other gates);
-* the hit / repair / seed / miss ladder counters of the warm run and of
-  a third run with a mid-run service kill (the repair leg);
-* the library-off byte-identity gate: a grid with a library wired but
-  ``GPConfig.library="off"`` must produce exactly the unwired grid's
-  message trace and GP results (enforced unconditionally).
-
-The **prov** suite (BENCH_prov.json) measures the case flight recorder:
-
-* journal-off (the default) against the committed pre-prov baseline —
-  the ``--max-journal-overhead`` gate fails the run when the regression
-  exceeds the given percentage (host-fingerprint-matched only);
-* record-only and full-mirror rows (the honest price of each mode);
-* a 1k-case record-only append-throughput stress row (events/s) on the
-  fast-path knobs;
-* the enacted ``plan_mix`` acceptance workload replayed case-by-case
-  from storage blobs alone — replay wall time, and every replayed
-  provenance graph must equal the one built from the live journal
-  (``replay_mismatched`` lists the cases that do not; enforced
-  unconditionally).
-
-Each PR can re-run this and diff against the committed JSON to keep a
-perf trajectory.  Timings are medians of --rounds repetitions; the host
-block records the CPU budget the numbers were taken under (a single-core
-host cannot show a parallel win — the dispatch overhead is then the
-honest number).
+Timings are medians of ``--rounds`` repetitions with the collector frozen;
+the host block records the CPU budget they were taken under (a
+single-core host cannot show a parallel win).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import json
+import operator
+import os
+import platform
+import statistics
+import time
+from collections.abc import Callable
 from contextlib import nullcontext
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from bench_util import (
-    enforce_gate,
-    host_fingerprint as _host,
-    time_fn as _time,
-    trace_rows,
-    write_record as _write,
-)
 from repro.plan import random_tree
 from repro.planner import EvaluationEngine, GPConfig, GPPlanner
 from repro.virolab import planning_problem
+
+
+def _time(fn, rounds, setup=None):
+    """Median-of-*rounds* wall time of ``fn()`` with the gc frozen.
+
+    Collect before and freeze the collector during each sample: cyclic-gc
+    pauses landing inside a sample were the dominant variance source on
+    single-core hosts (spreads of 2x for identical configs).
+
+    With *setup* (a factory of context managers), each sample enters a
+    fresh ``setup()`` outside the timing, times ``fn(value)`` and exits it
+    afterwards — so a round can start from fresh inputs (a problem with a
+    cold transition table, say) without timing their construction.
+    """
+    samples = []
+    gc_was_enabled = gc.isenabled()
+    try:
+        for _ in range(rounds):
+            with setup() if setup is not None else nullcontext() as value:
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                fn() if setup is None else fn(value)
+                samples.append(time.perf_counter() - t0)
+                gc.enable()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    return {
+        "median_s": statistics.median(samples),
+        "min_s": min(samples),
+        "rounds": rounds,
+    }
+
+
+def host_fingerprint():
+    """The host block recorded into every BENCH_*.json."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
 
 
 def _population(problem, count, seed=0):
@@ -256,6 +244,26 @@ def bench_bus_throughput(rounds, oneway_count=5_000, rpc_count=2_000):
     return out
 
 
+#: The many_cases population the enact, obs and prov suites time.
+CASES = 32
+CONTAINERS = 4
+
+
+def _time_many_cases(configs, rounds):
+    """One timed row per ``label -> run_many_cases knobs`` entry of
+    *configs*: the median wall time of a CASES-case run and its cases/s."""
+    from repro.workloads import run_many_cases
+
+    rows = {}
+    for label, knobs in configs.items():
+        timing = _time(lambda knobs=knobs: run_many_cases(
+            cases=CASES, containers=CONTAINERS, **knobs
+        ), rounds)
+        timing["cases_per_s"] = CASES / timing["median_s"]
+        rows[label] = timing
+    return rows
+
+
 #: Pre-PR reference point for the enact suite, measured on the grading
 #: host immediately before the throughput layer landed (commit 65ff5fe,
 #: 32 cases / 4 containers / 3 rounds, median of 5): kept in the JSON so
@@ -276,11 +284,9 @@ FAST_PATH_KNOBS = {
     "cache_ttl": 120.0,
 }
 
-#: Host-fingerprinted reference for the 1k-case stress row.  The
-#: ``--min-stress-cases-per-s`` floor gate is enforced only when the
-#: current host matches this fingerprint — cross-host rates say nothing
-#: about regression.  Measured on the grading host (serial fast path,
-#: gc frozen during samples).
+#: Host-fingerprinted reference for the 1k-case stress row: the enact
+#: suite's stress floor gate runs only on this host.  Measured on the
+#: grading host (serial fast path, gc frozen during samples).
 STRESS_REFERENCE = {
     "cases": 1000,
     "containers": 8,
@@ -293,13 +299,12 @@ STRESS_REFERENCE = {
 }
 
 
-def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
+def bench_enact(rounds, stress_cases=1000):
     """End-to-end enactment throughput on the many_cases workload."""
     from repro.workloads import run_many_cases
 
-    out = {"cases": cases, "containers": containers}
-
-    configs = {
+    out = {"cases": CASES, "containers": CONTAINERS}
+    out.update(_time_many_cases({
         # Default path: byte-identical traces, program cache on.
         "default_tracing": {},
         # Each surviving fast-path knob alone: its price on record.
@@ -307,17 +312,11 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
         "cache_ttl_120": {"cache_ttl": 120.0},
         # Throughput path: both knobs at once (see FAST_PATH_KNOBS).
         "optimized_fast_path": dict(FAST_PATH_KNOBS),
-    }
-    for label, knobs in configs.items():
-        timing = _time(lambda knobs=knobs: run_many_cases(
-            cases=cases, containers=containers, **knobs
-        ), rounds)
-        timing["cases_per_s"] = cases / timing["median_s"]
-        out[label] = timing
+    }, rounds))
 
     # 1k-case stress row: same fast path, more contention (makespan grows
     # with the case count, so the rate is lower than the 32-case row —
-    # that is the honest sustained number the CI floor gate watches).
+    # that is the honest sustained number the stress floor gate watches).
     stress_rounds = 1 if rounds <= 2 else 3
     timing = _time(lambda: run_many_cases(
         cases=stress_cases,
@@ -331,12 +330,12 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
 
     # Completion + cache-hit counters of one fast-path run: the metrics
     # registry proves the caches actually carried the load.
-    result = run_many_cases(cases=cases, containers=containers, **FAST_PATH_KNOBS)
+    result = run_many_cases(cases=CASES, containers=CONTAINERS, **FAST_PATH_KNOBS)
     out["counters_optimized"] = result["counters"]
     out["counters_optimized"]["completed_cases"] = result["completed"]
     out["counters_optimized"]["activities_run"] = result["activities_run"]
     out["counters_optimized"]["engine_events"] = result["engine_events"]
-    result = run_many_cases(cases=cases, containers=containers)
+    result = run_many_cases(cases=CASES, containers=CONTAINERS)
     out["counters_default"] = result["counters"]
 
     out["pre_pr_baseline"] = dict(PRE_PR_BASELINE)
@@ -349,9 +348,9 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     return out
 
 
-#: Host-fingerprinted reference for the shard suite's scaling-floor gate:
-#: ``--min-shard-scaling`` compares the 8-shard row's throughput against
-#: the 1-shard row and is enforced only on a matching host.  On the
+#: Host-fingerprinted reference for the shard suite's scaling floor gate,
+#: which compares the 8-shard row's throughput against the 1-shard row and
+#: runs only on this host.  On the
 #: single-core grading host the win comes from superlinear cost avoidance
 #: (eight small environments beat one 10k-case environment on scheduler
 #: scan and heap growth), not from parallelism.
@@ -414,9 +413,8 @@ def bench_shard(rounds, cases=10_000, containers=8):
 
 #: Pre-PR reference point for the obs suite, measured on the grading host
 #: immediately before the span-telemetry layer landed (commit 882c84e,
-#: 32 cases / 4 containers, median of 7): the disabled-overhead gate
-#: compares against this — but only when the host fingerprint matches,
-#: since cross-host medians say nothing about regression.
+#: 32 cases / 4 containers, median of 7): the obs suite's spans-off
+#: overhead gate compares against this, on this host only.
 PRE_OBS_BASELINE = {
     "median_s": 0.306,
     "min_s": 0.282,
@@ -430,27 +428,20 @@ PRE_OBS_BASELINE = {
 }
 
 
-def bench_obs(rounds, cases=32, containers=4):
+def bench_obs(rounds):
     """Span-telemetry overhead: disabled (the default) must stay free."""
     from repro.obs.profile import case_profile
     from repro.workloads import run_many_cases
 
-    out = {"cases": cases, "containers": containers}
-
-    configs = {
+    out = {"cases": CASES, "containers": CONTAINERS}
+    out.update(_time_many_cases({
         # Default path: recording off; must track PRE_OBS_BASELINE.
         "spans_off": {},
         # Full recording: every layer opens/closes spans.
         "spans_on": {"spans": True},
         # Recording plus periodic gauge sampling.
         "spans_on_gauges": {"spans": True, "gauge_period": 5.0},
-    }
-    for label, knobs in configs.items():
-        timing = _time(lambda knobs=knobs: run_many_cases(
-            cases=cases, containers=containers, **knobs
-        ), rounds)
-        timing["cases_per_s"] = cases / timing["median_s"]
-        out[label] = timing
+    }, rounds))
 
     baseline = PRE_OBS_BASELINE["median_s"]
     out["pre_obs_baseline"] = dict(PRE_OBS_BASELINE)
@@ -465,7 +456,7 @@ def bench_obs(rounds, cases=32, containers=4):
     # One instrumented run proves the recording is complete and balanced:
     # every span pairs, and the profile attributes the case window.
     result = run_many_cases(
-        cases=cases, containers=containers, spans=True, gauge_period=5.0
+        cases=CASES, containers=CONTAINERS, spans=True, gauge_period=5.0
     )
     out["span_accounting"] = result["spans"]
     profile = case_profile(result["env"].spans, case="case-0")
@@ -650,10 +641,10 @@ def _witness_precision():
     }
 
 
-#: Host-fingerprinted reference for the plan-library warm-start suite.
-#: The ``--min-warm-speedup`` floor gate is enforced only when the current
-#: host matches this fingerprint.  Measured on the grading host (24
-#: requests over 4 goal variants, population 40 / 8 generations).
+#: Host-fingerprinted reference for the plan-library warm-start suite: its
+#: warm-hit speedup floor gate runs only on this host.  Measured on the
+#: grading host (24 requests over 4 goal variants, population 40 / 8
+#: generations).
 PLANLIB_REFERENCE = {
     "requests": 24,
     "distinct": 4,
@@ -678,68 +669,13 @@ def _latency_percentiles(samples):
     return {"p50_s": pct(50), "p95_s": pct(95), "n": len(ordered)}
 
 
-def verify_library_off_identity(requests=8, distinct=4):
-    """Byte-identity gate: library wired but ``library="off"`` vs unwired.
-
-    ``GPConfig.library="off"`` must leave the planning service on the
-    pre-library code path exactly — same GP populations (hence fitness and
-    replies), same default message trace — even when a :class:`PlanLibrary`
-    and knowledge base are wired into the grid.  The unwired half of the
-    pair runs the original handler body with zero generator yields, i.e.
-    the pre-PR behavior.
-    """
-    from repro.workloads import run_plan_mix
-
-    def observable(wired):
-        result = run_plan_mix(
-            requests=requests,
-            distinct=distinct,
-            library="off",
-            wire_disabled_library=wired,
-        )
-        return {
-            "trace": trace_rows(result["env"]),
-            "fitness": result["fitness"],
-            "sources": result["sources"],
-            "solved": result["solved"],
-            "makespan": result["makespan"],
-        }
-
-    wired = observable(True)
-    plain = observable(False)
-    identical = wired == plain
-    gate = {
-        "requests": requests,
-        "identical": identical,
-        "messages_compared": len(plain["trace"]),
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(wired["trace"], plain["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "wired_off": one,
-                    "unwired": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "wired_len": len(wired["trace"]),
-                "unwired_len": len(plain["trace"]),
-                "fitness_equal": wired["fitness"] == plain["fitness"],
-            }
-    return gate
-
-
 def bench_planlib(requests=24, distinct=4):
     """Plan-library warm-start: cold vs warm latency plus the ladder counts.
 
     Three runs of the repeated-goal ``plan_mix`` traffic:
 
-    * cold — ``library="off"``, every request is a full GP run (the
-      baseline percentiles);
+    * cold — ``library="off"``, no library wired: every request is a full
+      GP run (the baseline percentiles);
     * warm — ``library="on"``, first occurrences miss or seed, repeats are
       analyzer-verified hits (the warm-hit percentiles and the speedup);
     * stale — warm plus a mid-run service kill, exercising the repair leg.
@@ -788,15 +724,14 @@ def bench_planlib(requests=24, distinct=4):
     }
 
     out["planlib_reference"] = dict(PLANLIB_REFERENCE)
-    out["library_off_identity"] = verify_library_off_identity()
     return out
 
 
 #: Host-fingerprinted reference for the flight-recorder overhead gate:
 #: the default (journal off) many_cases median measured immediately
 #: before the journal hooks landed in coordination / containers /
-#: transfer.  ``--max-journal-overhead`` compares the current
-#: journal-off median against this on the matching host only.
+#: transfer.  The prov suite's journal-off overhead gate compares the
+#: current journal-off median against this, on this host only.
 PRE_PROV_BASELINE = {
     "median_s": 0.176,
     "min_s": 0.166,
@@ -809,11 +744,11 @@ PRE_PROV_BASELINE = {
 }
 
 
-def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
+def bench_prov(rounds, stress_cases=1000):
     """Flight-recorder cost: journal modes, append throughput, replay.
 
     * journal-off (the default) against the committed pre-prov baseline
-      (the ``--max-journal-overhead`` gate watches this row);
+      (the journal-off overhead gate watches this row);
     * record-only and full-mirror rows (the honest price of each mode);
     * a 1k-case record-only stress row on the fast-path knobs — events
       appended per second is the journal's append throughput;
@@ -822,29 +757,20 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
       replayed provenance graph compared with the one built from the
       live journal (host-independent, so enforced everywhere).
     """
-    import time as _walltime
-
     from repro.obs.provenance import ProvenanceGraph, journal_replay
     from repro.workloads import run_many_cases, run_plan_mix
-
-    out = {"cases": cases, "containers": containers}
 
     # One untimed run first: the 1% overhead gate is tighter than the
     # cold-process warm-up penalty (imports, allocator, bytecode), which
     # would otherwise land entirely on the first-timed config.
-    run_many_cases(cases=cases, containers=containers)
+    run_many_cases(cases=CASES, containers=CONTAINERS)
 
-    configs = {
+    out = {"cases": CASES, "containers": CONTAINERS}
+    out.update(_time_many_cases({
         "journal_off": {},
         "journal_record": {"journal": "record"},
         "journal_mirror": {"journal": True},
-    }
-    for label, knobs in configs.items():
-        timing = _time(lambda knobs=knobs: run_many_cases(
-            cases=cases, containers=containers, **knobs
-        ), rounds)
-        timing["cases_per_s"] = cases / timing["median_s"]
-        out[label] = timing
+    }, rounds))
 
     baseline = PRE_PROV_BASELINE["median_s"]
     out["pre_prov_baseline"] = dict(PRE_PROV_BASELINE)
@@ -861,11 +787,11 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
     )
 
     # Append throughput: 1k cases on the fast-path knobs, record-only.
-    started = _walltime.perf_counter()
+    started = time.perf_counter()
     stress = run_many_cases(
         cases=stress_cases, containers=8, journal="record", **FAST_PATH_KNOBS
     )
-    elapsed = _walltime.perf_counter() - started
+    elapsed = time.perf_counter() - started
     stats = stress["journal"]
     out["stress_1k_record"] = {
         "cases": stress_cases,
@@ -882,13 +808,13 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
         requests=8, distinct=4, enact=True, journal=True, spans=True
     )
     services, env = mix["services"], mix["env"]
-    cases = [f"mix-{index}" for index in range(mix["requests"])]
-    started = _walltime.perf_counter()
-    replays = [journal_replay(services.storage, case) for case in cases]
-    replay_elapsed = _walltime.perf_counter() - started
+    case_ids = [f"mix-{index}" for index in range(mix["requests"])]
+    started = time.perf_counter()
+    replays = [journal_replay(services.storage, case) for case in case_ids]
+    replay_elapsed = time.perf_counter() - started
     mismatched = [
         case
-        for case, replay in zip(cases, replays)
+        for case, replay in zip(case_ids, replays)
         if replay["graph"].to_json()
         != ProvenanceGraph.from_journal(env.journal, case).to_json()
     ]
@@ -907,61 +833,137 @@ def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
     }
     return out
 
+def planner_record(args):
+    return {
+        "problem": planning_problem().name,
+        "evaluate_many": bench_evaluate_many(args.rounds),
+        "cache_effect_pop60_gen10": bench_cache_effect(),
+        "gp_run_pop60_gen10": bench_gp_run(max(2, args.rounds // 2)),
+        "warm_table_identity": verify_warm_table_identity(),
+    }
+
+
+class Gate(NamedTuple):
+    """``record[path] <op> bound``, *path* dotted.  A wall-time gate names
+    its reference *host* (a fingerprint); None runs on every host."""
+
+    path: str
+    op: str
+    bound: Any
+    host: dict | None = None
+
+
+class Suite(NamedTuple):
+    title: str
+    build: Callable[[argparse.Namespace], dict]
+    gates: tuple[Gate, ...] = ()
+
+
+_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+
+def check_gate(suite, gate, record, host) -> bool:
+    """Print *gate*'s verdict on *record*, measured on *host*; False only
+    on an enforced failure.  The Python version is left out of the host
+    match: medians are comparable across interpreter patches."""
+    label = f"{suite} gate {gate.path} {gate.op} {gate.bound!r}"
+    reference = gate.host
+    if reference is not None and any(
+        host[key] != reference[key] for key in ("cpu_count", "platform")
+    ):
+        print(
+            f"{label} skipped: host differs from the reference host "
+            f"({host['cpu_count']} cpus, {host['platform']})"
+        )
+        return True
+    value = record
+    for key in gate.path.split("."):
+        value = value[key]
+    if not _OPS[gate.op](value, gate.bound):
+        print(f"FAIL: {label}: got {value!r}")
+        return False
+    print(f"{label} passed: {value!r}")
+    return True
+
+
+SUITES = {
+    "planner": Suite(
+        "GP planner evaluation engine",
+        planner_record,
+        (Gate("warm_table_identity.identical", "==", True),),
+    ),
+    "bus": Suite(
+        "message bus throughput",
+        lambda args: {"throughput": bench_bus_throughput(args.rounds)},
+    ),
+    "enact": Suite(
+        "enactment throughput (many_cases workload)",
+        lambda args: {"enact": bench_enact(args.rounds)},
+        (
+            Gate("enact.stress_1k.cases_per_s", ">=", 150, STRESS_REFERENCE["host"]),
+            Gate("enact.counters_default.messages_sent", "==", 3_904),
+            Gate("enact.counters_optimized.engine_events", "==", 5_496),
+        ),
+    ),
+    "shard": Suite(
+        "sharded-grid scaling (many_cases workload)",
+        lambda args: {"shard": bench_shard(args.rounds, cases=args.shard_cases)},
+        (
+            Gate(
+                "shard.scaling_vs_1_shard.shards_8", ">=", 3.0,
+                SHARD_REFERENCE["host"],
+            ),
+        ),
+    ),
+    "analysis": Suite(
+        "semantic workflow verifier (analysis package)",
+        lambda args: {"analysis": bench_analysis(args.rounds)},
+        # The witness replays the simulated journal: its precision is a
+        # ratio of counts that repeat exactly on any host.
+        (Gate("analysis.race_witness.precision", ">=", 0.9),),
+    ),
+    "obs": Suite(
+        "span telemetry overhead (many_cases workload)",
+        lambda args: {"obs": bench_obs(args.rounds)},
+        (
+            Gate("obs.disabled_overhead_pct", "<=", 5, PRE_OBS_BASELINE["host"]),
+            Gate("obs.span_accounting.open", "==", 0),
+            Gate("obs.span_accounting.closed", "==", 2_240),
+        ),
+    ),
+    "planlib": Suite(
+        "plan library warm-start (plan_mix workload)",
+        lambda args: {"planlib": bench_planlib()},
+        (
+            Gate("planlib.warm_speedup_p50", ">=", 5.0, PLANLIB_REFERENCE["host"]),
+            Gate(
+                "planlib.counts", "==",
+                {"hit": 20, "repair": 0, "seed": 3, "miss": 1, "store": 4,
+                 "verify": 20, "reject": 0},
+            ),
+        ),
+    ),
+    "prov": Suite(
+        "case flight recorder (journal + provenance replay)",
+        lambda args: {"prov": bench_prov(args.rounds)},
+        (
+            # Each case's provenance rebuilt from its storage blob alone
+            # equals the live journal's graph.
+            Gate("prov.replay.replay_mismatched", "==", []),
+            Gate(
+                "prov.journal_disabled_overhead_pct", "<=", 1,
+                PRE_PROV_BASELINE["host"],
+            ),
+            Gate("prov.stress_1k_record.events_appended", "==", 27_000),
+        ),
+    ),
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--suite",
-        choices=(
-            "all",
-            "planner",
-            "bus",
-            "enact",
-            "obs",
-            "analysis",
-            "shard",
-            "planlib",
-            "prov",
-        ),
-        default="all",
-    )
-    parser.add_argument("--out", default="BENCH_planner.json")
-    parser.add_argument("--bus-out", default="BENCH_bus.json")
-    parser.add_argument("--enact-out", default="BENCH_enact.json")
-    parser.add_argument("--obs-out", default="BENCH_obs.json")
-    parser.add_argument("--analysis-out", default="BENCH_analysis.json")
-    parser.add_argument("--shard-out", default="BENCH_shard.json")
-    parser.add_argument("--planlib-out", default="BENCH_planlib.json")
-    parser.add_argument("--prov-out", default="BENCH_prov.json")
-    parser.add_argument(
-        "--max-journal-overhead",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="fail (exit 1) if the prov suite's journal-off median exceeds "
-        "the committed pre-prov baseline by more than PCT percent; only "
-        "enforced when the host fingerprint matches the baseline host",
-    )
-    parser.add_argument(
-        "--min-warm-speedup",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="fail (exit 1) if the planlib suite's warm-hit p50 latency is "
-        "not at least FACTOR times below the cold (library-off) p50; only "
-        "enforced when the host fingerprint matches the committed planlib "
-        "reference host",
-    )
-    parser.add_argument(
-        "--min-witness-precision",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail (exit 1) if the analysis suite's race-witness precision "
-        "(journal-confirmed over checkable static races) falls below "
-        "FRACTION; a ratio of deterministic counts, so enforced on every "
-        "host",
-    )
+    parser.add_argument("--suite", choices=("all", *SUITES), default="all")
+    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument(
         "--shard-cases",
         type=int,
@@ -969,191 +971,26 @@ def main(argv=None) -> int:
         help="population size for the shard suite's scaling rows",
     )
     parser.add_argument(
-        "--min-shard-scaling",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="fail (exit 1) if the shard suite's 8-shard row is less than "
-        "FACTOR times the 1-shard row's throughput; only enforced when "
-        "the host fingerprint matches the committed shard reference host",
+        "--out-dir",
+        default=".",
+        help="directory each suite's BENCH_<suite>.json is written to",
     )
-    parser.add_argument(
-        "--max-disabled-overhead",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="fail (exit 1) if the obs suite's spans-off median exceeds "
-        "the committed pre-obs baseline by more than PCT percent; only "
-        "enforced when the host fingerprint matches the baseline host",
-    )
-    parser.add_argument(
-        "--min-stress-cases-per-s",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="fail (exit 1) if the enact suite's 1k-case stress row falls "
-        "below RATE cases/s; only enforced when the host fingerprint "
-        "matches the committed stress reference host",
-    )
-    parser.add_argument("--cases", type=int, default=32)
-    parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
+    os.makedirs(args.out_dir, exist_ok=True)
 
-    if args.suite in ("all", "planner"):
-        record = {
-            "benchmark": "GP planner evaluation engine",
-            "problem": planning_problem().name,
-            "host": _host(),
-            "evaluate_many": bench_evaluate_many(args.rounds),
-            "cache_effect_pop60_gen10": bench_cache_effect(),
-            "gp_run_pop60_gen10": bench_gp_run(max(2, args.rounds // 2)),
-            "warm_table_identity": verify_warm_table_identity(),
-        }
-        _write(args.out, record)
-        if not record["warm_table_identity"]["identical"]:
-            print("FAIL: a GP run on a warm transition table diverges from a fresh one")
-            return 1
-        print("warm-table gate passed: fresh and warm-table GP runs are identical")
-
-    if args.suite in ("all", "bus"):
-        record = {
-            "benchmark": "message bus throughput",
-            "host": _host(),
-            "throughput": bench_bus_throughput(args.rounds),
-        }
-        _write(args.bus_out, record)
-
-    if args.suite in ("all", "enact"):
-        host = _host()
-        record = {
-            "benchmark": "enactment throughput (many_cases workload)",
-            "host": host,
-            "enact": bench_enact(args.rounds, cases=args.cases),
-        }
-        _write(args.enact_out, record)
-        if args.min_stress_cases_per_s is not None and not enforce_gate(
-            "stress floor (--min-stress-cases-per-s)",
-            record["enact"]["stress_1k"]["cases_per_s"],
-            args.min_stress_cases_per_s,
-            host,
-            STRESS_REFERENCE["host"],
-            mode="min",
-            unit=" cases/s",
-            fmt="{:.0f}",
-        ):
-            return 1
-
-    if args.suite in ("all", "shard"):
-        host = _host()
-        record = {
-            "benchmark": "sharded-grid scaling (many_cases workload)",
-            "host": host,
-            "shard": bench_shard(args.rounds, cases=args.shard_cases),
-        }
-        _write(args.shard_out, record)
-        if args.min_shard_scaling is not None and not enforce_gate(
-            f"{max(SHARD_COUNTS)}-shard scaling (--min-shard-scaling)",
-            record["shard"]["scaling_vs_1_shard"][f"shards_{max(SHARD_COUNTS)}"],
-            args.min_shard_scaling,
-            host,
-            SHARD_REFERENCE["host"],
-            mode="min",
-            unit="x",
-        ):
-            return 1
-
-    if args.suite in ("all", "analysis"):
-        host = _host()
-        record = {
-            "benchmark": "semantic workflow verifier (analysis package)",
-            "host": host,
-            "analysis": bench_analysis(args.rounds),
-        }
-        _write(args.analysis_out, record)
-        # The witness replays the simulated journal, so its precision is a
-        # ratio of counts that repeat exactly on any host: every host is
-        # its own reference and the floor holds everywhere.
-        if args.min_witness_precision is not None and not enforce_gate(
-            "race-witness precision (--min-witness-precision)",
-            record["analysis"]["race_witness"]["precision"],
-            args.min_witness_precision,
-            host,
-            host,
-            mode="min",
-        ):
-            return 1
-
-    if args.suite in ("all", "obs"):
-        host = _host()
-        record = {
-            "benchmark": "span telemetry overhead (many_cases workload)",
-            "host": host,
-            "obs": bench_obs(args.rounds, cases=args.cases),
-        }
-        _write(args.obs_out, record)
-        if args.max_disabled_overhead is not None and not enforce_gate(
-            "spans-off disabled-overhead (--max-disabled-overhead)",
-            record["obs"]["disabled_overhead_pct"],
-            args.max_disabled_overhead,
-            host,
-            PRE_OBS_BASELINE["host"],
-            mode="max",
-            unit="%",
-            fmt="{:+.1f}",
-        ):
-            return 1
-
-    if args.suite in ("all", "planlib"):
-        host = _host()
-        record = {
-            "benchmark": "plan library warm-start (plan_mix workload)",
-            "host": host,
-            "planlib": bench_planlib(),
-        }
-        _write(args.planlib_out, record)
-        gate = record["planlib"]["library_off_identity"]
-        if not gate["identical"]:
-            print(
-                "FAIL: library-off grid diverges from the unwired grid: "
-                f"{gate.get('first_divergence')}"
-            )
-            return 1
-        if args.min_warm_speedup is not None and not enforce_gate(
-            "warm-hit speedup (--min-warm-speedup)",
-            record["planlib"]["warm_speedup_p50"],
-            args.min_warm_speedup,
-            host,
-            PLANLIB_REFERENCE["host"],
-            mode="min",
-            unit="x",
-        ):
-            return 1
-
-    if args.suite in ("all", "prov"):
-        host = _host()
-        record = {
-            "benchmark": "case flight recorder (journal + provenance replay)",
-            "host": host,
-            "prov": bench_prov(args.rounds, cases=args.cases),
-        }
-        _write(args.prov_out, record)
-        mismatched = record["prov"]["replay"]["replay_mismatched"]
-        if mismatched:
-            print(
-                "FAIL: provenance replayed from storage differs from the "
-                f"live journal for {mismatched}"
-            )
-            return 1
-        if args.max_journal_overhead is not None and not enforce_gate(
-            "journal-off disabled-overhead (--max-journal-overhead)",
-            record["prov"]["journal_disabled_overhead_pct"],
-            args.max_journal_overhead,
-            host,
-            PRE_PROV_BASELINE["host"],
-            mode="max",
-            unit="%",
-            fmt="{:+.1f}",
-        ):
+    for name, suite in SUITES.items():
+        if args.suite not in ("all", name):
+            continue
+        host = host_fingerprint()
+        record = {"benchmark": suite.title, "host": host, **suite.build(args)}
+        path = os.path.join(args.out_dir, f"BENCH_{name}.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(json.dumps(record, indent=2))
+        print(f"\nwrote {path}")
+        # A list, not a generator: every gate prints its verdict.
+        if not all([check_gate(name, gate, record, host) for gate in suite.gates]):
             return 1
     return 0
 

@@ -24,7 +24,7 @@ round-trip property therefore holds on *normalized* trees
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Collection, Mapping
 
 from repro.errors import ConversionError
 from repro.plan.tree import (
@@ -52,6 +52,7 @@ __all__ = [
     "tree_to_process",
     "process_to_tree",
     "normalize",
+    "plan_activity_name",
 ]
 
 ConditionProvider = Callable[[Controller], Condition]
@@ -185,7 +186,8 @@ def tree_to_process(
     """Elaborate a plan tree all the way to a process-description graph.
 
     Repeated activity occurrences are renamed ``X, X_2, X_3, ...`` with the
-    service field of every occurrence bound to the original name.
+    service field of every occurrence bound to the original name
+    (:func:`plan_activity_name` maps a graph name back).
     """
     counts: dict[str, int] = {}
     base_lib = dict(library or {})
@@ -203,8 +205,7 @@ def tree_to_process(
     renamed = rename(tree)
 
     def factory(name_: str) -> Activity:
-        base, _, suffix = name_.rpartition("_")
-        original = base if suffix.isdigit() and base else name_
+        original = plan_activity_name(name_, counts)
         template = base_lib.get(original)
         if template is not None:
             return Activity(
@@ -219,6 +220,19 @@ def tree_to_process(
 
     ast = tree_to_ast(normalize(renamed), condition_provider)
     return ast_to_process(ast, name=name, library=factory)
+
+
+def plan_activity_name(name: str, activities: Collection[str]) -> str:
+    """The plan activity behind graph activity *name*, undoing
+    :func:`tree_to_process`'s ``X_2`` renaming against *activities* (the
+    problem's activity set T): *name* itself when it is in T, else ``X``
+    when *name* is ``X_<digits>`` and ``X`` is in T, else *name*."""
+    if name in activities:
+        return name
+    base, _, suffix = name.rpartition("_")
+    if suffix.isdigit() and base in activities:
+        return base
+    return name
 
 
 def process_to_tree(pd: ProcessDescription) -> PlanNode:

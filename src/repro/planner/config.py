@@ -37,13 +37,6 @@ class GPConfig:
     ``"race"`` is ``"exact"`` plus a floor penalty for trees whose
     CONCURRENT branches statically interfere (changes traces); ``"off"``
     disables the filter."""
-    library: str = "off"
-    """Plan-library warm starts (:mod:`repro.planner.library`): ``"off"``
-    (default) plans every request from scratch — GP populations, fitness
-    and message traces are bit-identical to a grid with no library wired
-    at all; ``"on"`` lets the planning service consult the persistent
-    repository (verified hits skip GP entirely, near-misses seed the
-    initial population) and :meth:`GPPlanner.plan` honor *seeds*."""
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -64,10 +57,6 @@ class GPConfig:
             raise PlanningError(
                 f"static_filter must be 'off', 'exact' or 'race', "
                 f"got {self.static_filter!r}"
-            )
-        if self.library not in ("off", "on"):
-            raise PlanningError(
-                f"library must be 'off' or 'on', got {self.library!r}"
             )
 
     def with_(self, **changes) -> "GPConfig":

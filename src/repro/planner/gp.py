@@ -130,22 +130,17 @@ class GPPlanner:
     ) -> list[PlanNode]:
         """The generation-0 population.
 
-        Without *seeds* (or with ``config.library="off"``) this is the
-        paper's initializer — ``population_size`` random trees — and the
-        RNG stream is untouched by the seeding code, so the cold path is
-        bit-identical to pre-library behavior.  With seeds (plans
-        retrieved from the plan library), up to :data:`SEED_FRACTION` of
+        Without *seeds* this is the paper's initializer —
+        ``population_size`` random trees — and the RNG stream is untouched
+        by the seeding code.  With seeds (plans the planning service
+        retrieved from its plan library), up to :data:`SEED_FRACTION` of
         the slots warm-start the search: the first copy of each seed
         enters verbatim, further copies are mutated variants at
         :data:`SEED_MUTATION_RATE`, and the remaining slots stay random.
         """
         cfg = self.config
         activities = list(problem.activity_names)
-        usable = (
-            [tree for tree in seeds if tree.size <= cfg.smax]
-            if cfg.library != "off"
-            else []
-        )
+        usable = [tree for tree in seeds if tree.size <= cfg.smax]
         population: list[PlanNode] = []
         if usable:
             n_seeded = min(
@@ -187,9 +182,7 @@ class GPPlanner:
 
         Population scoring goes through a fresh :class:`EvaluationEngine`
         (batched, deduped, cached) per run.  *seeds* are library-retrieved
-        plans folded into generation 0 (see :meth:`initial_population`);
-        they are ignored — RNG stream untouched — unless
-        ``config.library`` enables warm starts.
+        plans folded into generation 0 (see :meth:`initial_population`).
         """
         cfg = self.config
         engine = EvaluationEngine(

@@ -49,10 +49,9 @@ class RepairResult:
     plan: PlanNode
     fitness: Fitness
     removed: tuple[str, ...]
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.removed)
+    changed: bool
+    """Whether *plan* differs from the input tree: a deletion, or only the
+    normalization every repair starts with."""
 
 
 def never_valid_terminals(
@@ -157,4 +156,5 @@ def repair_plan(
         plan=current,
         fitness=evaluator(current),
         removed=tuple(removed),
+        changed=current != tree,
     )

@@ -88,8 +88,9 @@ def build_core_services(
     *plan_library* hands the planning service a warm-start plan repository
     (persisted through the storage service); *knowledge_base* is the
     registry view it re-verifies retrieved plans against — and the
-    coordination intake gate's resolvability context.  Both default to
-    None, which leaves planning byte-identical to a library-less grid.
+    coordination intake gate's resolvability context.  The planning
+    service walks its warm-start ladder exactly when *plan_library* is
+    given; with the default None every request is a plain GP run.
     """
     information = InformationService(env, site=site)
     services = CoreServices(

@@ -35,6 +35,7 @@ from repro.grid.environment import GridEnvironment
 from repro.grid.messages import Message, Performative
 from repro.obs.journal import JOURNAL_SCHEMA_VERSION, encode_events, journal_storage_key
 from repro.obs.spans import NO_SPAN, Span
+from repro.plan.convert import plan_activity_name
 from repro.planner.problem import PlanningProblem
 from repro.process.ast_nodes import (
     ActivityNode,
@@ -464,7 +465,7 @@ class CoordinationService(CoreService):
                             f"{failure.activity!r} and cannot re-plan"
                         ) from failure
                     failed_activities.append(
-                        self._planner_activity_name(current, failure.activity)
+                        plan_activity_name(failure.activity, problem.activities)
                     )
                     record.replans += 1
                     self.metrics.inc("replans", agent=self.name)
@@ -740,12 +741,3 @@ class CoordinationService(CoreService):
                         self._report_performance(service, container, 0.0, False)
             activity_span.set(retries=self.retry_limit, reason=last_error)
             raise _ActivityFailed(name, last_error)
-
-    @staticmethod
-    def _planner_activity_name(process: ProcessDescription, name: str) -> str:
-        """Map a (possibly ``X_2``-renamed) graph activity back to the
-        planning-problem activity name it stands for."""
-        base, _, suffix = name.rpartition("_")
-        if suffix.isdigit() and base:
-            return base
-        return name

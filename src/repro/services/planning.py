@@ -25,7 +25,6 @@ successful execution").
 
 from __future__ import annotations
 
-import re
 import time
 from typing import Any
 
@@ -41,7 +40,7 @@ from repro.grid.messages import Message
 from repro.ontology.builtin import SERVICE
 from repro.ontology.frames import KnowledgeBase
 from repro.ontology.query import Op, Query
-from repro.plan.convert import tree_to_process
+from repro.plan.convert import plan_activity_name, tree_to_process
 from repro.plan.tree import Controller, ControllerKind, PlanNode
 from repro.planner.config import GPConfig
 from repro.planner.engine import EvaluationEngine
@@ -61,10 +60,6 @@ from repro.process.model import Activity
 from repro.services.base import CoreService, WELL_KNOWN
 
 __all__ = ["PlanningService"]
-
-#: ``X_2`` → ``X``: undo tree_to_process's repeated-activity renaming when
-#: mapping process-level finding loci back to plan terminal names.
-_RENAME_SUFFIX = re.compile(r"^(?P<base>.+)_(?P<n>[0-9]+)$")
 
 
 def _scorer(problem: PlanningProblem, config: GPConfig) -> EvaluationEngine:
@@ -105,9 +100,8 @@ class PlanningService(CoreService):
         #: pass (see :mod:`repro.planner.repair`) before emitting them.
         self.repair_plans = repair_plans
         #: Warm-start plan repository (see :mod:`repro.planner.library`).
-        #: The ladder only runs when a library is wired *and* the request's
-        #: ``GPConfig.library`` is ``"on"`` — with either off, planning is
-        #: byte-identical to a grid that never heard of the library.
+        #: The retrieve → verify → repair → seed ladder runs exactly when
+        #: one is wired; without it every request is a plain GP run.
         self.library = library
         #: Current registry view for re-verifying retrieved plans.  Without
         #: it, library hits cannot be re-verified and are therefore *never
@@ -197,18 +191,6 @@ class PlanningService(CoreService):
         }
 
     # -- plan library (warm starts) ----------------------------------------------- #
-    def _library_enabled(self, config: GPConfig) -> bool:
-        return self.library is not None and config.library == "on"
-
-    def _base_activity(self, locus: str, problem: PlanningProblem) -> str:
-        """The plan-terminal name behind a process-activity locus."""
-        if locus in problem.activities:
-            return locus
-        match = _RENAME_SUFFIX.match(locus)
-        if match and match.group("base") in problem.activities:
-            return match.group("base")
-        return locus
-
     def _resolvable_services(self, problem: PlanningProblem) -> list[str]:
         """Services of T with at least one Service instance registered."""
         kb = self.knowledge_base
@@ -247,7 +229,10 @@ class PlanningService(CoreService):
         if self.knowledge_base is None:
             return None
         flagged = sorted(
-            {self._base_activity(locus, problem) for locus in unresolvable_loci(findings)}
+            {
+                plan_activity_name(locus, problem.activities)
+                for locus in unresolvable_loci(findings)
+            }
         )
         if not flagged:
             return None
@@ -418,14 +403,14 @@ class PlanningService(CoreService):
 
         Content: ``problem`` (PlanningProblem); optional ``config``
         (GPConfig).  Reply: the plan tree, the elaborated process
-        description and fitness telemetry.  With the plan library enabled
-        the reply also carries ``source`` (hit/repair/seed/miss) and
-        ``verified``; with it off this handler yields nothing, so the
-        message exchange is byte-identical to pre-library behavior.
+        description and fitness telemetry.  With a plan library wired the
+        reply also carries ``source`` (hit/repair/seed/miss) and
+        ``verified``; without one this handler yields nothing, so the
+        exchange is the request and its reply.
         """
         problem: PlanningProblem = message.content["problem"]
         config: GPConfig = message.content.get("config") or self.config
-        if self._library_enabled(config):
+        if self.library is not None:
             reply = yield from self._plan_with_library(
                 problem, config, message.trace_id
             )
@@ -566,7 +551,7 @@ class PlanningService(CoreService):
             activities=surviving,
             name=f"{problem.name}-replan",
         )
-        if self._library_enabled(config):
+        if self.library is not None:
             # The restricted problem digests differently from the original
             # (T shrank), so replan results build their own library line.
             reply = yield from self._plan_with_library(

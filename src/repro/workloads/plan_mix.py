@@ -173,20 +173,16 @@ def run_plan_mix(
     spans: bool = False,
     journal: bool | str = False,
     enact: bool = False,
-    wire_disabled_library: bool = False,
     max_events: int = 20_000_000,
 ) -> dict[str, Any]:
     """Issue *requests* sequential planning RPCs over the repeated-goal mix.
 
     ``library="on"`` wires a :class:`PlanLibrary` plus the knowledge base
-    into the planning service and runs the full retrieve → verify →
-    repair → seed ladder; ``library="off"`` runs the identical request
-    schedule against plain per-request GP (the cold baseline — and the
-    bit-identity reference, since an off-library grid must behave exactly
-    like one with no library wired at all).  ``kill_after=r`` stales the
-    variant-0 entry after request *r* (see :func:`_kill_used_publisher`).
-    ``wire_disabled_library=True`` wires a library and knowledge base even
-    with ``library="off"`` — one half of the bit-identity gate pair.
+    into the planning service, which then runs the full retrieve → verify
+    → repair → seed ladder; ``library="off"`` wires neither and runs the
+    identical request schedule against plain per-request GP (the cold
+    baseline).  ``kill_after=r`` stales the variant-0 entry after request
+    *r* (see :func:`_kill_used_publisher`).
 
     Returns per-request wall-clock ``latencies`` (seconds), the reply
     ``sources`` (``hit``/``repair``/``seed``/``miss``, or None with the
@@ -208,13 +204,12 @@ def run_plan_mix(
         raise WorkloadError("plan_mix needs at least one request")
     if distinct < 1:
         raise WorkloadError("plan_mix needs at least one distinct variant")
+    if library not in ("off", "on"):
+        raise WorkloadError(f"library must be 'off' or 'on', got {library!r}")
     config = GPConfig(
-        population_size=population_size,
-        generations=generations,
-        smax=smax,
-        library=library,
+        population_size=population_size, generations=generations, smax=smax
     )
-    wired = library == "on" or wire_disabled_library
+    wired = library == "on"
     plan_library = PlanLibrary(max_entries=max_entries) if wired else None
     kb = plan_mix_kb() if wired else None
     env, services, fleet = standard_environment(

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ServiceError
+from repro.grid import EndUserService
 from repro.planner import GPConfig
+from repro.planner.problem import ActivitySpec, PlanningProblem
+from repro.process import WorkflowBuilder
+from repro.process.conditions import Atom, Relation
 from repro.services import standard_environment
 from repro.virolab import planning_problem, process_description
 from tests.services.conftest import drive, synthetic_services
@@ -107,3 +111,59 @@ def test_replan_trace_follows_figure3():
         assert replan_requests and probes and lookups
         return
     pytest.skip("no seed produced a completed run with replans")
+
+
+def test_replan_excludes_failed_activity_named_with_digit_suffix():
+    # T = {stage_1, stage_b}: "stage_1" is an activity of T, not a renamed
+    # second "stage", so the replan must exclude it under its own name.
+    ready = {"Status": "ready"}
+
+    def broken(props, payloads):
+        raise RuntimeError("stage_1 always fails")
+
+    def has(data):
+        return Atom(data, "Status", Relation.EQ, "ready")
+
+    problem = PlanningProblem.build(
+        "digit-suffix",
+        {"d0": ready},
+        (has("r"),),
+        [
+            ActivitySpec(name, precondition=has("d0"), effects={"r": ready})
+            for name in ("stage_1", "stage_b")
+        ],
+    )
+    library = {
+        name: spec.as_activity() for name, spec in problem.activities.items()
+    }
+    env, services, _ = standard_environment(
+        [
+            EndUserService("stage_1", compute=broken),
+            EndUserService("stage_b", effects={"r": ready}),
+        ],
+        containers=2,
+        spans=True,
+        planner_config=GPConfig(population_size=20, generations=3),
+    )
+    user = services.coordination
+    process = WorkflowBuilder("one-stage").activity("stage_1").build(library)
+    reply = drive(
+        env,
+        user,
+        lambda: user.call(
+            "coordination",
+            "execute-task",
+            {
+                "process": process,
+                "initial_data": {"d0": ready},
+                "problem": problem,
+                "task": "digit-suffix",
+            },
+        ),
+    )
+    first = env.spans.spans(kind="replan")[0]
+    assert (first.attrs["excluded"], first.attrs["aborted"]) == (
+        ["stage_1"],
+        "stage_1",
+    )
+    assert (reply["status"], reply["replans"]) == ("completed", 1)

@@ -9,6 +9,7 @@ from repro.plan import (
     concurrent,
     iterative,
     normalize,
+    plan_activity_name,
     process_to_tree,
     random_tree,
     selective,
@@ -116,6 +117,29 @@ class TestTreeProcess:
         renamed = pd.activity("X_2")
         assert renamed.service == "SVC"
         assert renamed.inputs == ("D1",)
+
+    def test_digit_suffixed_activity_keeps_its_own_binding(self):
+        from repro.process import Activity
+
+        # "stage_1" is an activity of its own, not a renamed "stage".
+        lib = {"stage_1": Activity("stage_1", service="SVC")}
+        pd = tree_to_process(sequential("stage_1", "stage_1"), library=lib)
+        assert [(a.name, a.service) for a in pd.end_user_activities()] == [
+            ("stage_1", "SVC"),
+            ("stage_1_2", "SVC"),
+        ]
+
+    @pytest.mark.parametrize(
+        ("name", "original"),
+        [
+            ("P3DR_3", "P3DR"),
+            ("stage_1", "stage_1"),
+            ("stage_1_2", "stage_1"),
+            ("ghost_2", "ghost_2"),
+        ],
+    )
+    def test_plan_activity_name_undoes_the_renaming(self, name, original):
+        assert plan_activity_name(name, {"P3DR", "stage_1"}) == original
 
 
 @given(

@@ -242,7 +242,7 @@ def _seed_plan():
 
 def test_seeded_population_contains_seed_verbatim():
     problem = plan_mix_problem(0)
-    cfg = GPConfig(population_size=12, generations=2, smax=12, library="on")
+    cfg = GPConfig(population_size=12, generations=2, smax=12)
     planner = GPPlanner(cfg, rng=3)
     population = planner.initial_population(problem, seeds=(_seed_plan(),))
     assert len(population) == cfg.population_size
@@ -251,7 +251,7 @@ def test_seeded_population_contains_seed_verbatim():
 
 def test_seeding_respects_smax():
     problem = plan_mix_problem(0)
-    cfg = GPConfig(population_size=12, generations=2, smax=3, library="on")
+    cfg = GPConfig(population_size=12, generations=2, smax=3)
     oversized = sequential(
         "fetch", "clean", "analyze_a", "publish", "archive"
     )
@@ -264,7 +264,7 @@ def test_seeding_respects_smax():
 
 def test_seeds_warm_start_beats_or_matches_seed_fitness():
     problem = plan_mix_problem(0)
-    cfg = GPConfig(population_size=20, generations=3, smax=12, library="on")
+    cfg = GPConfig(population_size=20, generations=3, smax=12)
     from repro.planner import EvaluationEngine
 
     # Score the seed exactly as the GP engine will (same Smax, same
@@ -275,15 +275,3 @@ def test_seeds_warm_start_beats_or_matches_seed_fitness():
     result = GPPlanner(cfg, rng=5).plan(problem, seeds=(_seed_plan(),))
     assert result.best_fitness.overall >= seed_fitness - 1e-12
 
-
-def test_library_off_ignores_seeds_bit_identically():
-    """``library="off"`` must not even *look* at seeds: the RNG stream and
-    therefore the whole run is identical to a seedless call."""
-    problem = plan_mix_problem(0)
-    cfg = GPConfig(population_size=16, generations=3, smax=12)  # off default
-    plain = GPPlanner(cfg, rng=11).plan(problem)
-    seeded = GPPlanner(cfg, rng=11).plan(problem, seeds=(_seed_plan(),))
-    assert seeded.best_plan == plain.best_plan
-    assert seeded.best_fitness == plain.best_fitness
-    assert seeded.history == plain.history
-    assert seeded.evaluations == plain.evaluations

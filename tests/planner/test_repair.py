@@ -132,3 +132,16 @@ def test_swap_terminals_noop_without_matches():
     swapped, swaps = swap_terminals(tree, {"x": "y"})
     assert swapped == tree
     assert swaps == ()
+
+
+def test_normalization_alone_counts_as_changed(case_problem):
+    # This run's best plan nests sequentials: repair's normalization drops
+    # eight controllers and raises fitness while no terminal goes.
+    run = GPPlanner(GPConfig(population_size=40, generations=6), rng=0).plan(
+        case_problem
+    )
+    result = repair_plan(run.best_plan, case_problem)
+    assert (run.best_plan.size, result.plan.size) == (27, 19)
+    assert result.removed == ()
+    assert result.fitness.overall > run.best_fitness.overall
+    assert result.changed

@@ -24,11 +24,11 @@ from tests.services.conftest import drive
 CFG = dict(population_size=30, generations=6, smax=12)
 
 
-def make_grid(library=None, kb=None, mode="on", **env_kwargs):
+def make_grid(library=None, kb=None, **env_kwargs):
     return standard_environment(
         plan_mix_services(),
         containers=2,
-        planner_config=GPConfig(library=mode, **CFG),
+        planner_config=GPConfig(**CFG),
         plan_library=library,
         knowledge_base=kb,
         **env_kwargs,
@@ -118,7 +118,7 @@ def test_second_replica_syncs_hit_from_storage():
     replica = PlanningService(
         env,
         name="planning-2",
-        config=GPConfig(library="on", **CFG),
+        config=GPConfig(**CFG),
         library=PlanLibrary(),
         knowledge_base=plan_mix_kb(),
     )
@@ -221,7 +221,7 @@ def test_coordination_refuses_unverified_library_plan():
 
 
 def test_library_off_reply_has_no_library_keys():
-    env, services, fleet = make_grid(PlanLibrary(), plan_mix_kb(), mode="off")
+    env, services, fleet = make_grid()
     reply = plan_once(env, services)
     assert "source" not in reply
     assert "verified" not in reply

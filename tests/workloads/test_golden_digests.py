@@ -6,7 +6,9 @@ repr of the content) plus the outcomes: the 8-case, 4-container
 many_cases run, and the paper's Figure-2 planning exchange, Figure-3
 replanning flow and Figure-10 enactment.  The two-process split of the
 many_cases run has no trace in this process; its digest covers the
-merged result instead.  A change that alters the
+merged result instead.  The 8-request ``plan_mix`` runs, with no plan
+library and with one wired, cover the trace plus every reply's fitness
+and plan source.  A change that alters the
 protocol — one extra RPC, a reordered reply, a different candidate
 ranking — moves the digest; preserved behaviour keeps it.  When a change
 alters the trace on purpose, update the digest and say why in the change
@@ -30,13 +32,18 @@ from repro.virolab import (
     planning_problem,
     process_description,
 )
-from repro.workloads import run_many_cases
+from repro.workloads import run_many_cases, run_plan_mix
 
 #: The default configuration; the record-only journal must match it.
 DEFAULT_DIGEST = "0e991397f4134f3f2f1ac6c3404a995b"
 
 
 def trace_digest(result) -> str:
+    return _digest(result["env"], result["outcomes"])
+
+
+def _digest(env, *tails) -> str:
+    """Every delivered message of *env* as a row, then each of *tails*."""
     rows = [
         (
             event.time,
@@ -50,10 +57,10 @@ def trace_digest(result) -> str:
             message.parent_id,
             repr(message.content),
         )
-        for event in result["env"].router.trace.events()
+        for event in env.router.trace.events()
         for message in (event.message,)
     ]
-    text = repr(rows) + repr(result["outcomes"])
+    text = repr(rows) + "".join(repr(tail) for tail in tails)
     return blake2b(text.encode(), digest_size=16).hexdigest()
 
 
@@ -95,6 +102,21 @@ def test_process_split_digest():
     )
     digest = blake2b(text.encode(), digest_size=16).hexdigest()
     assert digest == "dc548c7a3ce61f973eade23e2d1493f9"
+
+
+@pytest.mark.parametrize(
+    ("library", "messages", "digest"),
+    [
+        # Plain GP per request: the planning RPCs and their replies.
+        ("off", 16, "2a4a2c0e8f8e7798a8578ad1f2d22ece"),
+        # The plan library wired: storage sync and store traffic besides.
+        ("on", 26, "8d6cedd4f98e89798f57984ba3c36122"),
+    ],
+)
+def test_plan_mix_digest(library, messages, digest):
+    result = run_plan_mix(requests=8, distinct=4, library=library)
+    assert result["messages"] == messages
+    assert _digest(result["env"], result["fitness"], result["sources"]) == digest
 
 
 def _figure_run(target: str, action: str, content: dict, **grid):

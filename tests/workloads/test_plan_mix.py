@@ -73,21 +73,6 @@ def test_library_off_runs_plain_gp():
     assert result["library_entries"] == 0
 
 
-def test_wired_disabled_library_is_bit_identical_to_unwired():
-    plain = run_plan_mix(requests=4, distinct=2, library="off", **FAST)
-    wired = run_plan_mix(
-        requests=4,
-        distinct=2,
-        library="off",
-        wire_disabled_library=True,
-        **FAST,
-    )
-    assert wired["fitness"] == plain["fitness"]
-    assert wired["sources"] == plain["sources"]
-    assert wired["messages"] == plain["messages"]
-    assert wired["makespan"] == plain["makespan"]
-
-
 def test_messages_counted_with_tracing_off():
     traced = run_plan_mix(requests=2, **FAST)
     fast = run_plan_mix(requests=2, tracing=False, **FAST)
