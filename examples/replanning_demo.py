@@ -59,7 +59,7 @@ def main() -> None:
             failure_seed=seed,
             planner_config=GPConfig(population_size=40, generations=6),
             planner_seed=seed,
-            journal="record",
+            journal=True,
         )
         outcome = {}
 

@@ -1,14 +1,14 @@
-"""The message bus: routing, call policies, causal tracing, metrics.
+"""The message bus: routing, causal tracing, metrics.
 
 This package is the messaging fabric of the agent substrate — the piece
 the Figure-1 architecture "lives or dies on".  It factors the message
 path out of :class:`~repro.grid.environment.GridEnvironment` and
-:class:`~repro.grid.agent.Agent` into four orthogonal parts:
+:class:`~repro.grid.agent.Agent` into three orthogonal parts (the RPC
+helpers themselves, ``Agent.call`` with its optional timeout and
+``Agent.call_any`` failover, live on the agent):
 
 * :class:`Router` — delivery over the network model, per-environment
   identity (conversation/message/trace ids), drop/failure-oracle hooks;
-* :class:`CallPolicy` — declarative RPC reliability (timeout, bounded
-  deterministic retries, failover via ``Agent.call_any``);
 * :class:`MessageTrace` / :class:`TraceEvent` / :class:`TraceNode` —
   bounded causal tracing; any protocol exchange reconstructs as a tree;
 * :class:`MetricsRegistry` / :class:`LatencyHistogram` — per-agent /
@@ -17,7 +17,6 @@ path out of :class:`~repro.grid.environment.GridEnvironment` and
 """
 
 from repro.bus.metrics import DEFAULT_BUCKETS, LatencyHistogram, MetricsRegistry
-from repro.bus.policy import DEFAULT_POLICY, CallPolicy
 from repro.bus.router import Router
 from repro.bus.tracing import (
     DEFAULT_TRACE_CAPACITY,
@@ -29,8 +28,6 @@ from repro.bus.tracing import (
 
 __all__ = [
     "Router",
-    "CallPolicy",
-    "DEFAULT_POLICY",
     "MessageTrace",
     "TraceEvent",
     "TraceNode",

@@ -116,7 +116,7 @@ class MetricsRegistry:
         sender (sent) or receiver (delivered/dropped) and the action;
     ``requests_handled``
         incremented when an agent dispatches a REQUEST/QUERY handler;
-    ``rpc_ok`` / ``rpc_error`` / ``rpc_timeout`` / ``rpc_retry`` / ``rpc_failover``
+    ``rpc_ok`` / ``rpc_error`` / ``rpc_timeout`` / ``rpc_failover``
         the client-side RPC outcome counters, labelled with the callee;
     ``rpc_latency``
         round-trip histogram (request sent -> reply received), labelled

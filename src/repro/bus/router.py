@@ -7,7 +7,7 @@ through module globals:
 * **Delivery** — each routed message is scheduled after the network model's
   delay and lands in the receiver's mailbox, recording a
   :class:`~repro.bus.tracing.TraceEvent` at delivery time.  Messages to
-  unknown or crashed agents are dropped (the sender's timeout policy
+  unknown or crashed agents are dropped (the sender's RPC timeout
   handles it), exactly as before.
 * **Identity** — conversation ids, message ids and trace ids are counters
   *per router*, so two environments in one process produce independent,

@@ -361,7 +361,7 @@ def _cmd_planlib(args: argparse.Namespace) -> int:
                 f"stored_at={row['stored_at']:.1f}"
             )
     else:
-        print(f"purged {reply['purged']} entries (memory + storage mirror)")
+        print(f"purged {reply['purged']} entries")
     return 0
 
 
@@ -370,9 +370,8 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
     The timeline is fetched from the monitoring service over in-band RPC
     (the ``journal`` action — the same path an external operator tool
-    would use), which lazily syncs non-resident cases from the storage
-    mirror; ``--purge`` then exercises the ``journal-purge`` retention
-    RPC and prints its exact counters.
+    would use); ``--purge`` then exercises the ``journal-purge``
+    retention RPC and prints its exact counters.
     """
     import json
 
@@ -417,8 +416,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         purge = reply["purge"]
         print(
             f"purged {purge['purged_cases']} cases / "
-            f"{purge['purged_events']} events "
-            f"({purge['storage_deleted']} mirrored blobs deleted)"
+            f"{purge['purged_events']} events"
         )
     return 0
 
@@ -602,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (
         ("stats", "print entry count, cap and hit/repair/seed/miss counters"),
         ("list", "print entries, most-recently-used first"),
-        ("purge", "drop every entry and its persistent-storage mirror"),
+        ("purge", "drop every entry"),
     ):
         bq = bsub.add_parser(name, help=text)
         bq.add_argument("--requests", type=int, default=12)
@@ -627,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument(
         "--purge", action="store_true",
         help="after printing, run the journal-purge retention RPC "
-        "(drops resident cases and deletes storage-mirrored blobs)",
+        "(drops the resident cases)",
     )
 
     pg = sub.add_parser(

@@ -316,7 +316,7 @@ def _run_replanning_case(
 
     env.engine.spawn(run(), "case")
     env.run(max_events=2_000_000)
-    record = services.coordination.records[0]
+    record = services.coordination.records[f"case-{seed}"]
     return (
         outcome.get("status") == "completed",
         record.activities_run,

@@ -1,11 +1,11 @@
 """Simulated grid substrate: agents, messages, network, nodes, containers.
 
-The message path itself (routing, call policies, causal tracing, metrics)
+The message path itself (routing, causal tracing, metrics)
 lives in :mod:`repro.bus`; the most commonly used pieces are re-exported
 here for convenience.
 """
 
-from repro.bus import CallPolicy, MetricsRegistry, Router, TraceEvent, TraceNode
+from repro.bus import MetricsRegistry, Router, TraceEvent, TraceNode
 from repro.grid.agent import Agent, MessageTrace
 from repro.grid.container import ApplicationContainer, EndUserService
 from repro.grid.environment import GridEnvironment
@@ -23,7 +23,6 @@ from repro.grid.transfer import (
 
 __all__ = [
     "Agent",
-    "CallPolicy",
     "MessageTrace",
     "MetricsRegistry",
     "Router",

@@ -1,4 +1,4 @@
-"""Agent base class: message loop, policy-driven RPC, handler dispatch.
+"""Agent base class: message loop, RPC, handler dispatch.
 
 An :class:`Agent` is one named participant in the environment with a
 mailbox and a *serve loop*: it receives messages and spawns one handler
@@ -16,10 +16,10 @@ The :meth:`Agent.call` helper is the client side: it sends a REQUEST and
 parks until the matching reply arrives, raising :class:`ServiceError` on
 FAILURE/REFUSE — giving the core services a natural RPC style while every
 exchange still crosses the simulated network and appears in the message
-trace (which the Figure-2/3 protocol benches assert on).  Its reliability
-envelope — timeout, bounded deterministic retries — is a
-:class:`~repro.bus.policy.CallPolicy`; :meth:`Agent.call_any` adds
-failover across a provider list on top.
+trace (which the Figure-2/3 protocol benches assert on).  Each call is
+one attempt; its one setting is an optional sim-time ``timeout``, and
+:meth:`Agent.call_any` adds failover across a provider list on top.
+Retrying is the caller's business (the coordinator's Retry Count loop).
 
 Causality: while a handler (or a process spawned with
 :meth:`spawn_scoped`) runs, every message it sends is linked to the
@@ -35,9 +35,8 @@ from types import GeneratorType
 from collections.abc import Generator, Sequence
 from typing import Any
 
-from repro.bus.policy import DEFAULT_POLICY, CallPolicy
 from repro.bus.tracing import MessageTrace  # noqa: F401  (re-export, historical home)
-from repro.errors import ServiceError
+from repro.errors import GridError, ServiceError
 from repro.grid.messages import Mailbox, Message, Performative
 from repro.sim.engine import Engine, Signal
 
@@ -125,66 +124,52 @@ class Agent:
         to: str,
         action: str,
         content: dict[str, Any] | None = None,
-        policy: CallPolicy | None = None,
+        timeout: float | None = None,
     ) -> Generator[Any, Any, dict[str, Any]]:
         """RPC helper (generator — use ``result = yield from agent.call(...)``).
 
-        Sends a REQUEST and parks until the reply in the same conversation
-        arrives.  Returns the reply content dict; FAILURE/REFUSE raise
-        :class:`ServiceError` carrying the remote error text.
+        Sends one REQUEST and parks until the reply in the same
+        conversation arrives.  Returns the reply content dict;
+        FAILURE/REFUSE raise :class:`ServiceError` carrying the remote
+        error text.
 
-        The reliability envelope is a *policy*: with a timeout (simulated
-        seconds), a silent peer — e.g. a crashed container — raises
-        ServiceError instead of deadlocking the caller (a reply landing
-        after the timeout is dropped via :meth:`on_unhandled`); with
-        retries, failed attempts repeat after the policy's deterministic
-        backoff.  No *policy* means :data:`~repro.bus.policy.DEFAULT_POLICY`:
-        one attempt, no timeout.
+        With a *timeout* (simulated seconds), a silent peer — e.g. a
+        crashed container — raises ServiceError instead of deadlocking the
+        caller (a reply landing after the timeout is dropped via
+        :meth:`on_unhandled`); ``None`` waits forever.  A timeout that is
+        not positive raises :class:`GridError` before anything is sent.
         """
-        if policy is None:
-            policy = DEFAULT_POLICY
+        if timeout is not None and timeout <= 0:
+            raise GridError(f"call timeout must be positive, got {timeout}")
         engine = self.engine
         metrics = self.metrics
-        timeout = policy.timeout
-        for attempt in range(policy.attempts):
-            if attempt:
-                metrics.inc("rpc_retry", agent=to, action=action)
-                pause = policy.backoff_before(attempt)
-                if pause > 0:
-                    yield pause
-            message = self.request(to, action, content, policy.size)
-            conversation = message.conversation
-            # The conversation id is already unique — naming the signal
-            # with it directly skips an f-string per RPC.
-            signal = Signal(engine, conversation)
-            self._reply_waiters[conversation] = signal
-            timer = None
-            if timeout is not None:
-                timer = engine.schedule(
-                    timeout, self._expire_call, conversation, signal
-                )
-            started = engine.now
-            reply = yield signal
-            if timer is not None:
-                timer.cancelled = True
-            if reply is _TIMEOUT:
-                metrics.inc("rpc_timeout", agent=to, action=action)
-                error = ServiceError(f"{to}!{action} timed out after {timeout}s")
-                continue
-            metrics.observe("rpc_latency", engine.now - started, agent=to, action=action)
-            if reply.is_error:
-                metrics.inc("rpc_error", agent=to, action=action)
-                error = ServiceError(
-                    f"{to}!{action} failed: {reply.content.get('error', 'unknown error')}"
-                )
-                continue
-            metrics.inc("rpc_ok", agent=to, action=action)
-            return reply.content
-        raise error
+        conversation = self.request(to, action, content).conversation
+        # The conversation id is already unique — naming the signal with
+        # it directly skips an f-string per RPC.
+        signal = Signal(engine, conversation)
+        self._reply_waiters[conversation] = signal
+        timer = None
+        if timeout is not None:
+            timer = engine.schedule(timeout, self._expire_call, conversation, signal)
+        started = engine.now
+        reply = yield signal
+        if timer is not None:
+            timer.cancelled = True
+        if reply is _TIMEOUT:
+            metrics.inc("rpc_timeout", agent=to, action=action)
+            raise ServiceError(f"{to}!{action} timed out after {timeout}s")
+        metrics.observe("rpc_latency", engine.now - started, agent=to, action=action)
+        if reply.is_error:
+            metrics.inc("rpc_error", agent=to, action=action)
+            raise ServiceError(
+                f"{to}!{action} failed: {reply.content.get('error', 'unknown error')}"
+            )
+        metrics.inc("rpc_ok", agent=to, action=action)
+        return reply.content
 
     def _expire_call(self, conversation: str, signal: Signal) -> None:
-        """Timeout of one RPC attempt: wake its caller with the sentinel
-        unless the reply came first."""
+        """Timeout of one RPC: wake its caller with the sentinel unless
+        the reply came first."""
         if not signal.fired:
             self._reply_waiters.pop(conversation, None)
             signal.fire(_TIMEOUT)
@@ -194,13 +179,13 @@ class Agent:
         providers: Sequence[str],
         action: str,
         content: dict[str, Any] | None = None,
-        policy: CallPolicy | None = None,
+        timeout: float | None = None,
     ) -> Generator[Any, Any, dict[str, Any]]:
         """RPC against the first *provider* that answers (failover).
 
-        Applies *policy* per provider (timeout and retries included), and
-        moves to the next provider when one fails outright.  Raises the
-        last error when every provider fails.  Generator:
+        Applies *timeout* per provider, and moves to the next provider
+        when one fails or times out.  Raises the last error when every
+        provider fails.  Generator:
         ``result = yield from agent.call_any(...)``.
         """
         if not providers:
@@ -210,7 +195,7 @@ class Agent:
             if index:
                 self.metrics.inc("rpc_failover", agent=provider, action=action)
             try:
-                result = yield from self.call(provider, action, content, policy=policy)
+                result = yield from self.call(provider, action, content, timeout)
                 return result
             except ServiceError as exc:
                 last_error = exc

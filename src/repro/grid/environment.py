@@ -45,12 +45,10 @@ class GridEnvironment:
         trace_capacity: int | None = None,
         tracing: bool = True,
         spans: bool = False,
-        journal: bool | str = False,
+        journal: bool = False,
     ) -> None:
-        if not (journal is False or journal is True or journal == "record"):
-            raise ValueError(
-                f"journal must be False, 'record' or True, got {journal!r}"
-            )
+        if journal is not False and journal is not True:
+            raise ValueError(f"journal must be False or True, got {journal!r}")
         self.engine = Engine()
         self.network = Network()
         self._agents: dict[str, Agent] = {}
@@ -61,15 +59,9 @@ class GridEnvironment:
         # byte-identical to an uninstrumented build (recording itself
         # never schedules events).
         # The case flight recorder is filed from span boundaries, so
-        # enabling it enables spans: journal="record" records in memory
-        # only, journal=True additionally mirrors each completed case
-        # into the storage service as a JSONL blob.
-        self.spans = SpanRecorder(self.engine, enabled=spans or bool(journal))
-        self.journal = CaseJournal(
-            self.engine,
-            enabled=bool(journal),
-            mirror=journal is True,
-        )
+        # enabling it enables spans; it records in memory only.
+        self.spans = SpanRecorder(self.engine, enabled=spans or journal)
+        self.journal = CaseJournal(self.engine, enabled=journal)
         self.spans.journal = self.journal
         #: The attached gauge sampler (None until :meth:`attach_gauges`).
         self.gauges: GaugeSampler | None = None
@@ -103,7 +95,7 @@ class GridEnvironment:
         """The newest messages the fabric lost (unknown receiver, crashed
         agent, or the drop oracle), bounded like the trace; the exact
         count is the registry's ``messages_dropped`` total.  The sender's
-        timeout policy handles each loss."""
+        timeout handles each loss."""
         return self.router.dropped
 
     # -- agents ---------------------------------------------------------------- #

@@ -11,13 +11,11 @@ plane (see DESIGN.md §5f and §5k):
 * :mod:`repro.obs.profile` — per-case time attribution
   (:func:`case_profile`, served as monitoring's ``case-profile`` RPC);
 * :mod:`repro.obs.journal` — the opt-in append-only per-case
-  :class:`CaseJournal` (the case flight recorder), filed from span
-  boundaries through one rule table and mirrored through the storage
-  service as schema-versioned JSONL blobs;
+  :class:`CaseJournal` (the case flight recorder), filed in memory from
+  span boundaries through one rule table;
 * :mod:`repro.obs.provenance` — the :class:`ProvenanceGraph` derived
   from the journal (activity → data-artifact DAG with lineage /
-  descendants / timeline queries) and the :func:`journal_replay`
-  post-mortem reconstructor that rebuilds it from storage alone;
+  descendants / timeline queries);
 * :mod:`repro.obs.export` — Chrome trace-event JSON and flat JSONL
   exporters (``repro-grid trace export``).
 """
@@ -34,16 +32,13 @@ from repro.obs.journal import (
     JOURNAL_SCHEMA_VERSION,
     CaseJournal,
     JournalEvent,
-    decode_events,
     encode_events,
-    journal_storage_key,
 )
 from repro.obs.profile import case_profile, interval_union, render_profile
 from repro.obs.provenance import (
     ActivityRun,
     DataArtifact,
     ProvenanceGraph,
-    journal_replay,
     lineage_jsonl,
     provenance_dot,
 )
@@ -70,11 +65,8 @@ __all__ = [
     "WatchRule",
     "case_profile",
     "chrome_trace",
-    "decode_events",
     "encode_events",
     "interval_union",
-    "journal_replay",
-    "journal_storage_key",
     "lineage_jsonl",
     "provenance_dot",
     "render_profile",

@@ -1,11 +1,11 @@
 """Append-only, schema-versioned per-case event journal.
 
 The :class:`SpanRecorder` answers *how long* each stage of a case took;
-the journal answers *what happened*: an ordered, replayable record of
-case intake, the plan chosen (with its plan-library ``source``), every
-compile, every :class:`~repro.process.program.ActivityStep` dispatch /
-completion / failure with the executing node and the input/output data
-keys, replans, data transfers, and refusals.
+the journal answers *what happened*: an ordered record of case intake,
+the plan chosen (with its plan-library ``source``), every compile, every
+:class:`~repro.process.program.ActivityStep` dispatch / completion /
+failure with the executing node and the input/output data keys,
+replans, data transfers, and refusals.
 
 Spans are the one emission.  The span recorder hands each span start
 and close to :meth:`CaseJournal.record_span`, which files an event when
@@ -22,24 +22,17 @@ Recording follows the :class:`~repro.obs.spans.SpanRecorder` contract:
   enables span recording too.
 * **Never schedules.**  Appending is plain arithmetic on in-memory
   lists — it sends no messages and creates no simulation events, so a
-  *recording* journal (``journal="record"``) leaves the protocol trace
-  byte-identical to a disabled one.  Only *mirroring* (``journal=True``)
-  talks to the storage service, at case completion, and that traffic is
-  an explicitly observable part of the protocol.
-* **Exact accounting.**  ``total_appended`` / ``total_flushed`` /
-  ``cases_evicted`` / ``events_evicted`` / ``events_lost`` /
-  ``unbound_dropped`` / ``cases_synced`` are exact counters; the LRU
+  recording journal (``journal=True``) leaves the protocol trace
+  byte-identical to a disabled one.
+* **Exact accounting.**  ``total_appended`` / ``cases_evicted`` /
+  ``events_evicted`` / ``unbound_dropped`` are exact counters; the LRU
   case cap evicts whole cases oldest-first and counts every event it
-  drops (``events_lost`` additionally counts evicted events that had
-  not reached the storage mirror).
+  drops.
 
-The wire encoding (:func:`encode_events` / :func:`decode_events`) is
-deliberately boring: a UTF-8 JSONL blob — one compact, key-sorted JSON
-object per line under a schema-versioned header line — so a mirrored
-journal can be decoded back into the recorder after eviction (lazy sync
-via :meth:`absorb`) and by the post-mortem tools in
-:mod:`repro.obs.provenance` long after the producing environment is
-gone.
+:func:`encode_events` renders a case as a UTF-8 JSONL blob — one
+compact, key-sorted JSON object per line under a schema-versioned
+header line — so a case's record is byte-stable (the golden journal
+digests hash it).
 """
 
 from __future__ import annotations
@@ -48,24 +41,16 @@ import json
 from collections import OrderedDict
 from collections.abc import Iterable
 
-from repro.errors import ObservabilityError
-
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "SPAN_EVENTS",
     "CaseJournal",
     "JournalEvent",
-    "decode_events",
     "encode_events",
-    "journal_storage_key",
 ]
 
-#: Bump on any incompatible change to the event dict shape; decoders
-#: refuse blobs with a different major version.
+#: Bump on any incompatible change to the event dict shape.
 JOURNAL_SCHEMA_VERSION = 1
-
-#: Storage-key namespace for mirrored journals (one blob per case).
-JOURNAL_KEY_PREFIX = "journal/"
 
 #: Default LRU cap on resident cases (whole cases, not events).
 DEFAULT_JOURNAL_CASES = 4096
@@ -97,11 +82,6 @@ SPAN_EVENTS: dict[tuple[str, str, str], tuple[str, str | None, tuple[str, ...]]]
     ),
     ("activity", "end", "error"): ("activity-fail", "activity", ("service", "reason")),
 }
-
-
-def journal_storage_key(case_id: str) -> str:
-    """The storage-service key a case's journal blob is mirrored under."""
-    return f"{JOURNAL_KEY_PREFIX}{case_id}"
 
 
 class JournalEvent:
@@ -141,7 +121,7 @@ class JournalEvent:
 
 
 def encode_events(case_id: str, events: Iterable[JournalEvent]) -> bytes:
-    """Encode *events* as the schema-versioned UTF-8 JSONL mirror blob.
+    """Encode *events* as one schema-versioned UTF-8 JSONL blob.
 
     Line 1 is a header record (schema version, case id, event count);
     each following line is one event, compact and key-sorted so the
@@ -163,80 +143,22 @@ def encode_events(case_id: str, events: Iterable[JournalEvent]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def decode_events(blob) -> tuple[str, list[JournalEvent]]:
-    """Decode a mirror blob back into ``(case_id, events)``.
-
-    Raises :class:`~repro.errors.ObservabilityError` on a malformed
-    blob or a schema-version mismatch.
-    """
-    if isinstance(blob, bytes):
-        blob = blob.decode("utf-8")
-    if not isinstance(blob, str):
-        raise ObservabilityError(f"journal blob must be bytes or str, got {type(blob).__name__}")
-    lines = [line for line in blob.split("\n") if line]
-    if not lines:
-        raise ObservabilityError("empty journal blob")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"unreadable journal header: {exc}") from exc
-    if not isinstance(header, dict) or "schema" not in header:
-        raise ObservabilityError("journal blob missing schema header")
-    if header["schema"] != JOURNAL_SCHEMA_VERSION:
-        raise ObservabilityError(
-            f"journal schema {header['schema']} != supported {JOURNAL_SCHEMA_VERSION}"
-        )
-    case_id = header.get("case", "")
-    events = []
-    for line in lines[1:]:
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(f"unreadable journal event: {exc}") from exc
-        events.append(
-            JournalEvent(
-                row.get("seq", 0),
-                row.get("case", case_id),
-                row.get("kind", ""),
-                row.get("time", 0.0),
-                row.get("agent", ""),
-                row.get("trace"),
-                row.get("attrs") or {},
-            )
-        )
-    declared = header.get("events")
-    if declared is not None and declared != len(events):
-        raise ObservabilityError(
-            f"journal blob declares {declared} events, found {len(events)}"
-        )
-    return case_id, events
-
-
 class CaseJournal:
     """Bounded in-memory journal recorder with exact accounting."""
 
-    def __init__(self, engine, enabled=False, mirror=False, max_cases=DEFAULT_JOURNAL_CASES):
+    def __init__(self, engine, enabled=False, max_cases=DEFAULT_JOURNAL_CASES):
         self.engine = engine
         self.enabled = enabled
-        #: Whether case completion mirrors the journal into storage.
-        self.mirror = mirror
         self.max_cases = max(1, int(max_cases))
         self._cases: OrderedDict[str, list[JournalEvent]] = OrderedDict()
         self._trace_to_case: dict[str, str] = {}
         self._case_traces: dict[str, list[str]] = {}
-        #: Per-case count of events already mirrored into storage.
-        self._flushed: dict[str, int] = {}
         self._seq = 0
         self.total_appended = 0
-        self.total_flushed = 0
         self.cases_evicted = 0
         self.events_evicted = 0
-        #: Evicted events that had never reached the storage mirror.
-        self.events_lost = 0
         #: Events dropped because their trace had no case binding.
         self.unbound_dropped = 0
-        #: Cases re-materialized from the storage mirror via ``absorb``.
-        self.cases_synced = 0
 
     # -- recording ----------------------------------------------------
 
@@ -317,10 +239,8 @@ class CaseJournal:
     def _evict(self) -> None:
         while len(self._cases) > self.max_cases:
             case_id, events = self._cases.popitem(last=False)
-            flushed = self._flushed.pop(case_id, 0)
             self.cases_evicted += 1
             self.events_evicted += len(events)
-            self.events_lost += max(0, len(events) - flushed)
             for trace_id in self._case_traces.pop(case_id, ()):
                 self._trace_to_case.pop(trace_id, None)
 
@@ -335,45 +255,7 @@ class CaseJournal:
         self._cases.clear()
         self._trace_to_case.clear()
         self._case_traces.clear()
-        self._flushed.clear()
         return cases, events
-
-    # -- mirroring ----------------------------------------------------
-
-    def mark_flushed(self, case_id) -> int:
-        """Record that *case_id*'s current events reached the storage
-        mirror; returns the number newly flushed."""
-        events = self._cases.get(case_id)
-        if events is None:
-            return 0
-        already = self._flushed.get(case_id, 0)
-        fresh = max(0, len(events) - already)
-        self._flushed[case_id] = len(events)
-        self.total_flushed += fresh
-        return fresh
-
-    def pending_flush(self, case_id) -> int:
-        events = self._cases.get(case_id)
-        if events is None:
-            return 0
-        return max(0, len(events) - self._flushed.get(case_id, 0))
-
-    def absorb(self, case_id, events: list[JournalEvent]) -> None:
-        """Install a decoded mirror blob for a non-resident case (lazy
-        sync: a case the LRU cap evicted is materialized from its storage
-        mirror on first query)."""
-        if case_id in self._cases:
-            return
-        self._cases[case_id] = list(events)
-        # A synced case is already fully mirrored by definition.
-        self._flushed[case_id] = len(events)
-        self.cases_synced += 1
-        for event in events:
-            if event.trace is not None:
-                self._trace_to_case.setdefault(event.trace, case_id)
-                self._case_traces.setdefault(case_id, []).append(event.trace)
-                break
-        self._evict()
 
     # -- queries ------------------------------------------------------
 
@@ -392,17 +274,13 @@ class CaseJournal:
     def stats(self) -> dict:
         return {
             "enabled": self.enabled,
-            "mirror": self.mirror,
             "max_cases": self.max_cases,
             "cases": len(self._cases),
             "events": sum(len(bucket) for bucket in self._cases.values()),
             "appended": self.total_appended,
-            "flushed": self.total_flushed,
             "cases_evicted": self.cases_evicted,
             "events_evicted": self.events_evicted,
-            "events_lost": self.events_lost,
             "unbound_dropped": self.unbound_dropped,
-            "cases_synced": self.cases_synced,
         }
 
     def clear(self) -> None:
@@ -410,9 +288,6 @@ class CaseJournal:
         self.purge()
         self._seq = 0
         self.total_appended = 0
-        self.total_flushed = 0
         self.cases_evicted = 0
         self.events_evicted = 0
-        self.events_lost = 0
         self.unbound_dropped = 0
-        self.cases_synced = 0

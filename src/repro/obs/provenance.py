@@ -18,12 +18,9 @@ Three queries cover the post-mortem questions:
 * :meth:`ProvenanceGraph.case_timeline` — the case's raw ordered
   event log.
 
-:func:`journal_replay` is the crash-recovery rehearsal: it rebuilds the
-graph *purely* from the storage-mirrored journal blob (no live journal,
-no spans).  The journal is filed from span boundaries
+The journal is filed from span boundaries
 (:data:`~repro.obs.journal.SPAN_EVENTS`), so the graph and the spans
-are one record, not two to reconcile; the bench and the tests hold the
-replayed graph equal to the one built from the live journal.
+are one record, not two to reconcile.
 """
 
 from __future__ import annotations
@@ -31,13 +28,12 @@ from __future__ import annotations
 import json
 
 from repro.errors import ObservabilityError
-from repro.obs.journal import JournalEvent, decode_events, journal_storage_key
+from repro.obs.journal import JournalEvent
 
 __all__ = [
     "ActivityRun",
     "DataArtifact",
     "ProvenanceGraph",
-    "journal_replay",
     "lineage_jsonl",
     "provenance_dot",
 ]
@@ -437,33 +433,6 @@ def provenance_dot(activities, data, edges) -> str:
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# -- post-mortem replay ----------------------------------------------
-
-
-def journal_replay(storage, case_id: str) -> dict:
-    """Rebuild a case's provenance purely from its stored journal blob.
-
-    *storage* is the storage service (its direct ``get`` API); nothing
-    is read from the live journal, so this is exactly what a post-crash
-    coordinator could reconstruct.
-    """
-    from repro.errors import StorageError
-
-    try:
-        blob = storage.get(journal_storage_key(case_id))
-    except StorageError as exc:
-        raise ObservabilityError(f"no stored journal for case {case_id!r}: {exc}") from exc
-    stored_case, events = decode_events(blob)
-    graph = ProvenanceGraph.from_events(stored_case, events)
-    return {
-        "case": stored_case,
-        "events": len(events),
-        "graph": graph,
-        "activities": len(graph.activities),
-        "data": len(graph.data),
-    }
 
 
 def lineage_jsonl(result: dict) -> str:

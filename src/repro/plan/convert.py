@@ -11,7 +11,8 @@ The paper converts in both directions (Figures 4-7 illustrate the pairs):
   with :mod:`repro.process.structure`.  Because a plan tree may use the same
   end-user activity several times while graph activity names must be
   unique, ``tree_to_process`` renames repeated occurrences ``X, X_2, X_3``
-  — all bound to service ``X`` — mirroring the paper's ``P3DR1..P3DR4``
+  — all bound to service ``X``, skipping any ``X_<n>`` the tree already
+  uses as an activity — mirroring the paper's ``P3DR1..P3DR4``
   convention.
 
 Normalization: single-child concurrent/selective/iterative-with-no-loop
@@ -187,18 +188,26 @@ def tree_to_process(
 
     Repeated activity occurrences are renamed ``X, X_2, X_3, ...`` with the
     service field of every occurrence bound to the original name
-    (:func:`plan_activity_name` maps a graph name back).
+    (:func:`plan_activity_name` maps a graph name back).  A repeat takes
+    the next ``X_<n>`` that no terminal of the tree is named, so a real
+    activity ``X_2`` keeps its own name.
     """
+    taken = set(tree.activities())
+    # activity -> the last suffix given to it (1: its first occurrence).
     counts: dict[str, int] = {}
     base_lib = dict(library or {})
 
     def rename(node: PlanNode) -> PlanNode:
         if isinstance(node, Terminal):
-            n = counts.get(node.activity, 0) + 1
-            counts[node.activity] = n
-            if n == 1:
+            activity = node.activity
+            if activity not in counts:
+                counts[activity] = 1
                 return node
-            return Terminal(f"{node.activity}_{n}")
+            n = counts[activity] + 1
+            while f"{activity}_{n}" in taken:
+                n += 1
+            counts[activity] = n
+            return Terminal(f"{activity}_{n}")
         assert isinstance(node, Controller)
         return Controller(node.kind, tuple(rename(c) for c in node.children))
 

@@ -1,4 +1,4 @@
-"""Persistent plan library: warm-start planning by retrieve → verify → repair.
+"""Plan library: warm-start planning by retrieve → verify → repair.
 
 Every case used to pay full GP planning — O(population × generations)
 simulation — even when an identical process/goal was planned moments ago.
@@ -9,13 +9,8 @@ repository half of that story (the planning service owns the ladder, see
 
 * **Key scheme.**  Entries are keyed by ``(problem_digest, goal_signature)``
   — a stable blake2b hex digest over the canonical activity set *T* plus an
-  order-insensitive digest over the goal condition texts.  Both are plain
-  hex strings, serializable into the persistent-storage service under
-  ``planlib/<digest>/<goal_sig>`` (unlike the in-memory tuple
-  ``process_fingerprint``).  Each entry additionally records the
-  :func:`~repro.process.program.process_digest` of its stored process,
-  re-checked when an entry is rehydrated from storage so a corrupted or
-  foreign payload is dropped instead of enacted.
+  order-insensitive digest over the goal condition texts, so equal
+  problems share a key across requests, cases and sessions.
 * **Retrieval ladder.**  An *exact* key match is a hit (re-verified by the
   analyzer before enactment); entries sharing the digest or overlapping
   goal conditions are *near-misses* whose plans seed the GP initial
@@ -42,21 +37,15 @@ from typing import Any
 from repro.plan.tree import PlanNode
 from repro.planner.problem import PlanningProblem
 from repro.process.model import ProcessDescription
-from repro.process.program import process_digest
 
 __all__ = [
-    "STORAGE_PREFIX",
     "PlanEntry",
     "PlanLibrary",
     "goal_signature",
     "library_key",
     "problem_digest",
-    "storage_key",
     "substitution_map",
 ]
-
-#: Prefix of every library object in the persistent-storage service.
-STORAGE_PREFIX = "planlib/"
 
 #: Ladder outcomes, in the order the planning service tries them.
 SOURCES = ("hit", "repair", "seed", "miss")
@@ -122,11 +111,6 @@ def library_key(problem: PlanningProblem) -> tuple[str, str]:
     return problem_digest(problem), goal_signature(problem.goals)
 
 
-def storage_key(digest: str, goal_sig: str) -> str:
-    """The persistent-storage key for one library entry."""
-    return f"{STORAGE_PREFIX}{digest}/{goal_sig}"
-
-
 @dataclass
 class PlanEntry:
     """One stored solution: the plan, its emitted process, and provenance."""
@@ -144,72 +128,18 @@ class PlanEntry:
     stored_at: float = 0.0
     """Sim-clock time the entry was (last) stored."""
     uses: int = 0
-    pd_digest: str = ""
-    """:func:`process_digest` of *process* — integrity check on rehydrate."""
 
     def __post_init__(self) -> None:
         self.goals = tuple(self.goals)
-        if not self.pd_digest:
-            self.pd_digest = process_digest(self.process)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.digest, self.goal_sig)
 
-    @property
-    def storage_key(self) -> str:
-        return storage_key(self.digest, self.goal_sig)
-
     def goal_overlap(self, goal_texts: Iterable[str]) -> int:
         """How many of *goal_texts* this entry's goal set shares."""
         mine = frozenset(self.goals)
         return sum(1 for text in goal_texts if text in mine)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The storage-service payload (explicit schema, picklable)."""
-        return {
-            "digest": self.digest,
-            "goal_sig": self.goal_sig,
-            "plan": self.plan,
-            "process": self.process,
-            "fitness": self.fitness,
-            "goals": self.goals,
-            "validity": self.validity,
-            "goal": self.goal,
-            "problem_name": self.problem_name,
-            "stored_at": self.stored_at,
-            "uses": self.uses,
-            "pd_digest": self.pd_digest,
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "PlanEntry | None":
-        """Rehydrate from a storage payload; None when it fails integrity.
-
-        A payload that is not entry-shaped, or whose stored process no
-        longer hashes to the recorded ``pd_digest``, is rejected — the
-        library never offers a plan it cannot vouch for.
-        """
-        try:
-            entry = PlanEntry(
-                digest=payload["digest"],
-                goal_sig=payload["goal_sig"],
-                plan=payload["plan"],
-                process=payload["process"],
-                fitness=payload["fitness"],
-                goals=tuple(payload["goals"]),
-                validity=payload.get("validity", 1.0),
-                goal=payload.get("goal", 1.0),
-                problem_name=payload.get("problem_name", "problem"),
-                stored_at=payload.get("stored_at", 0.0),
-                uses=payload.get("uses", 0),
-                pd_digest=payload.get("pd_digest", ""),
-            )
-        except (KeyError, TypeError):
-            return None
-        if process_digest(entry.process) != entry.pd_digest:
-            return None
-        return entry
 
 
 @dataclass
@@ -222,14 +152,12 @@ class LibraryStats:
 
 
 class PlanLibrary:
-    """Bounded in-memory index over the persistent plan repository.
+    """Bounded in-memory plan repository.
 
-    The planning service keeps one instance per replica and mirrors every
-    mutation into the storage service (see ``PlanningService``); lookups
-    hit this index, so the warm path costs a dict probe, not an RPC.
-    Eviction is LRU over *touches* (hits and stores), bounded by
-    ``max_entries``; evicted keys are reported so the owner can delete the
-    storage copies.
+    The planning service owns one instance (see ``PlanningService``);
+    lookups hit this index, so the warm path costs a dict probe, not an
+    RPC.  Eviction is LRU over *touches* (hits and stores), bounded by
+    ``max_entries``, and counted under ``evict``.
     """
 
     COUNTER_KEYS = (
@@ -241,7 +169,6 @@ class PlanLibrary:
         "evict",
         "verify",
         "reject",
-        "sync",
     )
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -296,28 +223,14 @@ class PlanLibrary:
         return list(self._entries.values())
 
     # -- mutation ---------------------------------------------------------- #
-    def put(self, entry: PlanEntry) -> list[PlanEntry]:
-        """Insert/replace an entry; returns any entries evicted by the cap."""
+    def put(self, entry: PlanEntry) -> None:
+        """Insert/replace an entry, evicting the least recently used past
+        the cap."""
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        evicted: list[PlanEntry] = []
-        while len(self._entries) > self.max_entries:
-            _key, victim = self._entries.popitem(last=False)
-            self.counters["evict"] += 1
-            evicted.append(victim)
-        return evicted
-
-    def absorb(self, entry: PlanEntry) -> bool:
-        """Adopt an entry rehydrated from storage *without* LRU side effects
-        beyond insertion; returns False if the key is already present."""
-        if entry.key in self._entries:
-            return False
-        self._entries[entry.key] = entry
-        self._entries.move_to_end(entry.key, last=False)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.counters["evict"] += 1
-        return entry.key in self._entries
 
     def remove(self, digest: str, goal_sig: str) -> PlanEntry | None:
         return self._entries.pop((digest, goal_sig), None)

@@ -27,7 +27,6 @@ compilation.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Hashable
 from typing import Any
 
@@ -39,7 +38,6 @@ from repro.process.structure import process_to_ast
 __all__ = [
     "ActivityStep",
     "EnactmentProgram",
-    "process_digest",
     "process_fingerprint",
 ]
 
@@ -160,20 +158,3 @@ def process_fingerprint(process: ProcessDescription) -> Hashable:
         )
     )
     return (process.name, activities, transitions)
-
-
-def process_digest(process: ProcessDescription) -> str:
-    """A *stable* hex digest of the same canonical structure.
-
-    :func:`process_fingerprint` is the right key for in-memory caches —
-    cheap, hashable, never serialized — but its tuple form is not a value
-    you can store in the persistent-storage service or compare across
-    sessions.  ``process_digest`` hashes the canonical fingerprint (sorted
-    tuples of plain strings, so its ``repr`` is deterministic) with
-    keyed-nothing blake2b into a 32-hex-char string that is identical for
-    structurally-equal processes across processes and sessions.  The plan
-    library (:mod:`repro.planner.library`) keys its persistent entries on
-    it; in-memory caches keep using the tuple fingerprint.
-    """
-    canonical = repr(process_fingerprint(process))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()

@@ -139,7 +139,7 @@ def standard_environment(
     planner_seed: int = 0,
     tracing: bool = True,
     spans: bool = False,
-    journal: bool | str = False,
+    journal: bool = False,
     plan_library: PlanLibrary | None = None,
     knowledge_base: KnowledgeBase | None = None,
 ) -> tuple[GridEnvironment, CoreServices, list[ApplicationContainer]]:

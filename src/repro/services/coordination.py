@@ -29,11 +29,9 @@ from collections.abc import Generator
 from typing import Any
 
 from repro.analysis import Severity, analyze_process
-from repro.bus.policy import CallPolicy
 from repro.errors import ConversionError, EnactmentError, ServiceError
 from repro.grid.environment import GridEnvironment
 from repro.grid.messages import Message, Performative
-from repro.obs.journal import JOURNAL_SCHEMA_VERSION, encode_events, journal_storage_key
 from repro.obs.spans import NO_SPAN, Span
 from repro.plan.convert import plan_activity_name
 from repro.planner.problem import PlanningProblem
@@ -151,7 +149,8 @@ class CoordinationService(CoreService):
         credentials: tuple[str, str] | None = None,
     ) -> None:
         super().__init__(env, name, site)
-        self.records: list[EnactmentRecord] = []
+        #: task name -> its newest case's record (``task-status`` reads it).
+        self.records: dict[str, EnactmentRecord] = {}
         #: (principal, secret) for secured containers; None = unsecured grid.
         self.credentials = credentials
         self._ticket: str | None = None
@@ -281,32 +280,23 @@ class CoordinationService(CoreService):
         way is in the case's spans, journal and message trace.
         """
         content = message.content
-        case_id = self._journal_case_id(content, message.trace_id)
         process = content.get("process")
         # The case span's start files the journal's case-intake and binds
         # the case trace, so every downstream span (containers and
-        # transfers only see the trace id) lands in this case.  It closes
-        # before the journal is mirrored, so the mirror holds the case's
-        # complete or fail event.
-        try:
-            with self.env.spans.span(
-                content.get("task", ""), "case",
-                agent=self.name, trace_id=message.trace_id,
-                case=case_id,
-                process=process.name if process is not None else None,
-                initial=sorted(content.get("initial_data") or ()),
-                payload_keys=sorted(content.get("payload_keys") or ()),
-            ) as case_span:
-                try:
-                    result = yield from self._execute_task(content, case_span)
-                except ServiceError as exc:
-                    case_span.set(error=str(exc))
-                    raise
-        except ServiceError:
-            yield from self._journal_flush(case_id)
-            raise
-        yield from self._journal_flush(case_id)
-        return result
+        # transfers only see the trace id) lands in this case.
+        with self.env.spans.span(
+            content.get("task", ""), "case",
+            agent=self.name, trace_id=message.trace_id,
+            case=self._journal_case_id(content, message.trace_id),
+            process=process.name if process is not None else None,
+            initial=sorted(content.get("initial_data") or ()),
+            payload_keys=sorted(content.get("payload_keys") or ()),
+        ) as case_span:
+            try:
+                return (yield from self._execute_task(content, case_span))
+            except ServiceError as exc:
+                case_span.set(error=str(exc))
+                raise
 
     @staticmethod
     def _journal_case_id(content: dict[str, Any], trace_id) -> str:
@@ -321,33 +311,6 @@ class CoordinationService(CoreService):
         if problem is not None:
             return problem.name
         return f"case@{trace_id}"
-
-    def _journal_flush(self, case_id: str) -> Generator[Any, Any, None]:
-        """Mirror *case_id*'s journal into the storage service as one
-        schema-versioned JSONL blob under ``journal/<case_id>`` (the
-        monitor lazily syncs a case back from it once the recorder has
-        evicted it).  A case that is not resident — the
-        journal is off or record-only, or the case was evicted mid-run
-        — mirrors nothing."""
-        journal = self.env.journal
-        if not (journal.mirror and journal.has_case(case_id)):
-            return
-        events = journal.events(case_id)
-        yield from self.call(
-            self.env.storage_name,
-            "store",
-            {
-                "key": journal_storage_key(case_id),
-                "payload": encode_events(case_id, events),
-                "meta": {
-                    "kind": "journal",
-                    "case": case_id,
-                    "events": len(events),
-                    "schema": JOURNAL_SCHEMA_VERSION,
-                },
-            },
-        )
-        journal.mark_flushed(case_id)
 
     def _execute_task(
         self,
@@ -426,7 +389,7 @@ class CoordinationService(CoreService):
         problem: PlanningProblem | None = content.get("problem")
         record = EnactmentRecord(task=content.get("task", process.name))
         case_span.rename(record.task)
-        self.records.append(record)
+        self.records[record.task] = record
         if plan_source is not None:
             case_span.set(plan_source=plan_source)
         work: dict[str, float] = dict(content.get("work", {}))
@@ -515,20 +478,19 @@ class CoordinationService(CoreService):
         outcomes: the coordinator acts as their proxy and holds results
         until they reconnect and ask.
         """
-        wanted = message.content["task"]
-        for record in reversed(self.records):
-            if record.task == wanted:
-                reply = {
-                    "known": True,
-                    "completed": record.completed,
-                    "failed": record.failed,
-                    "activities_run": record.activities_run,
-                    "replans": record.replans,
-                }
-                if record.completed and record.result is not None:
-                    reply["data"] = record.result
-                return reply
-        return {"known": False, "completed": False, "failed": False}
+        record = self.records.get(message.content["task"])
+        if record is None:
+            return {"known": False, "completed": False, "failed": False}
+        reply = {
+            "known": True,
+            "completed": record.completed,
+            "failed": record.failed,
+            "activities_run": record.activities_run,
+            "replans": record.replans,
+        }
+        if record.completed and record.result is not None:
+            reply["data"] = record.result
+        return reply
 
     # -- the ATN machine ----------------------------------------------------------- #
     def _enact(
@@ -720,7 +682,7 @@ class CoordinationService(CoreService):
                                 "checkpoint_key": f"ckpt/{record.task}/{name}",
                                 **({"ticket": ticket} if ticket else {}),
                             },
-                            policy=CallPolicy(timeout=self.activity_timeout),
+                            timeout=self.activity_timeout,
                         )
                     self._report_performance(
                         service, container, self.engine.now - started, True

@@ -10,7 +10,6 @@ monitor's live status and returns ranked candidates.
 
 from __future__ import annotations
 
-from repro.bus.policy import DEFAULT_POLICY, CallPolicy
 from repro.grid.messages import Message
 from repro.services.base import CoreService, WELL_KNOWN
 
@@ -22,11 +21,6 @@ class MatchmakingService(CoreService):
 
     broker_name = WELL_KNOWN["brokerage"]
     monitor_name = WELL_KNOWN["monitoring"]
-
-    #: Envelope for broker/monitor lookups.  Core services are "persistent
-    #: and reliable" (Section 2), so the default single-attempt, no-timeout
-    #: policy applies; deployments with flakier cores override this.
-    lookup_policy: CallPolicy = DEFAULT_POLICY
 
     def handle_match(self, message: Message):
         """Rank containers able to run a service under the given conditions.
@@ -46,19 +40,13 @@ class MatchmakingService(CoreService):
         # The broker's providers, then one monitor ``load`` call for all
         # of them.
         found = yield from self.call(
-            self.broker_name,
-            "find-containers",
-            {"service": service},
-            policy=self.lookup_policy,
+            self.broker_name, "find-containers", {"service": service}
         )
         containers = found["containers"]
         if not containers:
             return {"service": service, "candidates": []}
         loads = yield from self.call(
-            self.monitor_name,
-            "load",
-            {"agents": containers},
-            policy=self.lookup_policy,
+            self.monitor_name, "load", {"agents": containers}
         )
         candidates = []
         for container, status in loads["agents"].items():

@@ -22,7 +22,6 @@ from repro.bus.tracing import TraceEvent, format_tree
 from repro.errors import ObservabilityError, ServiceError
 from repro.grid.container import ApplicationContainer
 from repro.grid.messages import Message
-from repro.obs.journal import JOURNAL_KEY_PREFIX, decode_events, journal_storage_key
 from repro.obs.profile import case_profile
 from repro.obs.provenance import ProvenanceGraph
 from repro.obs.spans import WatchRule
@@ -319,34 +318,12 @@ class MonitoringService(CoreService):
         return {"attached": True, "series": sampler.summary()}
 
     # -- case journal / provenance ------------------------------------------- #
-    def _journal_case_events(self, case_id: str):
-        """Resident journal events for *case_id*, lazily synced from the
-        storage mirror when the recorder no longer holds them (a case the
-        LRU cap evicted is materialized on first query).  Generator."""
-        journal = self.env.journal
-        if journal.has_case(case_id):
-            return journal.events(case_id)
-        try:
-            reply = yield from self.call(
-                self.env.storage_name,
-                "retrieve",
-                {"key": journal_storage_key(case_id)},
-            )
-        except ServiceError:
-            return []
-        try:
-            stored_case, events = decode_events(reply["payload"])
-        except ObservabilityError:
-            return []
-        journal.absorb(stored_case, events)
-        return journal.events(stored_case)
-
     def handle_journal(self, message: Message):
         """Query the case flight recorder.
 
         Content (optional): ``case`` — return that case's ordered event
-        timeline (lazily synced from the storage mirror if not resident);
-        ``limit`` keeps the newest N events.  The reply always carries
+        timeline (empty when the case is not resident); ``limit`` keeps
+        the newest N events.  The reply always carries
         the journal's enablement and exact accounting, so callers can
         tell "no events" from "recording off".
         """
@@ -359,7 +336,7 @@ class MonitoringService(CoreService):
         }
         case_id = content.get("case")
         if case_id is not None:
-            events = yield from self._journal_case_events(case_id)
+            events = journal.events(case_id)
             limit = content.get("limit")
             if limit is not None:
                 events = events[-int(limit):]
@@ -372,7 +349,7 @@ class MonitoringService(CoreService):
         edges) derived from its journal, plus the raw timeline."""
         journal = self.env.journal
         case_id = message.content["case"]
-        events = yield from self._journal_case_events(case_id)
+        events = journal.events(case_id)
         graph = ProvenanceGraph.from_events(case_id, events)
         return {
             "enabled": journal.enabled,
@@ -387,19 +364,14 @@ class MonitoringService(CoreService):
         activity run.
 
         Content: ``key`` (artifact/activity id, bare name, or payload
-        storage key), optional ``case`` to scope the search and trigger
-        lazy mirror sync, optional ``direction``.
+        storage key), optional ``case`` to scope the search, optional
+        ``direction``.
         """
         journal = self.env.journal
         content = message.content
         key = content["key"]
         case_id = content.get("case")
-        graph = ProvenanceGraph()
-        if case_id is not None:
-            events = yield from self._journal_case_events(case_id)
-            graph.add_events(case_id, events)
-        else:
-            graph = ProvenanceGraph.from_journal(journal)
+        graph = ProvenanceGraph.from_journal(journal, case_id)
         try:
             if content.get("direction") == "descendants":
                 result = graph.descendants(key, case_id)
@@ -410,23 +382,12 @@ class MonitoringService(CoreService):
         return {"enabled": journal.enabled, "key": key, **result}
 
     def handle_journal_purge(self, message: Message):
-        """Retention RPC: drop resident journal cases and delete their
-        storage-mirrored blobs; exact purge counters in the reply."""
+        """Retention RPC: drop the resident journal cases; exact purge
+        counters in the reply."""
         journal = self.env.journal
-        reply = yield from self.call(
-            self.env.storage_name, "list-keys", {"prefix": JOURNAL_KEY_PREFIX}
-        )
-        storage_deleted = 0
-        for key in reply["keys"]:
-            outcome = yield from self.call(
-                self.env.storage_name, "delete", {"key": key}
-            )
-            if outcome.get("deleted"):
-                storage_deleted += 1
         cases, events = journal.purge()
         return {
             "purged_cases": cases,
             "purged_events": events,
-            "storage_deleted": storage_deleted,
             "stats": journal.stats(),
         }

@@ -33,7 +33,6 @@ import numpy as np
 from repro._util import as_rng
 from repro.analysis.analyzer import unresolvable_loci, verify_reusable
 from repro.analysis.findings import Severity
-from repro.bus.policy import CallPolicy
 from repro.errors import ServiceError
 from repro.grid.environment import GridEnvironment
 from repro.grid.messages import Message
@@ -73,14 +72,13 @@ class PlanningService(CoreService):
 
     information_name = WELL_KNOWN["information"]
 
-    #: Reliability envelope for brokerage lookups during re-planning
-    #: (replicated core service: timeout then fail over to the next).
-    broker_policy = CallPolicy(timeout=30.0)
-    #: Availability probes against possibly-crashed containers (Figure-3
-    #: steps 6-7): silent peers must not hang the re-planning exchange.
-    probe_policy = CallPolicy(timeout=60.0)
-
-    storage_name = WELL_KNOWN["storage"]
+    #: Timeout of each brokerage lookup during re-planning (replicated
+    #: core service: time out, then fail over to the next).
+    broker_timeout = 30.0
+    #: Timeout of each availability probe against a possibly-crashed
+    #: container (Figure-3 steps 6-7): silent peers must not hang the
+    #: re-planning exchange.
+    probe_timeout = 60.0
 
     def __init__(
         self,
@@ -107,8 +105,6 @@ class PlanningService(CoreService):
         #: it, library hits cannot be re-verified and are therefore *never
         #: enacted directly* — they demote to GP seeds.
         self.knowledge_base = knowledge_base
-        #: Digests whose storage namespace this replica has already pulled.
-        self._synced_digests: set[str] = set()
         self.plans_created = 0
         self.replans_created = 0
 
@@ -281,52 +277,17 @@ class PlanningService(CoreService):
             "verified": verified,
         }
 
-    def _library_sync(self, digest: str):
-        """Pull this digest's namespace from persistent storage (once).
-
-        Entries stored by other planning replicas (or previous lifetimes of
-        this one) become visible here; payloads failing the
-        ``process_digest`` integrity check are skipped.
-        """
+    def _library_store(self, entry: PlanEntry) -> None:
+        """Adopt an entry into the library (LRU-evicting past its cap)."""
         lib = self.library
         assert lib is not None
-        if digest in self._synced_digests:
-            return
-        self._synced_digests.add(digest)
-        listing = yield from self.call(
-            self.storage_name, "list-keys", {"prefix": f"planlib/{digest}/"}
-        )
-        for key in listing["keys"]:
-            parts = key.split("/")
-            if len(parts) != 3 or (parts[1], parts[2]) in lib:
-                continue
-            stored = yield from self.call(
-                self.storage_name, "retrieve", {"key": key}
-            )
-            entry = PlanEntry.from_payload(stored["payload"])
-            if entry is not None and lib.absorb(entry):
-                lib.count("sync")
-
-    def _library_store(self, entry: PlanEntry):
-        """Adopt an entry locally and mirror it (and evictions) to storage."""
-        lib = self.library
-        assert lib is not None
-        evicted = lib.put(entry)
+        lib.put(entry)
         lib.count("store")
         self.metrics.inc("planlib_store", agent=self.name)
-        yield from self.call(
-            self.storage_name,
-            "store",
-            {"key": entry.storage_key, "payload": entry.to_payload()},
-        )
-        for victim in evicted:
-            yield from self.call(
-                self.storage_name, "delete", {"key": victim.storage_key}
-            )
 
     def _plan_with_library(
         self, problem: PlanningProblem, config: GPConfig, trace_id: str | None
-    ):
+    ) -> dict[str, Any]:
         """The retrieve → verify → repair → seed ladder.
 
         Exact hit: re-verified against the current registry, enacted
@@ -343,7 +304,6 @@ class PlanningService(CoreService):
         with self.env.spans.span(
             problem.name, "library", agent=self.name, trace_id=trace_id
         ) as span:
-            yield from self._library_sync(digest)
             entry = lib.get(digest, goal_sig)
             source = "miss"
             reply: dict[str, Any] | None = None
@@ -356,7 +316,7 @@ class PlanningService(CoreService):
                     repaired = self._repair_entry(entry, problem, config, findings)
                     if repaired is not None:
                         fixed, swapped = repaired
-                        yield from self._library_store(fixed)
+                        self._library_store(fixed)
                         source = "repair"
                         reply = self._entry_reply(fixed, verified=True)
                         reply["swapped"] = [list(pair) for pair in swapped]
@@ -390,7 +350,7 @@ class PlanningService(CoreService):
                     problem_name=problem.name,
                     stored_at=self.engine.now,
                 )
-                yield from self._library_store(fresh)
+                self._library_store(fresh)
             lib.count(source)
             self.metrics.inc(f"planlib_{source}", agent=self.name)
             reply["source"] = source
@@ -405,15 +365,13 @@ class PlanningService(CoreService):
         (GPConfig).  Reply: the plan tree, the elaborated process
         description and fitness telemetry.  With a plan library wired the
         reply also carries ``source`` (hit/repair/seed/miss) and
-        ``verified``; without one this handler yields nothing, so the
+        ``verified``.  Either way the handler sends nothing, so the
         exchange is the request and its reply.
         """
         problem: PlanningProblem = message.content["problem"]
         config: GPConfig = message.content.get("config") or self.config
         if self.library is not None:
-            reply = yield from self._plan_with_library(
-                problem, config, message.trace_id
-            )
+            reply = self._plan_with_library(problem, config, message.trace_id)
         else:
             reply = self._run_planner(problem, config, trace_id=message.trace_id)
         self.plans_created += 1
@@ -441,7 +399,6 @@ class PlanningService(CoreService):
                     {
                         "digest": entry.digest,
                         "goal_sig": entry.goal_sig,
-                        "pd_digest": entry.pd_digest,
                         "problem": entry.problem_name,
                         "fitness": entry.fitness,
                         "size": entry.plan.size,
@@ -454,17 +411,10 @@ class PlanningService(CoreService):
         return {"entries": rows}
 
     def handle_library_purge(self, message: Message):
-        """Drop every entry here *and* its mirror in persistent storage."""
+        """Drop every library entry."""
         if self.library is None:
             return {"purged": 0}
-        victims = self.library.entries()
-        purged = self.library.purge()
-        self._synced_digests.clear()
-        for victim in victims:
-            yield from self.call(
-                self.storage_name, "delete", {"key": victim.storage_key}
-            )
-        return {"purged": purged}
+        return {"purged": self.library.purge()}
 
     def handle_replan(self, message: Message):
         """Figure 3: re-planning after a failed enactment.
@@ -509,7 +459,7 @@ class PlanningService(CoreService):
                         brokers,
                         "find-containers",
                         {"service": spec.service},
-                        policy=self.broker_policy,
+                        timeout=self.broker_timeout,
                     )
                     executable = False
                     for container in found["containers"]:
@@ -521,7 +471,7 @@ class PlanningService(CoreService):
                                     container,
                                     "can-execute",
                                     {"service": spec.service},
-                                    policy=self.probe_policy,
+                                    timeout=self.probe_timeout,
                                 )
                                 verdict = bool(answer.get("executable"))
                             except ServiceError:
@@ -554,7 +504,7 @@ class PlanningService(CoreService):
         if self.library is not None:
             # The restricted problem digests differently from the original
             # (T shrank), so replan results build their own library line.
-            reply = yield from self._plan_with_library(
+            reply = self._plan_with_library(
                 new_problem, config, message.trace_id
             )
         else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from repro.bus.policy import DEFAULT_POLICY, CallPolicy
 from repro.errors import SchedulingError, ServiceError
 from repro.grid.messages import Message
 from repro.services.base import CoreService, WELL_KNOWN
@@ -25,11 +24,6 @@ class SchedulingService(CoreService):
 
     broker_name = WELL_KNOWN["brokerage"]
     monitor_name = WELL_KNOWN["monitoring"]
-
-    #: Envelope for the two batched fact-gathering RPCs (monitor load,
-    #: broker performance).  Default single-attempt, no-timeout — core
-    #: services are reliable; override for flaky-core experiments.
-    lookup_policy: CallPolicy = DEFAULT_POLICY
 
     #: Penalty factor applied per observed failure fraction: a container at
     #: 50% success rate looks twice as slow as its raw estimate.
@@ -97,8 +91,7 @@ class SchedulingService(CoreService):
         # requests interleave here...
         def fetch_loads(containers):
             reply = yield from self.call(
-                self.monitor_name, "load", {"agents": containers},
-                policy=self.lookup_policy,
+                self.monitor_name, "load", {"agents": containers}
             )
             return reply["agents"]
 
@@ -106,7 +99,6 @@ class SchedulingService(CoreService):
             reply = yield from self.call(
                 self.broker_name, "performance",
                 {"service": service, "containers": containers},
-                policy=self.lookup_policy,
             )
             return reply["containers"]
 

@@ -1,10 +1,11 @@
 """Persistent-storage service.
 
 "Persistent storage services provide access to the data needed for the
-execution of user tasks."  Payloads (numpy arrays in the case study,
-anything picklable in general) live in named locations; transfer time is
-modelled by the network layer via the message size, which callers set to
-the payload's nominal size.
+execution of user tasks."  That is all it holds: case payloads (numpy
+arrays in the case study, anything picklable in general) and container
+checkpoints, in named locations.  Transfer time is modelled by the
+network layer via the message size, which callers set to the payload's
+nominal size.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class PersistentStorageService(CoreService):
         meta = {"owner": message.sender}
         if "format" in content:
             meta["format"] = dict(content["format"])
-        if "meta" in content:
-            # Caller-supplied metadata (e.g. the case journal's blob
-            # descriptors) rides along so list-meta can inventory a
-            # namespace without fetching payloads.
-            meta.update(content["meta"])
         self.put(key, content.get("payload"), **meta)
         # The request's wire size is the payload's nominal size — feed it
         # to the bus metrics so storage traffic shows up next to RPC load.
@@ -89,20 +85,3 @@ class PersistentStorageService(CoreService):
     def handle_list_keys(self, message: Message):
         prefix = message.content.get("prefix", "")
         return {"keys": [k for k in self.keys() if k.startswith(prefix)]}
-
-    def handle_list_meta(self, message: Message):
-        """Keys *and* their metadata under a prefix, without the payloads.
-
-        Inventory RPC for repository-style consumers (the plan library's
-        ``repro-grid planlib list`` walks its ``planlib/`` namespace this
-        way): one round trip instead of list-keys + N retrieves, and no
-        payload bytes on the wire.
-        """
-        prefix = message.content.get("prefix", "")
-        return {
-            "items": [
-                {"key": key, "meta": dict(self._meta.get(key, {}))}
-                for key in self.keys()
-                if key.startswith(prefix)
-            ]
-        }

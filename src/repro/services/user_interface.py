@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Generator, Mapping
 from typing import Any
 
-from repro.bus.policy import CallPolicy
 from repro.errors import ServiceError
 from repro.grid.agent import Agent
 from repro.grid.environment import GridEnvironment
@@ -110,7 +109,7 @@ class UserInterface(Agent):
                     self.coordination_name,
                     "task-status",
                     {"task": task},
-                    policy=CallPolicy(timeout=self.poll_timeout),
+                    timeout=self.poll_timeout,
                 )
             except ServiceError:
                 continue  # lost poll (e.g. disconnected mid-flight)

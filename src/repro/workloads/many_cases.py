@@ -115,7 +115,7 @@ def run_many_cases(
     cache_ttl: float = 0.0,
     max_events: int = 20_000_000,
     spans: bool = False,
-    journal: bool | str = False,
+    journal: bool = False,
     gauge_period: float = 0.0,
     shards: int = 0,
     case_indices: Sequence[int] | None = None,

@@ -171,7 +171,7 @@ def run_plan_mix(
     planner_seed: int = 0,
     tracing: bool = True,
     spans: bool = False,
-    journal: bool | str = False,
+    journal: bool = False,
     enact: bool = False,
     max_events: int = 20_000_000,
 ) -> dict[str, Any]:
@@ -195,9 +195,9 @@ def run_plan_mix(
     are actually enacted on the fleet; combined with ``journal=True``
     this is the flight-recorder acceptance workload — every case's
     journal carries its ``plan`` event (with the library ``source``) and
-    a full dispatch/execute/transfer record that
-    :func:`repro.obs.provenance.journal_replay` can rebuild from storage
-    alone.  ``sources`` then comes from the journal rather than the
+    a full dispatch/execute/transfer record from which
+    :class:`~repro.obs.provenance.ProvenanceGraph` builds the case's
+    provenance.  ``sources`` then comes from the journal rather than the
     enactment replies.
     """
     if requests < 1:

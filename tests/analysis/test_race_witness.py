@@ -3,16 +3,12 @@
 Hand-built :class:`~repro.obs.journal.JournalEvent` sequences pin the
 three verdicts — *confirmed* (execution windows overlap on the flagged
 key), *refuted* (both ran, windows disjoint), *unobserved* (the journal
-cannot decide) — and the evicted-case path proves a conflict is still
-checkable after its case's events round-trip through the storage mirror
-(``encode_events`` / ``decode_events`` / ``CaseJournal.absorb``).
+cannot decide).
 """
-
-from types import SimpleNamespace
 
 from repro.analysis import race_witness
 from repro.analysis.concurrency import Conflict
-from repro.obs.journal import CaseJournal, JournalEvent, decode_events, encode_events
+from repro.obs.journal import JournalEvent
 
 WW = Conflict("write-write", "FORK", "R", "WA", "WB")
 RW = Conflict("read-write", "FORK", "Q", "RD", "WR")
@@ -101,32 +97,3 @@ class TestVerdicts:
         report = race_witness([], [])
         assert report.verdicts == ()
         assert report.precision == 1.0
-
-
-class TestEvictedCaseFallback:
-    def test_witness_after_storage_roundtrip(self):
-        """An evicted case re-hydrated from its mirror blob stays checkable."""
-        engine = SimpleNamespace(now=0.0)
-        journal = CaseJournal(engine, enabled=True, max_cases=4)
-        for event in overlapping_events():
-            engine.now = event.time
-            journal.append("case-0", event.kind, agent="t", **event.attrs)
-        blob = journal.encode_case("case-0")
-
-        # Evict, then lazy-sync the decoded events back in — the path the
-        # monitoring service takes for a non-resident case.
-        journal.clear()
-        assert not journal.has_case("case-0")
-        case_id, events = decode_events(blob)
-        journal.absorb(case_id, events)
-        assert journal.has_case("case-0")
-
-        report = race_witness(journal.events("case-0"), [WW])
-        assert report.confirmed == 1 and report.precision == 1.0
-
-    def test_encode_decode_preserves_witness_fields(self):
-        blob = encode_events("case-9", disjoint_events())
-        case_id, events = decode_events(blob)
-        assert case_id == "case-9"
-        report = race_witness(events, [WW])
-        assert [v.status for v in report.verdicts] == ["refuted"]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bus import CallPolicy
 from repro.errors import ServiceError
 from repro.grid import Agent, GridEnvironment, Performative
 
@@ -34,9 +33,7 @@ def run_call(env, caller, to, action, content=None, timeout=None):
 
     def main():
         try:
-            result = yield from caller.call(
-                to, action, content, policy=CallPolicy(timeout=timeout)
-            )
+            result = yield from caller.call(to, action, content, timeout=timeout)
             out["result"] = result
         except ServiceError as exc:
             out["error"] = str(exc)

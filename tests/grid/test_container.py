@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bus import CallPolicy
 from repro.errors import GridError, ServiceError
 from repro.grid import (
     Agent,
@@ -57,7 +56,7 @@ def call(env, to, action, content, timeout=None):
     def main():
         try:
             out["result"] = yield from user.call(
-                to, action, content, policy=CallPolicy(timeout=timeout)
+                to, action, content, timeout=timeout
             )
         except ServiceError as exc:
             out["error"] = str(exc)

@@ -133,7 +133,7 @@ def test_enactment_whose_only_provider_raises_ends_once():
     assert list(out) == ["error"]
     assert "failed at activity 'S'" in out["error"]
     _assert_quiescent(env)
-    (record,) = core.coordination.records
+    (record,) = core.coordination.records.values()
     assert (record.completed, record.failed) == (False, True)
     activities = env.spans.spans(kind="activity")
     assert [(s.name, s.status) for s in activities] == [("S", "error")]

@@ -84,16 +84,18 @@ def test_intra_site_fast():
 
 
 @pytest.mark.parametrize(
-    ("journal", "enabled", "mirror"),
-    [(False, False, False), ("record", True, False), (True, True, True)],
+    ("journal", "enabled", "spans"),
+    [(False, False, False), (True, True, True)],
 )
-def test_journal_modes(journal, enabled, mirror):
+def test_journal_modes(journal, enabled, spans):
     env = GridEnvironment(journal=journal)
-    assert (env.journal.enabled, env.journal.mirror) == (enabled, mirror)
-    assert env.spans.enabled == enabled
+    assert env.journal.enabled == enabled
+    assert env.spans.enabled == spans
 
 
-@pytest.mark.parametrize("journal", ["mirror", "mirorr", "", None, 0, 1])
+@pytest.mark.parametrize(
+    "journal", ["record", "mirror", "mirorr", "", None, 0, 1]
+)
 def test_journal_rejects_other_values(journal):
     with pytest.raises(ValueError, match="journal must be"):
         GridEnvironment(journal=journal)

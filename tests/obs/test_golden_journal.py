@@ -95,8 +95,8 @@ def test_many_cases_digest():
     cases = [f"case-{i}" for i in range(8)]
     env = result["env"]
     assert event_count(env, cases) == 216
-    assert journal_digest(env, cases) == "e2468431260bb4b46cb9106c67fd4b62"
-    assert span_digest(env) == "b4337a6dd1a4087a8c9af3eccfb94774"
+    assert journal_digest(env, cases) == "83a2f3321955e942d18d96bbe10c43e4"
+    assert span_digest(env) == "3828bfb7f992a1968899aa42177a9c78"
 
 
 def test_plan_mix_digest():
@@ -109,8 +109,8 @@ def test_plan_mix_digest():
     digest = journal_digest(env, cases, extra={"sources": result["sources"]})
     # Each GP reply's plan is scored under the request's GPConfig (Smax
     # 12), so the plan events and gp spans carry that fitness.
-    assert digest == "0e3ca2543a12862867f5597b3d7e4676"
-    assert span_digest(env) == "29fb4bd41eaadaa26bfbb8b5e8e273c6"
+    assert digest == "0f2a8de3ce2a430a62a3799c5d130504"
+    assert span_digest(env) == "d1cd53a5aa2630c693d4ad243521f3d0"
     # Most of the mix's loops are cut off at max_loop_iterations (25).
     loops = env.spans.spans(kind="loop")
     bounded = [span for span in loops if span.attrs.get("bounded")]
@@ -122,12 +122,12 @@ def test_plan_mix_digest():
     ("seed", "replans", "events", "digest", "spans"),
     [
         (
-            0, 1, 54, "c15026bc7a24f1116f41cd81ccee638d",
-            "d5792aa8cf1439bd21f170ef5c08141b",
+            0, 1, 54, "600d576a6c9f693e79848116901a9e1c",
+            "17eec360696d546d4c7d282c33fcfc58",
         ),
         (
-            1, 0, 72, "1339196471abff82ab536dcfe0e3bba8",
-            "3bd42330a2e7e8dec5a85471348602b6",
+            1, 0, 72, "683df3b3277721d1bf861b9f00c87a2f",
+            "cfbbe0943bd92085c0c664fbaada4892",
         ),
     ],
     ids=["seed0_replan", "seed1_retries"],
@@ -169,7 +169,7 @@ def test_secure_digest():
         containers=2,
         secure=True,
         planner_config=GPConfig(population_size=20, generations=3),
-        journal="record",
+        journal=True,
     )
     coordinator = services.coordination
 
@@ -192,7 +192,7 @@ def test_secure_digest():
     env.run(max_events=5_000_000)
     cases = ["secure-a", "secure-b", "secure-c"]
     assert event_count(env, cases) == 102
-    assert journal_digest(env, cases) == "9bd80c79b6cfe24bcfac7f0182b8fdc0"
+    assert journal_digest(env, cases) == "6affb3e1f4945acbf73210bc038ee46a"
     assert span_digest(env) == "45f7e5bcf14c99369e301400e2bd078f"
 
 
@@ -201,7 +201,7 @@ def test_refusal_digest():
         synthetic_services(),
         containers=3,
         planner_config=GPConfig(population_size=30, generations=5),
-        journal="record",
+        journal=True,
     )
     dead = parse_condition("D1.Value > 8 and D1.Value < 3")
     pd = (
@@ -224,7 +224,7 @@ def test_refusal_digest():
             lambda: _execute(services.coordination, request),
         )
     assert event_count(env, ["bad"]) == 3
-    assert journal_digest(env, ["bad"]) == "19a114c0e40383e23b73cf2d42f0e29a"
+    assert journal_digest(env, ["bad"]) == "0a407244758b873a311b050926a04428"
     assert span_digest(env) == "efd19f5ef9c7a30a311104a2a5517fe5"
 
 
@@ -260,8 +260,8 @@ def test_racy_fork_digest():
     }
     assert event_count(env, ["racy-0"]) == 9
     digest = journal_digest(env, ["racy-0"], extra=extra)
-    assert digest == "e5315c0c733106c24f764b5003977b2b"
-    assert span_digest(env) == "019952f8406081ad6ca2e66fbcf2eb7c"
+    assert digest == "954841486171745d940f5bd0f31c46ea"
+    assert span_digest(env) == "2b56a9b080bd5a536a0abe026adbcf61"
 
 
 def test_migrate_digest():
@@ -276,7 +276,7 @@ def test_migrate_digest():
             )
         ],
         containers=1,
-        journal="record",
+        journal=True,
     )
     services.storage.put(
         "blob-big", b"big", format={"size": 50e6, "byte_order": "big"}
@@ -312,5 +312,5 @@ def test_migrate_digest():
         e.attrs["direction"] == "migrate" and e.attrs["steps"] == []
         for e in transfers
     )
-    assert journal_digest(env, cases) == "378d445a49031d37b725e621ba9111be"
+    assert journal_digest(env, cases) == "f17749e7764a64aae9fd6a2c99135624"
     assert span_digest(env) == "a4c14c18f1525673cf8099c04371ffc6"

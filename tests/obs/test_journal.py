@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.errors import ObservabilityError, ServiceError
+from repro.errors import ServiceError
 from repro.grid.environment import GridEnvironment
 from repro.obs.journal import (
     JOURNAL_SCHEMA_VERSION,
     SPAN_EVENTS,
     CaseJournal,
-    decode_events,
     encode_events,
-    journal_storage_key,
 )
 from repro.obs.spans import SpanRecorder
 from repro.process import ActivityKind, ProcessDescription
@@ -21,8 +19,8 @@ from repro.workloads import run_many_cases
 from tests.services.conftest import drive, synthetic_services
 
 
-def make_journal(enabled=True, mirror=False, max_cases=4096):
-    return CaseJournal(Engine(), enabled=enabled, mirror=mirror, max_cases=max_cases)
+def make_journal(enabled=True, max_cases=4096):
+    return CaseJournal(Engine(), enabled=enabled, max_cases=max_cases)
 
 
 class TestRecording:
@@ -79,8 +77,6 @@ class TestRetention:
         assert journal.case_ids() == ("c2", "c3")
         assert journal.cases_evicted == 1
         assert journal.events_evicted == 2
-        # c1 was never mirrored: both events are lost
-        assert journal.events_lost == 2
         assert journal.total_appended == 6
 
     def test_eviction_unbinds_every_trace_of_the_case(self):
@@ -103,15 +99,6 @@ class TestRetention:
         journal.append("c3", "case-intake")
         assert journal.case_ids() == ("c1", "c3")
 
-    def test_flushed_cases_evict_without_loss(self):
-        journal = make_journal(max_cases=1)
-        journal.append("c1", "case-intake")
-        assert journal.mark_flushed("c1") == 1
-        journal.append("c2", "case-intake")
-        assert journal.events_evicted == 1
-        assert journal.events_lost == 0
-        assert journal.total_flushed == 1
-
     def test_purge_drops_cases_but_keeps_counters(self):
         journal = make_journal()
         journal.append("c1", "case-intake")
@@ -129,49 +116,7 @@ class TestRetention:
         assert journal.case_ids() == ()
 
 
-class TestMirroring:
-    def test_mark_flushed_counts_only_fresh_events(self):
-        journal = make_journal()
-        journal.append("c1", "case-intake")
-        journal.append("c1", "dispatch")
-        assert journal.mark_flushed("c1") == 2
-        assert journal.pending_flush("c1") == 0
-        journal.append("c1", "case-complete")
-        assert journal.pending_flush("c1") == 1
-        assert journal.mark_flushed("c1") == 1
-        assert journal.total_flushed == 3
-
-    def test_absorb_installs_foreign_case_as_flushed(self):
-        journal = make_journal()
-        journal.append("src", "case-intake", trace_id="t-1")
-        blob = journal.encode_case("src")
-        case_id, events = decode_events(blob)
-
-        other = make_journal()
-        other.absorb(case_id, events)
-        assert other.has_case("src")
-        assert other.cases_synced == 1
-        assert other.pending_flush("src") == 0
-        assert other.case_for_trace("t-1") == "src"
-        # absorbing twice is a no-op
-        other.absorb(case_id, events)
-        assert other.cases_synced == 1
-
-
 class TestEncoding:
-    def test_roundtrip_preserves_events(self):
-        journal = make_journal()
-        journal.bind("t-5", "c1")
-        journal.append("c1", "case-intake", initial=["src"], process="p")
-        journal.append("c1", "dispatch", activity="a", inputs=["src"], attempt=0)
-        blob = encode_events("c1", journal.events("c1"))
-        assert isinstance(blob, bytes)
-        case_id, events = decode_events(blob)
-        assert case_id == "c1"
-        assert [e.as_dict() for e in events] == [
-            e.as_dict() for e in journal.events("c1")
-        ]
-
     def test_header_carries_schema_and_count(self):
         blob = encode_events("c1", []).decode("utf-8")
         header = blob.split("\n")[0]
@@ -182,23 +127,6 @@ class TestEncoding:
         journal = make_journal()
         journal.append("c1", "case-intake", zeta=1, alpha=2)
         assert journal.encode_case("c1") == journal.encode_case("c1")
-
-    @pytest.mark.parametrize(
-        "blob",
-        [
-            b"",
-            b"not json\n",
-            b'{"no_schema": true}\n',
-            b'{"schema": 999, "case": "c1", "events": 0}\n',
-            b'{"schema": 1, "case": "c1", "events": 2}\n{"seq": 0}\n',
-        ],
-    )
-    def test_malformed_blobs_are_rejected(self, blob):
-        with pytest.raises(ObservabilityError):
-            decode_events(blob)
-
-    def test_storage_key_namespace(self):
-        assert journal_storage_key("case-0") == "journal/case-0"
 
 
 def recording_pair():
@@ -280,7 +208,6 @@ class TestSpanDerivation:
         assert journal.case_for_trace("t-1") is None
 
     def test_journal_enables_spans_but_spans_alone_journal_nothing(self):
-        assert GridEnvironment(journal="record").spans.enabled is True
         assert GridEnvironment(journal=True).spans.enabled is True
         assert GridEnvironment().spans.enabled is False
         result = run_many_cases(cases=2, containers=2, spans=True)
@@ -292,7 +219,7 @@ class TestSpanDerivation:
 def _doctored_plan_case(reply):
     """Enact a "Need Planning" case whose planner returns *reply*."""
     env, services, _ = standard_environment(
-        synthetic_services(), containers=1, journal="record"
+        synthetic_services(), containers=1, journal=True
     )
     services.planning.handle_plan = lambda message: dict(reply)
     with pytest.raises(ServiceError) as err:

@@ -1,20 +1,19 @@
 """Integration: the case journal against live enactments.
 
-Covers the flight-recorder acceptance properties — on real workloads
-(standard and failing grids) the provenance graph replayed
-from a case's storage blob equals the one built from the live journal,
-storage mirroring, and the byte-identity guarantee of the
-disabled/record-only modes.
+Covers the flight-recorder acceptance properties on real workloads
+(standard and failing grids): what the journal records, the provenance
+graph built from it, LRU eviction mid-run, and that recording stays in
+memory — the storage service holds case data only.
 """
 
 import pytest
 
-from repro.errors import ObservabilityError, ServiceError
-from repro.obs.journal import JOURNAL_KEY_PREFIX, decode_events, journal_storage_key
-from repro.obs.provenance import ProvenanceGraph, journal_replay
+from repro.errors import ServiceError
+from repro.obs.provenance import ProvenanceGraph
 from repro.planner import GPConfig
 from repro.services import standard_environment
 from repro.virolab import planning_problem, process_description
+from repro.workloads import run_plan_mix
 from repro.workloads.many_cases import (
     many_cases_initial_data,
     many_cases_process,
@@ -22,14 +21,6 @@ from repro.workloads.many_cases import (
     run_many_cases,
 )
 from tests.services.conftest import drive, synthetic_services
-
-
-def assert_replay_matches(storage, journal, case_id):
-    """The graph rebuilt from the stored blob alone equals the live one."""
-    replay = journal_replay(storage, case_id)
-    live = ProvenanceGraph.from_journal(journal, case_id)
-    assert replay["graph"].to_json() == live.to_json()
-    return replay
 
 
 def _enact(env, services, cases, rounds=2):
@@ -63,37 +54,14 @@ class TestWorkloadJournal:
         assert stats["cases"] == 0
 
     def test_record_mode_keeps_storage_clean(self):
-        result = run_many_cases(cases=4, containers=2, journal="record")
+        result = run_many_cases(cases=4, containers=2, journal=True)
         assert result["journal"]["appended"] > 0
-        assert result["journal"]["flushed"] == 0
         journal_keys = [
             key
             for key in result["services"].storage.keys()
-            if key.startswith(JOURNAL_KEY_PREFIX)
+            if key.startswith("journal/")
         ]
         assert journal_keys == []
-
-    def test_mirror_mode_flushes_and_replays_every_case(self):
-        cases = 6
-        result = run_many_cases(
-            cases=cases, containers=3, journal=True, spans=True
-        )
-        env, services = result["env"], result["services"]
-        stats = result["journal"]
-        assert stats["appended"] == stats["flushed"] > 0
-        for index in range(cases):
-            case_id = f"case-{index}"
-            assert services.storage.get(journal_storage_key(case_id))
-            replay = assert_replay_matches(services.storage, env.journal, case_id)
-            assert replay["case"] == case_id
-            assert replay["activities"] > 0
-            runs = replay["graph"].activities.values()
-            assert any(run.status == "completed" for run in runs)
-
-    def test_replay_of_unknown_case_raises(self):
-        result = run_many_cases(cases=2, containers=2, journal=True)
-        with pytest.raises(ObservabilityError):
-            journal_replay(result["services"].storage, "no-such-case")
 
 
 class TestFailureJournal:
@@ -152,8 +120,6 @@ class TestFailureJournal:
                 if run.name == aborted
             ]
             assert any(run.status == "failed" for run in aborted_runs)
-            # failure did not corrupt the mirrored record
-            assert_replay_matches(services.storage, env.journal, "case")
             assert kinds[-1] == "case-complete"
             return
         pytest.skip("no seed in range produced a replanning run")
@@ -172,22 +138,17 @@ class TestEvictionMidRun:
         # case-0..2 are evicted at the later intakes, each holding its
         # intake and compile; their later events have no case to join.
         assert stats["cases_evicted"] == 3
-        assert stats["events_lost"] == 6
+        assert stats["events_evicted"] == 6
         assert stats["unbound_dropped"] == 66
         assert journal.case_ids() == ("case-4", "case-3")
-        blobs = {
-            key: decode_events(services.storage.get(key))[1]
-            for key in services.storage.keys()
-            if key.startswith(JOURNAL_KEY_PREFIX)
-        }
-        assert sorted(blobs) == ["journal/case-3", "journal/case-4"]
-        for events in blobs.values():
+        for case_id in journal.case_ids():
+            events = journal.events(case_id)
             assert len(events) == 24
             assert events[0].kind == "case-intake"
             assert events[-1].kind == "case-complete"
             assert len({event.trace for event in events}) == 1
 
-        # Lazy sync finds no blob for an evicted case and so leaves the
+        # A query for an evicted case answers nothing and leaves the
         # resident cases alone.
         reply = drive(
             env,
@@ -198,13 +159,12 @@ class TestEvictionMidRun:
         )
         assert reply["events"] == []
         assert journal.case_ids() == ("case-4", "case-3")
-        assert journal.stats()["cases_synced"] == 0
 
 
 class TestReusedCaseId:
     def test_every_event_carries_its_own_enactment_trace(self):
         env, services, _ = standard_environment(
-            many_cases_services(), containers=2, journal="record"
+            many_cases_services(), containers=2, journal=True
         )
         process = many_cases_process(1)
 
@@ -232,3 +192,18 @@ class TestReusedCaseId:
         assert first[0].trace != second[0].trace
         # both sides of the exchange: coordinator and container events
         assert {"dispatch", "execute"} <= {e.kind for e in second}
+
+
+def test_storage_holds_case_data_only():
+    """Journal-on enactments and the plan library keep their records in
+    memory: the storage service ends with no ``journal/`` and no
+    ``planlib/`` key."""
+    cases = run_many_cases(cases=8, containers=4, journal=True)
+    mix = run_plan_mix(
+        requests=8, distinct=4, enact=True, journal=True, spans=True
+    )
+    assert cases["completed"] == 8 and mix["completed"] == 8
+    assert mix["library_entries"] > 0
+    for result in (cases, mix):
+        keys = result["services"].storage.keys()
+        assert not [k for k in keys if k.startswith(("journal/", "planlib/"))]

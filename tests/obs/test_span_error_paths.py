@@ -66,7 +66,7 @@ def _assert_recorded_failed(env, coordinator, task):
 
 
 def test_refused_ticket_closes_case_enact_and_activity():
-    env, core = _refusing_secure_grid(many_cases_services(), journal="record")
+    env, core = _refusing_secure_grid(many_cases_services(), journal=True)
     outcome = _enact(
         env,
         core.coordination,

@@ -129,6 +129,16 @@ class TestTreeProcess:
             ("stage_1_2", "SVC"),
         ]
 
+    def test_repeat_skips_a_real_activity_named_like_its_rename(self):
+        # T holds both "X" and "X_2": the second "X" must not take "X_2".
+        tree = sequential("X", "X", "X_2")
+        pd = tree_to_process(tree)
+        activities = [(a.name, a.service) for a in pd.end_user_activities()]
+        assert activities == [("X", "X"), ("X_3", "X"), ("X_2", "X_2")]
+        assert [
+            plan_activity_name(name, {"X", "X_2"}) for name, _ in activities
+        ] == ["X", "X", "X_2"]
+
     @pytest.mark.parametrize(
         ("name", "original"),
         [

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ServiceError
+from repro.services import standard_environment
 from repro.virolab import planning_problem, process_description
+from repro.workloads import (
+    many_cases_initial_data,
+    many_cases_process,
+    many_cases_services,
+)
 from tests.services.conftest import drive
 
 INITIAL = {
@@ -251,7 +257,7 @@ def test_intake_refuses_semantically_broken_process(grid):
         )
     message = str(err.value)
     assert "failed semantic analysis" in message and "E201" in message
-    assert services.coordination.records == []  # refused at intake
+    assert services.coordination.records == {}  # refused at intake
     assert services.coordination.metrics.total("cases_refused") == 1
 
 
@@ -287,3 +293,29 @@ def test_intake_tolerates_overlapping_guards_but_reports_them(grid):
 def test_intake_clean_case_reply_has_no_findings_key(grid):
     result, env, services = execute(grid)
     assert "findings" not in result
+
+
+def test_task_status_answers_the_newest_case_of_a_reused_name():
+    """Two sequential cases under one task name: the coordinator keeps one
+    record per name, and ``task-status`` answers with the second case."""
+    env, services, _ = standard_environment(many_cases_services(), containers=2)
+    user = services.coordination
+    replies = []
+    for rounds in (1, 3):
+        request = {
+            "process": many_cases_process(rounds),
+            "initial_data": many_cases_initial_data(0),
+            "task": "dup",
+        }
+        replies.append(
+            drive(env, user, lambda: user.call("coordination", "execute-task", request))
+        )
+    first, second = (reply["activities_run"] for reply in replies)
+    assert first != second
+    assert list(user.records) == ["dup"]
+    status = drive(
+        env, user, lambda: user.call("coordination", "task-status", {"task": "dup"})
+    )
+    assert status["known"] and status["completed"]
+    assert status["activities_run"] == second
+    assert status["data"] == replies[1]["data"]

@@ -1,16 +1,13 @@
 """Monitoring service: the journal/provenance RPC surface.
 
 ``journal`` / ``provenance`` / ``lineage`` expose the case flight
-recorder over the monitoring protocol; ``journal-purge`` is the
-retention verb.  Lazy sync: a case evicted from (or never resident in)
-the live journal is transparently re-hydrated from its mirrored storage
-blob.
+recorder over the monitoring protocol and read the resident journal
+only; ``journal-purge`` is the retention verb.
 """
 
 import pytest
 
-from repro.errors import ServiceError, StorageError
-from repro.obs.journal import journal_storage_key
+from repro.errors import ServiceError
 from repro.services import standard_environment
 from repro.workloads.many_cases import (
     many_cases_initial_data,
@@ -93,32 +90,6 @@ class TestJournalRPC:
         assert detail["events"] == []
 
 
-class TestLazySync:
-    def test_evicted_case_rehydrates_from_storage(self):
-        # Cap the journal to one resident case: enacting three cases
-        # evicts the first two after their mirror flush.
-        env, services, _ = journal_grid(journal_cases=1)
-        user = enact(env, services, cases=3)
-        journal = env.journal
-        assert not journal.has_case("case-0")
-        assert services.storage.get(journal_storage_key("case-0"))
-
-        before = journal.cases_synced
-        detail = drive(
-            env, user,
-            lambda: user.call("monitoring", "journal", {"case": "case-0"}),
-        )
-        assert detail["events"], "evicted case should lazy-sync from storage"
-        assert journal.cases_synced == before + 1
-        assert journal.has_case("case-0")
-        # second read is served from residency, no extra sync
-        drive(
-            env, user,
-            lambda: user.call("monitoring", "journal", {"case": "case-0"}),
-        )
-        assert journal.cases_synced == before + 1
-
-
 class TestProvenanceRPC:
     def test_provenance_graph_for_case(self):
         env, services, _ = journal_grid()
@@ -181,9 +152,7 @@ class TestJournalPurge:
         )
         assert reply["purged_cases"] == 3
         assert reply["purged_events"] > 0
-        assert reply["storage_deleted"] == 3
+        assert "storage_deleted" not in reply
         assert env.journal.stats()["cases"] == 0
         # cumulative counters survive the purge for post-mortem accounting
         assert reply["stats"]["appended"] > 0
-        with pytest.raises(StorageError):
-            services.storage.get(journal_storage_key("case-0"))

@@ -1,4 +1,4 @@
-"""The warm-start plan library inside the grid: ladder, persistence, guard."""
+"""The warm-start plan library inside the grid: ladder, RPCs, guard."""
 
 import pytest
 
@@ -10,10 +10,8 @@ from repro.planner.library import (
     PlanLibrary,
     goal_signature,
     problem_digest,
-    storage_key,
 )
 from repro.services import standard_environment
-from repro.services.planning import PlanningService
 from repro.workloads.plan_mix import (
     plan_mix_kb,
     plan_mix_problem,
@@ -84,56 +82,6 @@ def test_miss_then_verified_hit():
     assert second["plan"] == first["plan"]
     assert lib.counters["hit"] == 1 and lib.counters["verify"] == 1
     assert env.metrics.total("planlib_hit") == 1
-
-
-def test_miss_is_mirrored_into_persistent_storage():
-    lib = PlanLibrary()
-    env, services, fleet = make_grid(lib, plan_mix_kb())
-    plan_once(env, services)
-    problem = plan_mix_problem(0)
-    key = storage_key(problem_digest(problem), goal_signature(problem.goals))
-    user = services.coordination
-    listing = drive(
-        env,
-        user,
-        lambda: user.call("storage", "list-keys", {"prefix": "planlib/"}),
-    )
-    assert listing["keys"] == [key]
-    meta = drive(
-        env,
-        user,
-        lambda: user.call("storage", "list-meta", {"prefix": "planlib/"}),
-    )
-    assert [item["key"] for item in meta["items"]] == [key]
-    assert all("payload" not in item for item in meta["items"])
-
-
-def test_second_replica_syncs_hit_from_storage():
-    """A fresh planning replica sharing the storage service warm-starts
-    from entries another replica stored — one library by persistence."""
-    lib = PlanLibrary()
-    env, services, fleet = make_grid(lib, plan_mix_kb())
-    first = plan_once(env, services)
-
-    replica = PlanningService(
-        env,
-        name="planning-2",
-        config=GPConfig(**CFG),
-        library=PlanLibrary(),
-        knowledge_base=plan_mix_kb(),
-    )
-    user = services.coordination
-    reply = drive(
-        env,
-        user,
-        lambda: user.call(
-            "planning-2", "plan", {"problem": plan_mix_problem(0)}
-        ),
-    )
-    assert reply["source"] == "hit"
-    assert reply["verified"] is True
-    assert reply["plan"] == first["plan"]
-    assert replica.library.counters["sync"] == 1
 
 
 def test_stale_entry_is_repaired_never_enacted_blind():
@@ -248,15 +196,10 @@ def test_library_rpc_stats_list_purge():
     assert len(listing["entries"]) == 1
     row = listing["entries"][0]
     assert row["problem"] == "plan-mix-v1"  # most recently used first
+    assert "pd_digest" not in row
 
     purged = drive(
         env, user, lambda: user.call("planning", "library-purge", {})
     )
     assert purged["purged"] == 2
     assert len(lib) == 0
-    remaining = drive(
-        env,
-        user,
-        lambda: user.call("storage", "list-keys", {"prefix": "planlib/"}),
-    )
-    assert remaining["keys"] == []

@@ -133,7 +133,8 @@ def test_journal_purge_reports_counters(capsys):
         "journal", "case-0", "--cases", "2", "--containers", "2", "--purge",
     ]) == 0
     out = capsys.readouterr().out
-    assert "purged" in out
+    assert "purged 2 cases / " in out
+    assert "mirrored" not in out
 
 
 def test_lineage_dot_output(capsys):

@@ -281,7 +281,7 @@ class TestShardedDriver:
     def test_merged_span_accounting(self):
         from repro.workloads import shard_assignment
 
-        knobs = dict(containers=2, spans=True, journal="record")
+        knobs = dict(containers=2, spans=True, journal=True)
         merged = run_many_cases(cases=6, shards=2, **knobs)
         per_shard = [
             run_many_cases(cases=len(indices), case_indices=indices, **knobs)
