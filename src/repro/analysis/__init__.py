@@ -30,7 +30,6 @@ from repro.analysis.concurrency import (
     WitnessReport,
     WitnessVerdict,
     concurrency_findings,
-    fork_metrics,
     fork_regions,
     interference_conflicts,
     race_witness,
@@ -70,7 +69,6 @@ __all__ = [
     "conditions_overlap",
     "dataflow_findings",
     "definitely_unsatisfiable",
-    "fork_metrics",
     "fork_regions",
     "has_errors",
     "interference_conflicts",

@@ -9,7 +9,8 @@
 3. **dataflow** — E401/W402/E301 (runs only on structurally clean graphs:
    the must-reach fixpoint assumes a unique Begin and full reachability);
 4. **concurrency** — E601/W602/E611/E612/W621 (also gated on structural
-   cleanliness: fork-region recovery presumes well-structuredness);
+   cleanliness: its fork regions are read off the AST the structure pass
+   recovers);
 5. **resolvability** — E501/W502, only when a knowledge base is supplied.
 
 The pass set degrades gracefully with the information available: a bare
@@ -51,7 +52,6 @@ def analyze_process(
     initial_data: set[str] | None = None,
     classifications: dict[str, str] | None = None,
     reservations: dict[str, tuple[str, ...]] | None = None,
-    structured: bool = True,
 ) -> list[Finding]:
     """All findings for *pd*, structural first.
 
@@ -62,7 +62,7 @@ def analyze_process(
     *reservations* — activity -> ordered resources it reserves while
     running, feeding the concurrency pass's lock-order check.
     """
-    findings = check_process_findings(pd, structured=structured)
+    findings = check_process_findings(pd)
     structurally_clean = not findings
     findings.extend(condition_findings(pd))
     if structurally_clean:

@@ -35,14 +35,18 @@ and pure graph work like the rest of the analyzer:
 3. **Critical path** — unit-cost longest chains per branch.  A fork whose
    parallel speedup bound (total branch work over the longest branch)
    falls below 1.25 is effectively serial and reported as ``W621
-   fork-imbalance``; :func:`fork_metrics` reports the same costs.
+   fork-imbalance``.
 
-Every verdict is conservative in the analyzer's usual sense: the pass
-stays silent on graphs whose regions cannot be recovered (that is E104's
-job), on DNF blow-ups, and on exotic literal types.  :func:`race_witness`
-closes the loop dynamically — it replays a case journal against the
-static conflicts and reports which flagged pairs actually interleaved on
-the flagged key, giving the bench a measured precision number.
+The fork regions are read off the AST that
+:func:`~repro.process.structure.process_to_ast` recovers — the one parser
+of the region grammar — whose Fork, Choice and Iterative nodes carry the
+graph names they were recovered from.  Every verdict is conservative in
+the analyzer's usual sense: the pass stays silent on graphs the recovery
+rejects (that is E104's job), on DNF blow-ups, and on exotic literal
+types.  :func:`race_witness` closes the loop dynamically — it replays a
+case journal against the static conflicts and reports which flagged
+pairs actually interleaved on the flagged key, giving the bench a
+measured precision number.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ from itertools import product
 from repro.analysis.dataflow import _reads, _writes
 from repro.analysis.findings import Finding
 from repro.analysis.sat import expand_dnf
-from repro.errors import ProcessStructureError
+from repro.errors import ConversionError, ProcessStructureError
+from repro.process.ast_nodes import ActivityNode, ChoiceNode, IterativeNode, Node, SequenceNode
 from repro.process.conditions import TRUE, Condition
 from repro.process.model import Activity, ActivityKind, ProcessDescription
-from repro.process.structure import find_back_edges
+from repro.process.structure import process_to_ast
 
 __all__ = [
     "Conflict",
@@ -65,7 +70,6 @@ __all__ = [
     "WitnessReport",
     "WitnessVerdict",
     "concurrency_findings",
-    "fork_metrics",
     "fork_regions",
     "interference_conflicts",
     "race_witness",
@@ -79,11 +83,6 @@ _IMBALANCE_FLOOR = 1.25
 
 
 # -- fork-region recovery ---------------------------------------------------- #
-
-class _Unstructured(Exception):
-    """Internal: the graph defeats region recovery — stay silent (E104 is
-    the structural pass's finding, not ours)."""
-
 
 @dataclass(frozen=True)
 class ForkBranch:
@@ -125,137 +124,58 @@ class ForkRegion:
         return self.total_work / longest if longest else float(len(self.branches))
 
 
-class _RegionScan:
-    """Graph walker mirroring the region parser of
-    :mod:`repro.process.structure`, collecting fork regions instead of an
-    AST.  It walks the *graph* (not the recovered AST) because the AST
-    drops the FORKi/JOINi names the findings anchor to.
-    """
+def _recover(pd: ProcessDescription) -> Node | None:
+    """*pd*'s recovered AST, or None when the graph is not well-structured
+    — the structural pass owns that diagnosis (E104)."""
+    try:
+        return process_to_ast(pd)
+    except (ConversionError, ProcessStructureError):
+        return None
 
-    def __init__(self, pd: ProcessDescription) -> None:
-        self.pd = pd
-        self.regions: list[ForkRegion] = []
-        self.latch_of: dict[str, str] = {}
-        self.loop_heads: set[str] = set()
-        for source, target in find_back_edges(pd):
-            if (
-                pd.activity(source).kind is not ActivityKind.CHOICE
-                or pd.activity(target).kind is not ActivityKind.MERGE
-                or source in self.latch_of
-            ):
-                raise _Unstructured
-            self.latch_of[source] = target
-            self.loop_heads.add(target)
 
-    def run(self) -> None:
-        successors = self.pd.successors(self.pd.begin().name)
-        if len(successors) != 1:
-            raise _Unstructured
-        _, _, stop = self.parse_region(successors[0])
-        if stop != self.pd.end().name:
-            raise _Unstructured
-
-    def parse_region(self, start: str) -> tuple[list[str], float, str]:
-        """Walk forward from *start*; return (names, critical cost,
-        sentinel) where the sentinel terminated the region."""
+def _walk(node: Node, regions: list[ForkRegion]) -> tuple[list[str], float]:
+    """*node*'s graph names in walk order and its unit cost (choice = worst
+    arm, loop = its body once, the must-execute iteration, fork = longest
+    branch); appends each fork region after the regions nested in its
+    branches."""
+    if isinstance(node, ActivityNode):
+        return [node.name], 1.0
+    if isinstance(node, SequenceNode):
         names: list[str] = []
-        crit = 0.0
-        current = start
-        while True:
-            kind = self.pd.activity(current).kind
-            if kind in (ActivityKind.END, ActivityKind.JOIN):
-                return names, crit, current
-            if kind is ActivityKind.BEGIN:
-                raise _Unstructured
-            if kind is ActivityKind.MERGE:
-                if current not in self.loop_heads:
-                    return names, crit, current
-                sub, cost, current = self.parse_loop(current)
-            elif kind is ActivityKind.CHOICE:
-                if current in self.latch_of:
-                    return names, crit, current
-                sub, cost, current = self.parse_selective(current)
-            elif kind is ActivityKind.FORK:
-                sub, cost, current = self.parse_fork(current)
-            else:  # end-user activity
-                sub, cost, current = [current], 1.0, self._sole_successor(current)
+        cost = 0.0
+        for child in node.children:
+            sub, sub_cost = _walk(child, regions)
             names.extend(sub)
-            crit += cost
+            cost += sub_cost
+        return names, cost
+    opening, closing = node.anchor
+    if isinstance(node, IterativeNode):
+        body, cost = _walk(node.body, regions)
+        return [opening, *body, closing], cost
+    if isinstance(node, ChoiceNode):
+        arms = [_walk(arm, regions) for _, arm in node.branches]
+        names = [name for sub, _ in arms for name in sub]
+        return [opening, *names, closing], max(cost for _, cost in arms)
+    branches = tuple(
+        ForkBranch(sub[0], tuple(sub), cost)
+        for sub, cost in (_walk(branch, regions) for branch in node.branches)
+    )
+    regions.append(ForkRegion(opening, closing, branches))
+    names = [name for branch in branches for name in branch.activities]
+    return [opening, *names, closing], max(b.critical_path for b in branches)
 
-    def _sole_successor(self, name: str) -> str:
-        successors = self.pd.successors(name)
-        if len(successors) != 1:
-            raise _Unstructured
-        return successors[0]
 
-    def parse_loop(self, head: str) -> tuple[list[str], float, str]:
-        body, cost, latch = self.parse_region(self._sole_successor(head))
-        if self.latch_of.get(latch) != head:
-            raise _Unstructured
-        successors = self.pd.successors(latch)
-        exits = [s for s in successors if s != head]
-        if len(successors) != 2 or len(exits) != 1:
-            raise _Unstructured
-        # Unit-cost model runs the body once (the must-execute iteration).
-        return [head, *body, latch], cost, exits[0]
-
-    def parse_selective(self, choice: str) -> tuple[list[str], float, str]:
-        successors = self.pd.successors(choice)
-        if len(successors) < 2:
-            raise _Unstructured
-        names = [choice]
-        arm_costs: list[float] = []
-        merges: set[str] = set()
-        for succ in successors:
-            sub, cost, sentinel = self.parse_region(succ)
-            if (
-                self.pd.activity(sentinel).kind is not ActivityKind.MERGE
-                or sentinel in self.loop_heads
-            ):
-                raise _Unstructured
-            merges.add(sentinel)
-            names.extend(sub)
-            arm_costs.append(cost)
-        if len(merges) != 1:
-            raise _Unstructured
-        merge = merges.pop()
-        names.append(merge)
-        return names, max(arm_costs), self._sole_successor(merge)
-
-    def parse_fork(self, fork: str) -> tuple[list[str], float, str]:
-        successors = self.pd.successors(fork)
-        if len(successors) < 2:
-            raise _Unstructured
-        branches: list[ForkBranch] = []
-        joins: set[str] = set()
-        for succ in successors:
-            sub, cost, sentinel = self.parse_region(succ)
-            if self.pd.activity(sentinel).kind is not ActivityKind.JOIN or not sub:
-                raise _Unstructured
-            joins.add(sentinel)
-            branches.append(ForkBranch(succ, tuple(sub), cost))
-        if len(joins) != 1:
-            raise _Unstructured
-        join = joins.pop()
-        self.regions.append(ForkRegion(fork, join, tuple(branches)))
-        names = [fork]
-        for branch in branches:
-            names.extend(branch.activities)
-        names.append(join)
-        crit = max(b.critical_path for b in branches)
-        return names, crit, self._sole_successor(join)
+def _regions(ast: Node) -> tuple[ForkRegion, ...]:
+    regions: list[ForkRegion] = []
+    _walk(ast, regions)
+    return tuple(regions)
 
 
 def fork_regions(pd: ProcessDescription) -> tuple[ForkRegion, ...]:
-    """All recovered Fork/Join regions of *pd* (inner regions before the
-    fork that encloses them), or ``()`` when the graph is not
-    well-structured — the structural pass owns that diagnosis."""
-    try:
-        scan = _RegionScan(pd)
-        scan.run()
-    except (_Unstructured, ProcessStructureError):
-        return ()
-    return tuple(scan.regions)
+    """All Fork/Join regions of *pd* (inner regions before the fork that
+    encloses them), or ``()`` when the graph is not well-structured."""
+    ast = _recover(pd)
+    return () if ast is None else _regions(ast)
 
 
 # -- pass 1: interference ---------------------------------------------------- #
@@ -547,27 +467,22 @@ def _guard_gap_witness(
 
 
 def _starvation_findings(
-    pd: ProcessDescription, region: ForkRegion
+    region: ForkRegion, guards: dict[str, list[Condition]]
 ) -> list[Finding]:
-    """E612: a Choice inside a branch whose guards leave a coverage gap."""
-    back = set(find_back_edges(pd))
-    latches = {source for source, _ in back}
-    arms_of: dict[str, list[Condition | None]] = {}
-    for tr in pd.transitions:
-        if (tr.source, tr.destination) in back:
-            continue
-        arms_of.setdefault(tr.source, []).append(tr.condition)
+    """E612: a Choice inside a branch whose guards leave a coverage gap.
+
+    *guards* maps each Choice to its arm conditions (a missing guard is
+    already ``TRUE`` in the recovered AST; loop latches are not Choices
+    there)."""
     findings: list[Finding] = []
     branch_names = sorted(
         {name for branch in region.branches for name in branch.activities}
     )
     for name in branch_names:
-        if pd.activity(name).kind is not ActivityKind.CHOICE or name in latches:
-            continue
-        arms = arms_of.get(name, [])
-        if not arms or any(c is None or isinstance(c, type(TRUE)) for c in arms):
-            continue  # a default arm always fires
-        witness = _guard_gap_witness([c for c in arms if c is not None])
+        arms = guards.get(name)
+        if arms is None or any(isinstance(c, type(TRUE)) for c in arms):
+            continue  # not a Choice, or a default arm always fires
+        witness = _guard_gap_witness(arms)
         if witness is None:
             continue
         rendering = ", ".join(
@@ -585,22 +500,6 @@ def _starvation_findings(
     return findings
 
 
-# -- pass 3: critical path --------------------------------------------------- #
-
-def fork_metrics(pd: ProcessDescription) -> dict[str, dict[str, float]]:
-    """Per-fork cost summary: branch count, total work, critical path and
-    the parallel speedup bound."""
-    return {
-        region.fork: {
-            "branches": float(len(region.branches)),
-            "total_work": region.total_work,
-            "critical_path": region.critical_path,
-            "speedup": region.speedup,
-        }
-        for region in fork_regions(pd)
-    }
-
-
 # -- the combined pass -------------------------------------------------------- #
 
 def concurrency_findings(
@@ -613,9 +512,15 @@ def concurrency_findings(
     reserves while it runs (the case description's ``reserves`` table);
     without it the lock-order check has nothing to say.
     """
-    regions = fork_regions(pd)
+    ast = _recover(pd)
+    regions = () if ast is None else _regions(ast)
     if not regions:
         return []
+    guards = {
+        node.anchor[0]: [condition for condition, _ in node.branches]
+        for node in ast.walk()
+        if isinstance(node, ChoiceNode)
+    }
     findings: list[Finding] = []
     conflicts = interference_conflicts(pd, regions)
 
@@ -637,7 +542,7 @@ def concurrency_findings(
         )
         if reservations:
             findings.extend(_reservation_findings(region, reservations))
-        findings.extend(_starvation_findings(pd, region))
+        findings.extend(_starvation_findings(region, guards))
 
     groups: dict[tuple[str, str, str], list[Conflict]] = {}
     for c in conflicts:

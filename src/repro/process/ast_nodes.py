@@ -15,11 +15,17 @@ paper's four composite constructs:
 plus :class:`ActivityNode` leaves naming end-user activities.  The AST is
 deliberately isomorphic to the planner's plan trees (Section 3.4.1) modulo
 conditions, which plan trees do not carry.
+
+A composite node recovered from a graph also carries its *anchor*: the
+names of the paired flow-control activities it was recovered from —
+(FORK, JOIN), (CHOICE, MERGE) or (loop-head MERGE, latch CHOICE).  Only
+the recovery sets it, and it takes no part in equality, hashing or repr,
+so a recovered AST still equals the parsed one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterator
 
 from repro.errors import ProcessError
@@ -90,6 +96,7 @@ class ForkNode(Node):
     """Branches may execute concurrently; all must complete (Fork/Join)."""
 
     branches: tuple[Node, ...]
+    anchor: tuple[str, str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -112,6 +119,7 @@ class ChoiceNode(Node):
     """
 
     branches: tuple[tuple[Condition, Node], ...]
+    anchor: tuple[str, str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple(tuple(b) for b in self.branches))
@@ -130,6 +138,7 @@ class IterativeNode(Node):
 
     condition: Condition
     body: Node
+    anchor: tuple[str, str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.condition is None:

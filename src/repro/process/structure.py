@@ -15,8 +15,13 @@ Two operations:
   a latch ``Choice`` to its loop-head ``Merge``), after which a single
   recursive region parser handles all four constructs.  Graphs that are not
   well-structured (unmatched Fork/Join, branches converging on different
-  merges, multi-exit loops...) raise :class:`ConversionError` with a
-  description of the offending region.
+  merges, multi-exit loops, empty arms or bodies...) raise
+  :class:`ConversionError` with a description of the offending region.
+  Each recovered Fork, Choice and Iterative node carries the *anchor* it
+  was recovered from (its FORK/JOIN, CHOICE/MERGE or loop-head MERGE/latch
+  CHOICE names).  This is the only parser of the region grammar: the
+  structural check (E104) and the concurrency verifier's fork regions
+  both read its result.
 
 Round-tripping ``process_to_ast(ast_to_process(ast))`` returns an AST equal
 to the normalized original — a property test in the suite.
@@ -306,7 +311,7 @@ class _Recoverer:
             raise ConversionError(f"loop latch {latch!r} has no exit edge")
         back_tr = self.pd.transition_between(latch, head)
         condition = back_tr.condition if back_tr.condition is not None else TRUE
-        return IterativeNode(condition, body), exits[0]
+        return IterativeNode(condition, body, anchor=(head, latch)), exits[0]
 
     def parse_fork(self, fork: str) -> tuple[ForkNode, str]:
         """Parse a Fork/Join concurrent region starting at *fork*."""
@@ -336,7 +341,7 @@ class _Recoverer:
                 f"{sorted(joins)}"
             )
         join = joins.pop()
-        return ForkNode(tuple(branches)), self._sole_successor(join)
+        return ForkNode(tuple(branches), anchor=(fork, join)), self._sole_successor(join)
 
     def parse_selective(self, choice: str) -> tuple[ChoiceNode, str]:
         """Parse a Choice/Merge selective region starting at *choice*."""
@@ -369,7 +374,7 @@ class _Recoverer:
                 f"{sorted(merges)}"
             )
         merge = merges.pop()
-        return ChoiceNode(tuple(branches)), self._sole_successor(merge)
+        return ChoiceNode(tuple(branches), anchor=(choice, merge)), self._sole_successor(merge)
 
 
 def process_to_ast(pd: ProcessDescription) -> Node:

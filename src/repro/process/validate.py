@@ -38,9 +38,7 @@ _DEGREE_RULES: dict[ActivityKind, tuple[int, int | None, int, int | None]] = {
 }
 
 
-def check_process_findings(
-    pd: ProcessDescription, structured: bool = True
-) -> "list[Finding]":
+def check_process_findings(pd: ProcessDescription) -> "list[Finding]":
     """Structural findings for *pd* (empty = valid).
 
     Every violation of Section 3.1's rules becomes one finding anchored to
@@ -119,7 +117,7 @@ def check_process_findings(
                 Finding("E105", name, f"activity {name!r} cannot reach End")
             )
 
-        if structured and not findings:
+        if not findings:
             from repro.process.structure import process_to_ast
 
             try:
@@ -132,15 +130,15 @@ def check_process_findings(
     return findings
 
 
-def check_process(pd: ProcessDescription, structured: bool = True) -> list[str]:
+def check_process(pd: ProcessDescription) -> list[str]:
     """String-compatible shim over :func:`check_process_findings` (empty =
     valid); each entry renders one finding's code, severity and message."""
-    return [str(f) for f in check_process_findings(pd, structured=structured)]
+    return [str(f) for f in check_process_findings(pd)]
 
 
-def validate_process(pd: ProcessDescription, structured: bool = True) -> None:
+def validate_process(pd: ProcessDescription) -> None:
     """Raise :class:`ProcessStructureError` if *pd* is invalid."""
-    problems = check_process(pd, structured=structured)
+    problems = check_process(pd)
     if problems:
         raise ProcessStructureError(
             f"process {pd.name!r} is invalid: " + "; ".join(problems)

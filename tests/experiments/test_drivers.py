@@ -1,7 +1,5 @@
 """Experiment drivers: tables, figures, ablations (fast configurations)."""
 
-import pytest
-
 from repro.experiments import (
     PAPER_TABLE2,
     baseline_comparison,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServiceError
-from repro.grid import Agent, GridEnvironment, Performative
+from repro.grid import Agent, GridEnvironment
 
 
 class Echo(Agent):

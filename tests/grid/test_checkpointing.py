@@ -1,7 +1,5 @@
 """Checkpointing of long-lasting activities (Section-1 requirement)."""
 
-import pytest
-
 from repro.errors import ServiceError
 from repro.grid import (
     Agent,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GridError
-from repro.grid import Agent, GridEnvironment, HardwareProfile, LinkProfile
+from repro.grid import Agent, GridEnvironment, HardwareProfile
 
 
 class Pong(Agent):

@@ -142,7 +142,6 @@ class TestContainerIntegration:
             GridEnvironment,
             HardwareProfile,
         )
-        from repro.errors import ServiceError
 
         env = GridEnvironment()
 

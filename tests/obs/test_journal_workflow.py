@@ -53,7 +53,7 @@ class TestWorkloadJournal:
         assert stats["appended"] == 0
         assert stats["cases"] == 0
 
-    def test_record_mode_keeps_storage_clean(self):
+    def test_journal_writes_nothing_to_storage(self):
         result = run_many_cases(cases=4, containers=2, journal=True)
         assert result["journal"]["appended"] > 0
         journal_keys = [
@@ -126,7 +126,7 @@ class TestFailureJournal:
 
 
 class TestEvictionMidRun:
-    def test_evicted_case_files_and_mirrors_nothing_more(self):
+    def test_evicted_cases_keep_exact_counters(self):
         env, services, _ = standard_environment(
             many_cases_services(), containers=3, journal=True
         )

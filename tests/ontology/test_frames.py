@@ -11,7 +11,6 @@ from repro.errors import (
 )
 from repro.ontology import (
     Cardinality,
-    Instance,
     KnowledgeBase,
     OntologyClass,
     Slot,

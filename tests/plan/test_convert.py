@@ -19,7 +19,6 @@ from repro.plan import (
     tree_to_process,
 )
 from repro.process import (
-    ActivityKind,
     Atom,
     IterativeNode,
     parse_process,

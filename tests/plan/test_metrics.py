@@ -8,7 +8,6 @@ from repro.plan import (
     controller_census,
     iterative,
     representation_efficiency,
-    selective,
     sequential,
     summary,
     terminal,

@@ -1,6 +1,5 @@
 """Random plan-tree generation: size bounds, shape distribution."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

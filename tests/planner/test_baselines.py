@@ -6,7 +6,6 @@ from repro.errors import PlanningError
 from repro.plan import Terminal
 from repro.planner import (
     EvaluationEngine,
-    GPConfig,
     PlanningProblem,
     WorldState,
     forward_search,

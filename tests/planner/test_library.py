@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.plan import sequential, terminal, tree_to_process
+from repro.plan import sequential, tree_to_process
 from repro.planner import GPConfig, GPPlanner
 from repro.planner.library import (
     PlanEntry,
@@ -78,7 +78,7 @@ def test_problem_digest_tracks_activity_set():
     assert problem_digest(smaller) != problem_digest(base)
 
 
-def test_library_key_and_storage_key():
+def test_library_key():
     problem = plan_mix_problem(0)
     digest, goal_sig = library_key(problem)
     assert digest == problem_digest(problem)
@@ -100,7 +100,7 @@ def test_library_get_and_touch():
     assert lib.get("nope", "nope") is None
 
 
-def test_library_lru_eviction_reports_victims():
+def test_library_lru_eviction():
     lib = PlanLibrary(max_entries=2)
     entries = [
         _entry(plan_mix_problem(variant), sequential("fetch", "clean"))
@@ -131,7 +131,7 @@ def test_library_related_ranks_overlap_and_digest():
     assert lib.related("f" * 32, ("nothing",)) == []
 
 
-def test_library_absorb_and_purge():
+def test_library_put_replaces_and_purge_empties():
     lib = PlanLibrary()
     entry = _entry(plan_mix_problem(0), sequential("fetch", "clean"))
     lib.put(entry)

@@ -1,7 +1,5 @@
 """Plan repair: removing never-valid activities, swapping flagged terminals."""
 
-import pytest
-
 from repro.plan import normalize, selective, sequential, terminal
 from repro.planner import EvaluationEngine, GPConfig, GPPlanner
 from repro.planner.repair import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexError
-from repro.process.lexer import KEYWORDS, Token, TokenKind, tokenize
+from repro.process.lexer import KEYWORDS, TokenKind, tokenize
 
 
 def kinds(text):

@@ -14,6 +14,7 @@ from repro.process import (
     ForkNode,
     IterativeNode,
     ProcessDescription,
+    SequenceNode,
     TRUE,
     ast_to_process,
     find_back_edges,
@@ -102,6 +103,33 @@ class TestRecovery:
         ast = parse_process(text)
         pd = ast_to_process(ast)
         assert process_to_ast(pd) == normalize_ast(ast)
+
+    def test_recovered_composites_carry_their_anchors(self):
+        text = (
+            "BEGIN; {ITERATIVE {COND X.v > 1} "
+            "{{CHOICE {COND Y.v = 1} {A} {COND true} {B} MERGE}; "
+            "{FORK {C} {D} JOIN}}}; END"
+        )
+        ast = parse_process(text)
+        recovered = process_to_ast(ast_to_process(ast))
+        assert recovered == normalize_ast(ast)
+        assert hash(recovered) == hash(normalize_ast(ast))
+        assert repr(recovered) == repr(normalize_ast(ast))
+        anchors = {
+            type(node).__name__: node.anchor
+            for node in recovered.walk()
+            if not isinstance(node, (ActivityNode, SequenceNode))
+        }
+        assert anchors == {
+            "IterativeNode": ("MERGE1", "CHOICE1"),
+            "ChoiceNode": ("CHOICE2", "MERGE2"),
+            "ForkNode": ("FORK1", "JOIN1"),
+        }
+        assert all(
+            node.anchor is None
+            for node in ast.walk()
+            if not isinstance(node, (ActivityNode, SequenceNode))
+        )
 
     def test_loop_containing_choice(self):
         text = (

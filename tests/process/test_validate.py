@@ -98,8 +98,8 @@ def test_structured_check_catches_bad_pairing():
     pd.connect("M", "END")
     problems = check_process(pd)
     assert any("well-structured" in p for p in problems)
-    # Degree rules alone are satisfied:
-    assert check_process(pd, structured=False) == []
+    # Degree rules alone are satisfied: pairing is the only problem.
+    assert len(problems) == 1
 
 
 def test_validate_raises_with_all_problems():

@@ -143,7 +143,7 @@ class TestProvenanceRPC:
 
 
 class TestJournalPurge:
-    def test_purge_clears_residency_and_storage(self):
+    def test_purge_clears_resident_cases(self):
         env, services, _ = journal_grid()
         user = enact(env, services)
         assert env.journal.stats()["cases"] == 3

@@ -1,7 +1,5 @@
 """Simulation service and the environment bootstrap."""
 
-import pytest
-
 from repro.plan import concurrent, iterative, sequential
 from repro.services import build_core_services, standard_environment
 from repro.grid import GridEnvironment

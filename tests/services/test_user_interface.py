@@ -1,7 +1,5 @@
 """User Interface agents and intermittent connectivity."""
 
-import pytest
-
 from repro.errors import ServiceError
 from repro.services.user_interface import UserInterface
 from repro.virolab import CONS1, case_study_kb

@@ -15,7 +15,6 @@ from repro.virolab import (
     activity_specs,
     case_study_kb,
     plan_tree,
-    planning_problem,
     process_description,
 )
 
